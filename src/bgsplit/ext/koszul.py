@@ -38,6 +38,18 @@ def v_monomials(qs: tuple[int, ...], s: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rec(0, s))
 
 
+@lru_cache(maxsize=None)
+def v_monomials_by_degree(
+    qs: tuple[int, ...], drops: tuple[int, ...], s: int
+) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """v_monomials(qs, s) bucketed by v-degree sum alpha_i d_i, lex order kept."""
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for alpha in v_monomials(qs, s):
+        vdeg = sum(a * d for a, d in zip(alpha, drops))
+        buckets.setdefault(vdeg, []).append(alpha)
+    return {vdeg: tuple(alphas) for vdeg, alphas in buckets.items()}
+
+
 @dataclass
 class BigradedDims:
     """Ext dimensions per (s, t) with the certified window they live in."""
@@ -76,17 +88,31 @@ class KoszulComplex:
         self.qs = module.qs
         self.p = module.ctx.p
         self.drops = tuple(module.ctx.q_degree(i) for i in self.qs)
+        self._blocks: dict[tuple[int, int], tuple] = {}
         self._diffs: dict[tuple[int, int], np.ndarray] = {}
         self._homology: dict[tuple[int, int], tuple] = {}
 
     # -- chain level ---------------------------------------------------------
 
-    def chain_blocks(self, s: int, t: int) -> list[tuple[tuple[int, ...], int, int]]:
-        """(alpha, module degree, block dim) per v-monomial, in lex order."""
-        blocks = []
-        for alpha in v_monomials(self.qs, s):
-            d = t - sum(a * dv for a, dv in zip(alpha, self.drops))
-            blocks.append((alpha, d, self.module.dim(d)))
+    def chain_blocks(self, s: int, t: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+        """(alpha, module degree, block dim) per nonempty block of C^{s,t}, in lex order.
+
+        Blocks v^alpha (x) M_d with M_d = 0 add no columns, so they are left
+        out: the walk visits the module's degrees, not every v-monomial.
+        """
+        key = (s, t)
+        cached = self._blocks.get(key)
+        if cached is not None:
+            return cached
+        buckets = v_monomials_by_degree(self.qs, self.drops, s)
+        blocks = tuple(
+            sorted(
+                (alpha, d, len(labels))
+                for d, labels in self.module.basis.items()
+                for alpha in buckets.get(t - d, ())
+            )
+        )
+        self._blocks[key] = blocks
         return blocks
 
     def chain_dim(self, s: int, t: int) -> int:
@@ -112,11 +138,11 @@ class KoszulComplex:
         mat = np.zeros((total, self.chain_dim(s, t)), dtype=np.int64)
         col = 0
         for alpha, d, dim in src:
-            if dim:
-                for ix, i in enumerate(self.qs):
-                    beta = alpha[:ix] + (alpha[ix] + 1,) + alpha[ix + 1 :]
+            for ix, i in enumerate(self.qs):
+                beta = alpha[:ix] + (alpha[ix] + 1,) + alpha[ix + 1 :]
+                row = offsets.get(beta)
+                if row is not None:
                     action = self.module.act(i, d)
-                    row = offsets[beta]
                     mat[row : row + action.shape[0], col : col + dim] += action
             col += dim
         mat %= self.p
@@ -136,10 +162,9 @@ class KoszulComplex:
         mat = np.zeros((total, self.chain_dim(s, t)), dtype=np.int64)
         col = 0
         for alpha, _, dim in src:
-            if dim:
-                beta = alpha[:ix] + (alpha[ix] + 1,) + alpha[ix + 1 :]
-                row = offsets[beta]
-                mat[row : row + dim, col : col + dim] = np.eye(dim, dtype=np.int64)
+            beta = alpha[:ix] + (alpha[ix] + 1,) + alpha[ix + 1 :]
+            row = offsets[beta]
+            mat[row : row + dim, col : col + dim] = np.eye(dim, dtype=np.int64)
             col += dim
         return mat
 

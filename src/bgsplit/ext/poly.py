@@ -619,7 +619,11 @@ def ext_over_P2(
 
 @dataclass
 class PdReport:
-    """Observed length of the truncated minimal resolution plus depth witness."""
+    """Observed length of the truncated minimal resolution plus depth witness.
+
+    passed is the paper's claim for gr C-bar_k: projective dimension at
+    most 1 (length <= 1) and depth >= 1 (empty socle).
+    """
 
     length: int
     socle_empty: bool
@@ -629,7 +633,7 @@ class PdReport:
 
     @property
     def passed(self) -> bool:
-        return self.length <= 2 and self.socle_empty
+        return self.length <= 1 and self.socle_empty
 
 
 def projective_dimension(a: PolyPresentation, u_cap: int = 4) -> PdReport:

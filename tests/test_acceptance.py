@@ -142,7 +142,7 @@ def test_criterion_6_vanishing_line():
         ck = weight_restricted_C(P3, k)
         pres = gr_module(ck, ck.max_degree() + 24)
         rep = projective_dimension(pres)
-        assert rep.length <= 2, f"gr C_{k} resolves in {rep.length} stages"
+        assert rep.length <= 1, f"gr C_{k} resolves in {rep.length} stages"
         assert rep.socle_empty, f"gr C_{k} has socle at {rep.socle_bidegrees[:4]}"
         longest = max(longest, rep.length)
     _ok(6, f"gr C_k resolutions have length <= {longest} and empty socle, k <= 27", t0)

@@ -54,6 +54,49 @@ def test_differential_squares_to_zero():
                 assert not ((up @ down) % 3).any()
 
 
+def _brute_force_blocks(kc, s, t):
+    blocks = []
+    for alpha in v_monomials(kc.qs, s):
+        d = t - sum(a * dv for a, dv in zip(alpha, kc.drops))
+        if kc.module.dim(d):
+            blocks.append((alpha, d, kc.module.dim(d)))
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        weight_restricted_C(P3, 9),
+        suspend(weight_restricted_C(P3, 3), 8),
+        bp_homology(P3, 2, 24).module,
+        restrict_qs(weight_restricted_C(P3, 9), (0, 1)),
+    ],
+    ids=["C9", "sigma8-C3", "truncated-bp2", "C9-over-Q0Q1"],
+)
+def test_chain_blocks_match_brute_force(module):
+    kc = KoszulComplex(module)
+    nonempty = 0
+    for t in range(module.min_degree() - 5, 50):
+        for s in range(9):
+            blocks = kc.chain_blocks(s, t)
+            assert list(blocks) == _brute_force_blocks(kc, s, t), (s, t)
+            assert kc.chain_blocks(s, t) is blocks
+            nonempty += len(blocks)
+    assert nonempty
+
+
+def test_v_multiplication_commutes_with_the_differential():
+    for module in (weight_restricted_C(P3, 9), restrict_qs(weight_restricted_C(P3, 9), (1, 2))):
+        kc = KoszulComplex(module)
+        for i, drop in zip(kc.qs, kc.drops):
+            for t in range(0, 30):
+                for s in range(4):
+                    lhs = kc.differential(s + 1, t + drop) @ kc.v_mult_chain(s, t, i)
+                    rhs = kc.v_mult_chain(s + 1, t, i) @ kc.differential(s, t)
+                    assert lhs.shape == rhs.shape
+                    assert not ((lhs - rhs) % 3).any(), (i, s, t)
+
+
 def test_free_module_ext_concentrated_in_s0():
     free = free_module(P3, FULL, 6)
     ext = ext_koszul(free, 5, 60)

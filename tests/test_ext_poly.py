@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from bgsplit.browngitler import bp_homology, weight_restricted_C
 from bgsplit.ext.poly import (
+    PolyPresentation,
     ext_over_P2,
     ext_p_module,
     free_presentation,
@@ -135,6 +136,22 @@ def test_projective_dimension_oracles():
     assert gr9.length == 1
     assert gr9.socle_empty
     assert gr9.passed
+
+
+def test_projective_dimension_gate_rejects_length_two():
+    # F_p[v_2] = P(2)/(v_0, v_1): two Koszul relation stages, and v_2 acts
+    # freely, so the socle is empty and only the length bound can fail
+    pres = PolyPresentation(
+        3,
+        VARS,
+        ((0, 0),),
+        (((1, 1), ((0, (1, 0, 0), 1),)), ((1, 5), ((0, (0, 1, 0), 1),))),
+        60,
+    )
+    report = projective_dimension(pres)
+    assert report.length == 2
+    assert report.socle_empty
+    assert not report.passed
 
 
 def test_residue_field_socle_is_the_generator():
