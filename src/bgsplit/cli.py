@@ -24,6 +24,7 @@ from .browngitler import (
 from .ext.compare import dual_module, obstruction_report, propiso_check
 from .ext.koszul import bockstein_e1, even_concentration_check, v_injectivity
 from .ext.poly import gr_module, projective_dimension
+from .fplin import is_prime
 from .margolis import (
     InvertibleClass,
     classify_invertible,
@@ -54,12 +55,6 @@ class ConfigError(ValueError):
     """A flag combination outside the contract; exit code 2."""
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    return all(p % d for d in range(3, int(p**0.5) + 1, 2))
-
-
 @dataclass(frozen=True)
 class RunConfig:
     p: int = 3
@@ -73,7 +68,7 @@ class RunConfig:
     inject_fault: bool = False
 
     def validate(self) -> None:
-        if not _is_odd_prime(self.p):
+        if not (self.p >= 3 and is_prime(self.p)):
             raise ConfigError("p must be an odd prime")
         if self.max_degree < 0:
             raise ConfigError("max_degree must be nonnegative")

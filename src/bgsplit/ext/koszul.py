@@ -6,6 +6,11 @@ d = sum_i Q_i (x) v_i, so its cohomology is Ext_E(F_p, M) and the
 v_i-multiplications are visible at chain level.  Chart coordinates put a
 cochain m (x) v^alpha at s = |alpha| and t = deg(m) + sum alpha_i d_i
 with d_i = 2p^i - 1, so v_i sits at (1, d_i) and d preserves t.
+
+Dimensions come from ranks, dim Ext^{s,t} = dim C^{s,t} - rank d^{s,t} -
+rank d^{s-1,t}, with each rank eliminated once per complex.  Class
+representatives are built only by `KoszulComplex.homology`, for the
+callers that need them (`project` and `v_mult`).
 """
 
 from __future__ import annotations
@@ -88,8 +93,9 @@ class KoszulComplex:
         self.qs = module.qs
         self.p = module.ctx.p
         self.drops = tuple(module.ctx.q_degree(i) for i in self.qs)
-        self._blocks: dict[tuple[int, int], tuple] = {}
+        self._chains: dict[tuple[int, int], tuple[tuple, int]] = {}
         self._diffs: dict[tuple[int, int], np.ndarray] = {}
+        self._ranks: dict[tuple[int, int], int] = {}
         self._homology: dict[tuple[int, int], tuple] = {}
 
     # -- chain level ---------------------------------------------------------
@@ -100,8 +106,15 @@ class KoszulComplex:
         Blocks v^alpha (x) M_d with M_d = 0 add no columns, so they are left
         out: the walk visits the module's degrees, not every v-monomial.
         """
+        return self._chain(s, t)[0]
+
+    def chain_dim(self, s: int, t: int) -> int:
+        return self._chain(s, t)[1]
+
+    def _chain(self, s: int, t: int) -> tuple[tuple, int]:
+        """The blocks of C^{s,t} and their total dimension, memoised per (s, t)."""
         key = (s, t)
-        cached = self._blocks.get(key)
+        cached = self._chains.get(key)
         if cached is not None:
             return cached
         buckets = v_monomials_by_degree(self.qs, self.drops, s)
@@ -112,11 +125,8 @@ class KoszulComplex:
                 for alpha in buckets.get(t - d, ())
             )
         )
-        self._blocks[key] = blocks
-        return blocks
-
-    def chain_dim(self, s: int, t: int) -> int:
-        return sum(dim for _, _, dim in self.chain_blocks(s, t))
+        cached = self._chains[key] = (blocks, sum(dim for _, _, dim in blocks))
+        return cached
 
     def differential(self, s: int, t: int) -> np.ndarray:
         """Matrix of d = sum Q_i (x) v_i from C^{s,t} to C^{s+1,t}.
@@ -198,10 +208,29 @@ class KoszulComplex:
         self._homology[key] = result
         return result
 
+    def _rank(self, s: int, t: int) -> int:
+        """Rank of d: C^{s,t} -> C^{s+1,t}, eliminated once per (s, t)."""
+        key = (s, t)
+        cached = self._ranks.get(key)
+        if cached is not None:
+            return cached
+        if self.chain_dim(s, t) == 0 or self.chain_dim(s + 1, t) == 0:
+            rank = 0
+        else:
+            rank = len(rref_array(self.differential(s, t), self.p)[1])
+        self._ranks[key] = rank
+        return rank
+
     def dim(self, s: int, t: int) -> int:
-        if self.chain_dim(s, t) == 0:
+        """dim Ext^{s,t} = dim C^{s,t} - rank d^{s,t} - rank d^{s-1,t}.
+
+        The count equals the size of the homology basis because d^2 = 0;
+        it builds no representatives, which only `homology` does.
+        """
+        n = self.chain_dim(s, t)
+        if n == 0:
             return 0
-        return self.homology(s, t)[0].shape[0]
+        return n - self._rank(s, t) - self._rank(s - 1, t)
 
     def project(self, s: int, t: int, vec: np.ndarray) -> np.ndarray:
         """Class coordinates of a cycle in the homology basis at (s, t)."""

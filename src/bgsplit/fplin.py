@@ -12,20 +12,15 @@ mod p before the next accumulation (p is small, at most a few hundred).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "FpMatrix",
-    "Subspace",
-    "rref",
-    "kernel_basis",
-    "image_basis",
-    "quotient_basis",
     "rref_array",
+    "reduce_mod_rows",
     "kernel_array",
+    "coset_representatives",
     "solve_columns",
     "is_prime",
 ]
@@ -49,92 +44,6 @@ def _inverse_table(p: int) -> np.ndarray:
     for x in range(1, p):
         inv[x] = pow(x, p - 2, p)
     return inv
-
-
-def _as_residues(data, p: int) -> np.ndarray:
-    a = np.asarray(data, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-    return np.mod(a, p)
-
-
-@dataclass(frozen=True)
-class FpMatrix:
-    """An exact matrix over F_p; entries are residues in [0, p)."""
-
-    p: int
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        object.__setattr__(self, "data", _as_residues(self.data, self.p))
-        self.data.setflags(write=False)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @classmethod
-    def from_rows(cls, p: int, rows: list[list[int]], cols: int | None = None) -> "FpMatrix":
-        if not rows:
-            return cls(p, np.zeros((0, cols or 0), dtype=np.int64))
-        return cls(p, np.array(rows, dtype=np.int64))
-
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p:
-            raise ValueError("modulus mismatch")
-        return FpMatrix(self.p, (self.data @ other.data) % self.p)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FpMatrix):
-            return NotImplemented
-        return self.p == other.p and self.data.shape == other.data.shape and bool(
-            np.array_equal(self.data, other.data)
-        )
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of F_p^ambient, stored as a reduced-echelon row basis.
-
-    The basis rows have strictly increasing pivot columns, each pivot entry
-    is 1, and pivot columns are zero in every other row.  This normal form
-    is unique, so two equal subspaces compare equal componentwise.
-    """
-
-    p: int
-    ambient: int
-    basis: np.ndarray
-    pivots: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        b = _as_residues(self.basis, self.p)
-        if b.shape[1] != self.ambient and b.shape[0] > 0:
-            raise ValueError("basis width disagrees with ambient dimension")
-        if b.shape[0] == 0:
-            b = b.reshape((0, self.ambient))
-        object.__setattr__(self, "basis", b)
-        self.basis.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def contains(self, vector) -> bool:
-        v = np.mod(np.asarray(vector, dtype=np.int64), self.p)
-        if v.shape != (self.ambient,):
-            raise ValueError("vector has wrong length")
-        return not np.any(reduce_mod_rows(v, self.basis, self.pivots, self.p))
-
-    def reduce(self, vector) -> np.ndarray:
-        """Canonical coset representative of `vector` modulo this subspace."""
-        v = np.mod(np.asarray(vector, dtype=np.int64), self.p)
-        return reduce_mod_rows(v, self.basis, self.pivots, self.p)
 
 
 def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -174,12 +83,6 @@ def reduce_mod_rows(v: np.ndarray, rref_rows: np.ndarray, pivots: tuple[int, ...
     return out
 
 
-def rref(m: FpMatrix) -> tuple[FpMatrix, int, list[int]]:
-    """RREF of an FpMatrix: (reduced matrix, rank, pivot columns)."""
-    reduced, pivots = rref_array(m.data, m.p)
-    return FpMatrix(m.p, reduced), len(pivots), pivots
-
-
 def kernel_array(a: np.ndarray, p: int) -> np.ndarray:
     """Rows spanning {x : a @ x = 0 mod p}, in reduced echelon form."""
     a = np.asarray(a, dtype=np.int64)
@@ -201,50 +104,6 @@ def kernel_array(a: np.ndarray, p: int) -> np.ndarray:
     return normal
 
 
-def kernel_basis(m: FpMatrix) -> Subspace:
-    """Right kernel of m as a Subspace of F_p^cols."""
-    basis = kernel_array(m.data, m.p)
-    return Subspace(m.p, m.cols, basis, tuple(_pivots_of_rref(basis)))
-
-
-def _pivots_of_rref(rows: np.ndarray) -> list[int]:
-    pivots = []
-    for r in range(rows.shape[0]):
-        nz = np.nonzero(rows[r])[0]
-        pivots.append(int(nz[0]))
-    return pivots
-
-
-def image_basis(m: FpMatrix) -> Subspace:
-    """Column space of m as a Subspace of F_p^rows."""
-    basis, pivots = rref_array(m.data.T, m.p)
-    rank = len(pivots)
-    return Subspace(m.p, m.rows, basis[:rank], tuple(pivots))
-
-
-def quotient_basis(ambient_dim: int, sub: Subspace) -> list[np.ndarray]:
-    """Coset representatives spanning F_p^ambient / sub.
-
-    Representatives are the standard basis vectors at the non-pivot
-    coordinates of the subspace's echelon basis, taken in increasing index
-    order.  Together with the subspace basis they form a basis of the
-    ambient space, and the choice is deterministic.
-    """
-    if sub.ambient != ambient_dim:
-        raise ValueError("ambient dimension disagrees with subspace")
-    red, pivots = rref_array(sub.basis, sub.p)
-    if len(pivots) != sub.dim:
-        raise ValueError("subspace basis rows are not linearly independent")
-    pivot_set = set(pivots)
-    reps = []
-    for c in range(ambient_dim):
-        if c not in pivot_set:
-            v = np.zeros(ambient_dim, dtype=np.int64)
-            v[c] = 1
-            reps.append(v)
-    return reps
-
-
 def coset_representatives(vectors: np.ndarray, subspace_rows: np.ndarray, p: int) -> np.ndarray:
     """Canonical rows spanning span(vectors) modulo span(subspace_rows).
 
@@ -260,16 +119,6 @@ def coset_representatives(vectors: np.ndarray, subspace_rows: np.ndarray, p: int
     reduced = np.array([reduce_mod_rows(v, sub, tuple(spiv), p) for v in vectors])
     rows, piv = rref_array(reduced, p)
     return rows[: len(piv)]
-
-
-def row_space(vectors: np.ndarray, p: int) -> Subspace:
-    """Subspace spanned by the given rows."""
-    vectors = np.asarray(vectors, dtype=np.int64)
-    if vectors.ndim != 2:
-        raise ValueError("expected a 2-d array of row vectors")
-    red, pivots = rref_array(vectors, p)
-    rank = len(pivots)
-    return Subspace(p, vectors.shape[1], red[:rank], tuple(pivots))
 
 
 def solve_columns(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:

@@ -36,6 +36,13 @@ def test_even_prime_is_a_config_error(capsys):
     assert "p must be an odd prime" in capsys.readouterr().err
 
 
+def test_odd_composite_and_two_are_config_errors(capsys):
+    for p in ("9", "2"):
+        code = main(["verify-splitting", "--p", p, "--max-degree", "0", "--k-max", "0"])
+        assert code == 2
+        assert "p must be an odd prime" in capsys.readouterr().err
+
+
 def test_bad_ranges_are_config_errors(capsys):
     assert main(["verify-splitting", "--jobs", "0", "--max-degree", "0"]) == 2
     assert "jobs" in capsys.readouterr().err

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from bgsplit.browngitler import bp_homology, weight_restricted_C
+from bgsplit.browngitler import bp_homology, length_splitting, weight_restricted_C
+from bgsplit.ext.compare import dual_module
 from bgsplit.ext.koszul import (
     KoszulComplex,
     bockstein_e1,
@@ -25,6 +26,7 @@ from bgsplit.qmodules import (
 )
 
 P3 = PrimeContext(3)
+P5 = PrimeContext(5)
 FULL = (0, 1, 2)
 DROPS = (1, 5, 17)
 
@@ -52,6 +54,57 @@ def test_differential_squares_to_zero():
             up = kc.differential(s + 1, t)
             if down.size and up.size:
                 assert not ((up @ down) % 3).any()
+
+
+RANK_ROUTE_MODULES = [
+    pytest.param(lambda: weight_restricted_C(P3, 9), id="C9"),
+    *(
+        pytest.param(
+            lambda pair=pair: restrict_qs(length_splitting(P3, 60).reduced_part, pair),
+            id="reduced-over-Q{}Q{}".format(*pair),
+        )
+        for pair in ((0, 1), (0, 2), (1, 2))
+    ),
+    *(
+        pytest.param(
+            lambda k=k: tensor(
+                dual_module(weight_restricted_C(P3, k)), suspend(weight_restricted_C(P3, k), 4 * P3.q)
+            ),
+            id=f"dual-C{k}-tensor-C{k}",
+        )
+        for k in (3, 9)
+    ),
+    # C_25 is the first p = 5 block on which the operators act
+    pytest.param(lambda: weight_restricted_C(P5, 25), id="p5-C25"),
+]
+
+
+@pytest.mark.parametrize("make", RANK_ROUTE_MODULES)
+def test_dim_from_ranks_matches_homology_basis(make):
+    module = make()
+    kc = KoszulComplex(module)
+    lo = module.min_degree()
+    classes = 0
+    for t in range(lo, lo + 61):
+        for s in range(7):
+            d = kc.dim(s, t)
+            assert d == kc.homology(s, t)[0].shape[0], (s, t)
+            classes += d
+    assert classes
+
+
+@pytest.mark.parametrize("make", RANK_ROUTE_MODULES)
+def test_dim_euler_characteristic_matches_chains(make):
+    # for fixed t the complex is finite: C^{s,t} = 0 once s * min drop
+    # exceeds t - min degree, so both alternating sums are finite
+    module = make()
+    kc = KoszulComplex(module)
+    lo = module.min_degree()
+    for t in range(lo, lo + 41):
+        s_top = (t - lo) // min(kc.drops) + 1
+        ext = sum((-1) ** s * kc.dim(s, t) for s in range(s_top + 1))
+        chains = sum((-1) ** s * kc.chain_dim(s, t) for s in range(s_top + 1))
+        assert ext == chains, t
 
 
 def _brute_force_blocks(kc, s, t):

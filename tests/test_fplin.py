@@ -3,104 +3,103 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgsplit.fplin import (
-    FpMatrix,
-    Subspace,
-    image_basis,
-    kernel_basis,
-    quotient_basis,
-    row_space,
-    rref,
-    solve_columns,
-)
+from bgsplit.fplin import coset_representatives, kernel_array, rref_array, solve_columns
+
+
+def _m(rows) -> np.ndarray:
+    return np.array(rows, dtype=np.int64)
+
+
+def _row_space(a: np.ndarray, p: int) -> np.ndarray:
+    red, pivots = rref_array(a, p)
+    return red[: len(pivots)]
+
+
+def _image(a: np.ndarray, p: int) -> np.ndarray:
+    """Reduced echelon rows spanning the column space of a."""
+    return _row_space(a.T, p)
+
+
+def _contains(rows: np.ndarray, vector, p: int) -> bool:
+    return coset_representatives(_m([vector]), rows, p).shape[0] == 0
 
 
 def test_rref_rank_one_example():
-    m = FpMatrix.from_rows(5, [[1, 2], [2, 4]])
-    red, rank, pivots = rref(m)
-    assert rank == 1
+    red, pivots = rref_array(_m([[1, 2], [2, 4]]), 5)
+    assert len(pivots) == 1
     assert pivots == [0]
-    assert red.data.tolist() == [[1, 2], [0, 0]]
+    assert red.tolist() == [[1, 2], [0, 0]]
 
 
 def test_rref_identity_fixed():
-    m = FpMatrix(7, np.eye(3, dtype=np.int64))
-    red, rank, pivots = rref(m)
-    assert rank == 3
+    eye = np.eye(3, dtype=np.int64)
+    red, pivots = rref_array(eye, 7)
+    assert len(pivots) == 3
     assert pivots == [0, 1, 2]
-    assert np.array_equal(red.data, m.data)
+    assert np.array_equal(red, eye)
 
 
 def test_rref_zero_and_empty_shapes():
-    z = FpMatrix(3, np.zeros((2, 3), dtype=np.int64))
-    red, rank, pivots = rref(z)
-    assert rank == 0 and pivots == []
-    empty = FpMatrix(3, np.zeros((0, 4), dtype=np.int64))
-    red, rank, pivots = rref(empty)
-    assert rank == 0 and red.data.shape == (0, 4)
+    red, pivots = rref_array(np.zeros((2, 3), dtype=np.int64), 3)
+    assert len(pivots) == 0 and pivots == []
+    red, pivots = rref_array(np.zeros((0, 4), dtype=np.int64), 3)
+    assert len(pivots) == 0 and red.shape == (0, 4)
 
 
 def test_kernel_contains_expected_vector():
-    m = FpMatrix.from_rows(5, [[1, 2], [2, 4]])
-    ker = kernel_basis(m)
-    assert ker.dim == 1
-    assert ker.contains([3, 1])
-    assert not ker.contains([1, 0])
+    ker = kernel_array(_m([[1, 2], [2, 4]]), 5)
+    assert ker.shape[0] == 1
+    assert _contains(ker, [3, 1], 5)
+    assert not _contains(ker, [1, 0], 5)
 
 
 def test_kernel_of_injective_map_is_zero():
-    m = FpMatrix.from_rows(3, [[1, 0], [0, 1], [1, 1]])
-    assert kernel_basis(m).dim == 0
+    assert kernel_array(_m([[1, 0], [0, 1], [1, 1]]), 3).shape[0] == 0
 
 
 def test_kernel_of_zero_rows_is_everything():
-    m = FpMatrix(3, np.zeros((0, 3), dtype=np.int64))
-    ker = kernel_basis(m)
-    assert ker.dim == 3
+    assert kernel_array(np.zeros((0, 3), dtype=np.int64), 3).shape[0] == 3
 
 
 def test_image_basis_example():
-    m = FpMatrix.from_rows(5, [[1, 2], [2, 4]])
-    im = image_basis(m)
-    assert im.dim == 1
-    assert im.contains([1, 2])
-    assert im.contains([2, 4])
-    assert not im.contains([0, 1])
+    im = _image(_m([[1, 2], [2, 4]]), 5)
+    assert im.shape[0] == 1
+    assert _contains(im, [1, 2], 5)
+    assert _contains(im, [2, 4], 5)
+    assert not _contains(im, [0, 1], 5)
 
 
 def test_quotient_basis_picks_nonpivot_standard_vectors():
-    sub = row_space(np.array([[1, 2]], dtype=np.int64), 5)
-    reps = quotient_basis(2, sub)
+    reps = coset_representatives(np.eye(2, dtype=np.int64), _m([[1, 2]]), 5)
     assert len(reps) == 1
     assert reps[0].tolist() == [0, 1]
 
 
 def test_quotient_basis_full_and_trivial():
-    full = row_space(np.eye(2, dtype=np.int64), 3)
-    assert quotient_basis(2, full) == []
-    zero = Subspace(3, 2, np.zeros((0, 2), dtype=np.int64), ())
-    reps = quotient_basis(2, zero)
+    eye = np.eye(2, dtype=np.int64)
+    assert coset_representatives(eye, eye, 3).tolist() == []
+    reps = coset_representatives(eye, np.zeros((0, 2), dtype=np.int64), 3)
     assert [r.tolist() for r in reps] == [[1, 0], [0, 1]]
 
 
-def test_quotient_basis_rejects_dependent_rows():
-    bad = Subspace(3, 2, np.zeros((0, 2), dtype=np.int64), ())
-    object.__setattr__(bad, "basis", np.array([[1, 2], [2, 4]], dtype=np.int64) % 3)
-    with pytest.raises(ValueError):
-        quotient_basis(2, bad)
+def test_quotient_basis_accepts_dependent_rows():
+    # a spanning set with repeated directions gives the same quotient as a basis
+    eye = np.eye(2, dtype=np.int64)
+    dependent = coset_representatives(eye, _m([[1, 2], [2, 4]]), 3)
+    assert np.array_equal(dependent, coset_representatives(eye, _m([[1, 2]]), 3))
+    assert dependent.shape[0] == 1
 
 
 def test_solve_columns_consistent_and_inconsistent():
-    a = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    x = solve_columns(a, np.array([2, 1], dtype=np.int64), 3)
+    a = _m([[1, 1], [0, 1]])
+    x = solve_columns(a, _m([2, 1]), 3)
     assert x is not None
     assert ((a @ x) % 3).tolist() == [2, 1]
-    b = np.array([[1, 1], [2, 2]], dtype=np.int64)
-    assert solve_columns(b, np.array([0, 1], dtype=np.int64), 3) is None
+    b = _m([[1, 1], [2, 2]])
+    assert solve_columns(b, _m([0, 1]), 3) is None
 
 
 @st.composite
@@ -115,48 +114,50 @@ def fp_matrices(draw):
             max_size=rows * cols,
         )
     )
-    data = np.array(entries, dtype=np.int64).reshape((rows, cols))
-    return FpMatrix(p, data)
+    return p, np.array(entries, dtype=np.int64).reshape((rows, cols))
 
 
 @settings(max_examples=120, deadline=None)
 @given(fp_matrices())
-def test_rank_nullity_and_idempotence(m):
-    red, rank, pivots = rref(m)
-    ker = kernel_basis(m)
-    assert rank + ker.dim == m.cols
-    again, rank2, pivots2 = rref(red)
-    assert rank2 == rank and pivots2 == pivots
-    assert np.array_equal(again.data, red.data)
+def test_rank_nullity_and_idempotence(pm):
+    p, a = pm
+    red, pivots = rref_array(a, p)
+    ker = kernel_array(a, p)
+    assert len(pivots) + ker.shape[0] == a.shape[1]
+    again, pivots2 = rref_array(red, p)
+    assert len(pivots2) == len(pivots) and pivots2 == pivots
+    assert np.array_equal(again, red)
 
 
 @settings(max_examples=120, deadline=None)
 @given(fp_matrices())
-def test_kernel_vectors_annihilate(m):
-    ker = kernel_basis(m)
-    if ker.dim and m.rows:
-        prod = (m.data @ ker.basis.T) % m.p
+def test_kernel_vectors_annihilate(pm):
+    p, a = pm
+    ker = kernel_array(a, p)
+    if ker.shape[0] and a.shape[0]:
+        prod = (a @ ker.T) % p
         assert not prod.any()
 
 
 @settings(max_examples=120, deadline=None)
 @given(fp_matrices())
-def test_image_matches_rank_and_membership(m):
-    im = image_basis(m)
-    _, rank, _ = rref(m)
-    assert im.dim == rank
-    for j in range(m.cols):
-        assert im.contains(m.data[:, j])
+def test_image_matches_rank_and_membership(pm):
+    p, a = pm
+    im = _image(a, p)
+    _, pivots = rref_array(a, p)
+    assert im.shape[0] == len(pivots)
+    for j in range(a.shape[1]):
+        assert _contains(im, a[:, j], p)
 
 
 @settings(max_examples=120, deadline=None)
 @given(fp_matrices())
-def test_quotient_reps_complete_to_basis(m):
-    sub = row_space(m.data, m.p)
-    reps = quotient_basis(m.cols, sub)
-    assert len(reps) == m.cols - sub.dim
-    if m.cols:
-        stacked = np.concatenate(
-            [sub.basis.reshape((-1, m.cols))] + [r[None, :] for r in reps], axis=0
-        )
-        assert row_space(stacked, m.p).dim == m.cols
+def test_quotient_reps_complete_to_basis(pm):
+    p, a = pm
+    cols = a.shape[1]
+    sub = _row_space(a, p)
+    reps = coset_representatives(np.eye(cols, dtype=np.int64), a, p)
+    assert len(reps) == cols - sub.shape[0]
+    if cols:
+        stacked = np.concatenate([sub, reps], axis=0)
+        assert _row_space(stacked, p).shape[0] == cols
