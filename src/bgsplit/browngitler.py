@@ -25,6 +25,7 @@ algebras.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -372,6 +373,7 @@ def _solve_retraction(whole: QModule, part: QModule, inclusion: QModuleMap) -> Q
     return QModuleMap(whole, part, mats)
 
 
+@lru_cache(maxsize=None)
 def length_splitting(ctx: PrimeContext, max_degree: int) -> SplitPair:
     """Split the homology of BP<2> by tau-length at 3.
 
@@ -380,6 +382,7 @@ def length_splitting(ctx: PrimeContext, max_degree: int) -> SplitPair:
     degrees, so truncation never cuts an orbit); the quotient C carries
     the reduced structure.  At p = 3 the first length-3 monomial
     tau3 tau4 tau5 sits in degree 699, so below that the free part is 0.
+    Memoised per (prime, degree), so every caller shares one split.
     """
     H = bp_homology(ctx, 2, max_degree).module
     gens = [lab for d in H.degrees() for lab in H.basis[d] if mono_length(lab) >= 3]

@@ -11,6 +11,11 @@ Dimensions come from ranks, dim Ext^{s,t} = dim C^{s,t} - rank d^{s,t} -
 rank d^{s-1,t}, with each rank eliminated once per complex.  Class
 representatives are built only by `KoszulComplex.homology`, for the
 callers that need them (`project` and `v_mult`).
+
+Charts are memoised by module content: `ext_koszul` computes each
+(module, window) once per process, so two equal modules built apart, such
+as the same `restrict_qs` pair asked for by two checks, share one chart.
+The complex itself is dropped after each computation.
 """
 
 from __future__ import annotations
@@ -254,28 +259,51 @@ class KoszulComplex:
         return out
 
 
+def _content_key(module: QModule) -> tuple:
+    """Everything Ext depends on, compared exactly: no digest, so equal keys mean equal modules."""
+    return (
+        module.ctx.p,
+        module.qs,
+        module.truncated_above,
+        tuple((d, module.dim(d)) for d in module.degrees()),
+        tuple(
+            (i, d, mat.shape, mat.tobytes())
+            for i in sorted(module.actions)
+            for d, mat in sorted(module.actions[i].items())
+        ),
+    )
+
+
+_CHARTS: dict[tuple, dict[tuple[int, int], int]] = {}
+
+
 def ext_koszul(
     module: QModule, s_max: int, t_max: int, t_min: int | None = None
 ) -> BigradedDims:
     """Ext_E(F_p, M) dimensions for s <= s_max, t in [t_min, t_max].
 
     Truncated modules certify only t_max <= truncation, since the s = 0
-    and s = 1 columns read the module at degree t itself.
+    and s = 1 columns read the module at degree t itself.  Charts are
+    memoised by module content and window; each call gets its own copy.
     """
     top = module.truncated_above
     if top is not None and t_max > top:
         raise ValueError(
             f"t_max {t_max} exceeds the certified degree {top} of the truncated module"
         )
-    complex_ = KoszulComplex(module)
     lo = (module.min_degree() if module.basis else 0) if t_min is None else t_min
-    dims = {}
-    for t in range(lo, t_max + 1):
-        for s in range(s_max + 1):
-            d = complex_.dim(s, t)
-            if d:
-                dims[(s, t)] = d
-    return BigradedDims(dims, s_max, t_max, lo)
+    key = (_content_key(module), s_max, t_max, lo)
+    dims = _CHARTS.get(key)
+    if dims is None:
+        complex_ = KoszulComplex(module)
+        dims = {}
+        for t in range(lo, t_max + 1):
+            for s in range(s_max + 1):
+                d = complex_.dim(s, t)
+                if d:
+                    dims[(s, t)] = d
+        _CHARTS[key] = dims
+    return BigradedDims(dict(dims), s_max, t_max, lo)
 
 
 # -- concentration, Bockstein, injectivity ------------------------------------

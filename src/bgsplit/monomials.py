@@ -91,7 +91,7 @@ class Monomial:
 
     @staticmethod
     def make(xi: Mapping[int, int] | Iterable[tuple[int, int]] = (), tau: Iterable[int] = ()) -> "Monomial":
-        pairs = dict(xi.items() if isinstance(xi, Mapping) else xi)
+        pairs = dict(xi)
         clean = []
         for a, e in sorted(pairs.items()):
             if a < 1:
@@ -164,17 +164,21 @@ def sort_key(ctx: PrimeContext, m: Monomial) -> tuple:
     return (degree(ctx, m), weight(ctx, m), m.xi, m.tau)
 
 
-def _xi_parts(ctx: PrimeContext, cost, budget: int, a_start: int = 1) -> Iterator[dict[int, int]]:
-    """All xi exponent maps with total `cost` within budget.
+def _xi_parts(
+    ctx: PrimeContext, cost, budget: int, a_start: int = 1, exact: bool = False
+) -> Iterator[dict[int, int]]:
+    """All xi exponent maps with total `cost` within budget, or equal to it if `exact`.
 
     `cost` maps a generator index to its price (degree or weight); the
     recursion stops as soon as the cheapest remaining generator no longer
-    fits, so only finitely many indices are touched.
+    fits, so only finitely many indices are touched.  With `exact`, a
+    branch that stops with budget left over yields nothing.
     """
     def rec(a: int, left: int) -> Iterator[dict[int, int]]:
         price = cost(a)
         if price > left:
-            yield {}
+            if left == 0 or not exact:
+                yield {}
             return
         for tail in rec(a + 1, left):
             yield tail
@@ -221,16 +225,18 @@ def enumerate_by_degree(ctx: PrimeContext, spec: AlgebraSpec, max_degree: int) -
 
 
 def enumerate_by_weight(ctx: PrimeContext, spec: AlgebraSpec, exact_weight: int) -> list[Monomial]:
-    """Every monomial of the algebra with weight exactly `exact_weight`."""
+    """Every monomial of the algebra with weight exactly `exact_weight`.
+
+    Generation is exact: the xi parts fill the weight the taus leave over
+    to the last unit, so no monomial of smaller weight is built.
+    """
     if exact_weight < 0:
         return []
     out = []
     for taus in _tau_parts(spec, lambda b: ctx.p**b, exact_weight):
         left = exact_weight - sum(ctx.p**b for b in taus)
-        for xi in _xi_parts(ctx, lambda a: ctx.p**a, left):
-            m = Monomial.make(xi, taus)
-            if weight(ctx, m) == exact_weight:
-                out.append(m)
+        for xi in _xi_parts(ctx, lambda a: ctx.p**a, left, exact=True):
+            out.append(Monomial.make(xi, taus))
     out.sort(key=lambda m: sort_key(ctx, m))
     return out
 

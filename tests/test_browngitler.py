@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import bgsplit.browngitler as browngitler
 from bgsplit.browngitler import (
     assemble_bp_splitting,
     bp_homology,
@@ -149,6 +150,27 @@ def test_length_splitting_below_first_length_three_monomial():
     for d in H.degrees():
         assert split.reduced_part.dim(d) == H.dim(d)
     assert verify_map(split.projection).passed
+
+
+def _same_content(a, b) -> bool:
+    if a.qs != b.qs or a.basis != b.basis:
+        return False
+    return all(
+        (a.act(i, d) == b.act(i, d)).all() for i in a.qs for d in a.degrees()
+    )
+
+
+def test_length_splitting_is_built_once_per_window(monkeypatch):
+    assert length_splitting(P3, 220) is length_splitting(P3, 220)
+    assert length_splitting(P3, 60) is not length_splitting(P3, 220)
+    perms = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+    shared = [si_ri_splitting(P3, perm, 220) for perm in perms]
+    # the same S_i / R_i as when every call builds its own length splitting
+    monkeypatch.setattr(browngitler, "length_splitting", length_splitting.__wrapped__)
+    for perm, split in zip(perms, shared):
+        fresh = si_ri_splitting(P3, perm, 220)
+        for part in ("whole", "free_part", "reduced_part"):
+            assert _same_content(getattr(split, part), getattr(fresh, part))
 
 
 def test_weight_restricted_blocks_sum_to_reduced_part():

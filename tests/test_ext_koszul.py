@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+import bgsplit.ext.koszul as koszul
 from bgsplit.browngitler import bp_homology, length_splitting, weight_restricted_C
 from bgsplit.ext.compare import dual_module
 from bgsplit.ext.koszul import (
@@ -17,6 +19,7 @@ from bgsplit.ext.koszul import (
 from bgsplit.margolis import classify_invertible, construct_model
 from bgsplit.monomials import PrimeContext
 from bgsplit.qmodules import (
+    QModule,
     direct_sum,
     free_module,
     restrict_qs,
@@ -280,3 +283,62 @@ def test_chart_rows_deterministic():
     rows = ext.chart_rows()
     assert rows == sorted(rows)
     assert ext.to_json() == ext.to_json()
+
+
+# -- chart memo ------------------------------------------------------------------
+
+
+@pytest.fixture
+def complex_count(monkeypatch):
+    """Empty the chart memo and count the complexes ext_koszul builds."""
+    built = []
+
+    class Counting(koszul.KoszulComplex):
+        def __init__(self, module):
+            built.append(module)
+            super().__init__(module)
+
+    monkeypatch.setattr(koszul, "_CHARTS", {})
+    monkeypatch.setattr(koszul, "KoszulComplex", Counting)
+    return built
+
+
+def test_equal_modules_built_apart_share_one_chart(complex_count):
+    cbar = length_splitting(P3, 60).reduced_part
+    first = ext_koszul(restrict_qs(cbar, (0, 1)), 6, 60)
+    assert len(complex_count) == 1
+    second = ext_koszul(restrict_qs(cbar, (0, 1)), 6, 60)
+    assert len(complex_count) == 1
+    assert second.dims == first.dims
+    assert second.to_json() == first.to_json()
+
+
+def test_same_basis_with_zero_actions_gets_its_own_chart(complex_count):
+    cbar = restrict_qs(length_splitting(P3, 60).reduced_part, (0, 1))
+    # zero matrices of the same shapes and the same truncation, so only the
+    # matrix entries tell the two modules apart
+    zero = QModule(
+        P3,
+        cbar.qs,
+        cbar.basis,
+        {i: {d: np.zeros_like(mat) for d, mat in cbar.actions[i].items()} for i in cbar.qs},
+        cbar.truncated_above,
+    )
+    acted = ext_koszul(cbar, 6, 60)
+    inert = ext_koszul(zero, 6, 60)
+    assert len(complex_count) == 2
+    assert inert.dims != acted.dims
+    kc = KoszulComplex(zero)
+    direct = {(s, t): kc.dim(s, t) for t in range(61) for s in range(7)}
+    assert inert.dims == {key: d for key, d in direct.items() if d}
+
+
+def test_mutating_a_returned_chart_leaves_the_memo_alone(complex_count):
+    c9 = weight_restricted_C(P3, 9)
+    first = ext_koszul(c9, 4, 30)
+    expected = dict(first.dims)
+    first.dims.clear()
+    first.dims[(0, 0)] = 99
+    again = ext_koszul(c9, 4, 30)
+    assert again.dims == expected
+    assert len(complex_count) == 1

@@ -118,6 +118,17 @@ def test_degree_enumeration_is_prefix_closed(p, i, bound):
     assert keys == sorted(keys)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(min_value=-1, max_value=2), st.integers(min_value=0, max_value=40))
+def test_weight_enumeration_is_the_exact_weight_slice(p, i, w):
+    # every generator's degree is below twice its weight, so degree 2w
+    # reaches every monomial of weight w
+    ctx = PrimeContext(p)
+    spec = AlgebraSpec(i)
+    expected = [m for m in enumerate_by_degree(ctx, spec, 2 * w) if weight(ctx, m) == w]
+    assert enumerate_by_weight(ctx, spec, w) == expected
+
+
 @st.composite
 def monomial_pairs(draw):
     p = draw(st.sampled_from([3, 5]))
