@@ -392,6 +392,7 @@ def length_splitting(ctx: PrimeContext, max_degree: int) -> SplitPair:
     return SplitPair(H, free_part, reduced, inc, proj, retr)
 
 
+@lru_cache(maxsize=None)
 def weight_restricted_C(ctx: PrimeContext, k: int, max_degree: int | None = None) -> QModule:
     """The weight-pk block of the reduced part, pulled back through theta_k.
 
@@ -399,7 +400,7 @@ def weight_restricted_C(ctx: PrimeContext, k: int, max_degree: int | None = None
     own length >= 3 monomials, so the computation happens inside the
     finite comodule B_1(k); no truncation is needed.  Degrees here are
     unsuspended: the block sits inside the reduced part as Sigma^{qk} of
-    this module.
+    this module.  Memoised per (prime, k), so every caller shares one block.
     """
     B = brown_gitler(ctx, 1, k).module
     if max_degree is not None and ctx.q * k > max_degree:

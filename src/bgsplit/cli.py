@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +63,6 @@ class RunConfig:
     t_max: int | None = None
     fmt: str = "text"
     output: str | None = None
-    jobs: int = 1
     inject_fault: bool = False
 
     def validate(self) -> None:
@@ -76,24 +74,16 @@ class RunConfig:
             raise ConfigError("k_max must be nonnegative")
         if self.s_max < 0:
             raise ConfigError("s_max must be nonnegative")
+        if self.t_max is not None and self.t_max < 0:
+            raise ConfigError("t_max must be nonnegative")
         if self.t_max is not None and self.t_max > self.max_degree:
             raise ConfigError("t_max cannot exceed max_degree")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be positive")
         if self.fmt not in ("json", "tsv", "text"):
             raise ConfigError("format must be one of json, tsv, text")
 
     @property
     def t_window(self) -> int:
         return self.max_degree if self.t_max is None else self.t_max
-
-
-def _pool_map(jobs: int, fn, items) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_report(text: str, output: str | None) -> None:
@@ -329,9 +319,7 @@ def _check_theta_assembly(ctx: PrimeContext, cfg: RunConfig) -> dict:
 
 
 def _check_theta_blocks(ctx: PrimeContext, cfg: RunConfig, kt: int) -> dict:
-    reports = _pool_map(
-        cfg.jobs, lambda k: theta_report(ctx, 1, k)[1], range(kt + 1)
-    )
+    reports = [theta_report(ctx, 1, k)[1] for k in range(kt + 1)]
     bad = [r.k for r in reports if not r.passed]
     detail = (
         f"theta_k bijective, weight-exact and Q-equivariant for k <= {kt}"
@@ -362,14 +350,12 @@ def _check_length_splitting(ctx: PrimeContext, cfg: RunConfig) -> dict:
 
 
 def _check_si_ri(ctx: PrimeContext, cfg: RunConfig) -> dict:
-    perms = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-    entries = _pool_map(
-        cfg.jobs,
-        lambda perm: _split_pair_entry(
+    entries = [
+        _split_pair_entry(
             f"s{perm[0]}", si_ri_splitting(ctx, perm, cfg.max_degree), cfg.max_degree, ctx.p
-        ),
-        perms,
-    )
+        )
+        for perm in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+    ]
     bad = [e["name"] for e in entries if not e["passed"]]
     dims = ", ".join(e["detail"].split(",")[0] for e in entries)
     detail = f"S_i free and split off for each omitted Q ({dims})" if not bad else f"failed for {bad}"
@@ -396,7 +382,7 @@ def _w_block_entry(ctx: PrimeContext, fam: str, n: int) -> tuple[bool, str]:
 
 def _check_w_margolis(ctx: PrimeContext, cfg: RunConfig, n_cap: int = 5) -> dict:
     items = [(fam, n) for fam in ("W1", "We", "Wo") for n in range(n_cap + 1)]
-    results = _pool_map(cfg.jobs, lambda it: _w_block_entry(ctx, *it), items)
+    results = [_w_block_entry(ctx, *it) for it in items]
     bad = [msg for ok, msg in results if not ok]
     spot = next(msg for (fam, n), (ok, msg) in zip(items, results) if (fam, n) == ("W1", 1))
     detail = (
@@ -410,11 +396,10 @@ def _check_w_margolis(ctx: PrimeContext, cfg: RunConfig, n_cap: int = 5) -> dict
 
 def _check_even_concentration(ctx: PrimeContext, cfg: RunConfig, cbar) -> dict:
     t_hi = min(cfg.t_window, cfg.max_degree)
-    reports = _pool_map(
-        cfg.jobs,
-        lambda pair: even_concentration_check(restrict_qs(cbar, pair), 0, cfg.s_max, t_hi),
-        ((0, 1), (0, 2), (1, 2)),
-    )
+    reports = [
+        even_concentration_check(restrict_qs(cbar, pair), 0, cfg.s_max, t_hi)
+        for pair in ((0, 1), (0, 2), (1, 2))
+    ]
     bad = [v for r in reports if not r.passed for v in r.violations]
     detail = (
         f"no odd t - s classes over any pair, s <= {cfg.s_max}"
@@ -426,9 +411,7 @@ def _check_even_concentration(ctx: PrimeContext, cfg: RunConfig, cbar) -> dict:
 
 def _check_bockstein(ctx: PrimeContext, cfg: RunConfig, cbar) -> dict:
     t_hi = min(cfg.t_window, cfg.max_degree)
-    reports = _pool_map(
-        cfg.jobs, lambda i: bockstein_e1(cbar, i, cfg.s_max, t_hi), (0, 1, 2)
-    )
+    reports = [bockstein_e1(cbar, i, cfg.s_max, t_hi) for i in (0, 1, 2)]
     bad = [r.i for r in reports if not r.collapse]
     detail = (
         "E_1 over each pair is even-concentrated, so every page repeats it"
@@ -440,12 +423,11 @@ def _check_bockstein(ctx: PrimeContext, cfg: RunConfig, cbar) -> dict:
 
 def _check_v_injectivity(ctx: PrimeContext, cfg: RunConfig, kt: int) -> dict:
     t_hi = cfg.t_window
-
-    def per_k(k: int):
-        ck = weight_restricted_C(ctx, k)
-        return [v_injectivity(ck, i, cfg.s_max, t_hi) for i in (0, 1, 2)]
-
-    reports = [r for rs in _pool_map(cfg.jobs, per_k, range(kt + 1)) for r in rs]
+    reports = [
+        v_injectivity(weight_restricted_C(ctx, k), i, cfg.s_max, t_hi)
+        for k in range(kt + 1)
+        for i in (0, 1, 2)
+    ]
     bad = [(r.i, r.kernel_at) for r in reports if not r.passed]
     checked = sum(r.checked_classes for r in reports)
     detail = (
@@ -457,12 +439,10 @@ def _check_v_injectivity(ctx: PrimeContext, cfg: RunConfig, kt: int) -> dict:
 
 
 def _check_pd_bound(ctx: PrimeContext, cfg: RunConfig, kt: int) -> dict:
-    def per_k(k: int):
+    results = []
+    for k in range(kt + 1):
         ck = weight_restricted_C(ctx, k)
-        pres = gr_module(ck, ck.max_degree() + 8 * ctx.p)
-        return k, projective_dimension(pres)
-
-    results = _pool_map(cfg.jobs, per_k, range(kt + 1))
+        results.append((k, projective_dimension(gr_module(ck, ck.max_degree() + 8 * ctx.p))))
     bad = [k for k, rep in results if not rep.passed]
     longest = max((rep.length for _, rep in results), default=0)
     detail = (
@@ -541,7 +521,6 @@ def cmd_verify_splitting(cfg: RunConfig) -> int:
             "k_max": cfg.k_max,
             "s_max": cfg.s_max,
             "t_max": cfg.t_window,
-            "jobs": cfg.jobs,
             "inject_fault": cfg.inject_fault,
         },
         "certified": {
@@ -619,7 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--k-max", type=int, default=9)
     verify.add_argument("--s-max", type=int, default=6)
     verify.add_argument("--t-max", type=int, default=None)
-    verify.add_argument("--jobs", type=int, default=1, help="worker pool width")
     verify.add_argument(
         "--inject-fault",
         action="store_true",
@@ -645,7 +623,6 @@ def main(argv: list[str] | None = None) -> int:
             t_max=args.t_max,
             fmt=args.format,
             output=args.output,
-            jobs=args.jobs,
             inject_fault=args.inject_fault,
         )
         return cmd_verify_splitting(cfg)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..browngitler import brown_gitler, length_splitting, weight_restricted_C
 from ..monomials import PrimeContext
-from ..qmodules import QModule, suspend, tensor
+from ..qmodules import QModule, content_key, suspend, tensor
 from .koszul import BigradedDims, ext_koszul
 from .poly import (
     PModule,
@@ -67,53 +67,38 @@ def ext_via_dual(
     return ext_koszul(tensor(dual_module(m), n), s_max, t_max, t_min=t_min)
 
 
-# -- cached pipeline pieces, keyed by prime so repeated sweeps stay cheap --------
+# -- comparison caches ------------------------------------------------------------
+# Keyed by module content, so equal weight blocks (C_k depends only on
+# floor(k/p)) share one entry.  Each entry keeps the largest window asked
+# for so far and serves every smaller one; windows are quantized so that
+# nearby requests do not regrow it.
 
-_CBAR: dict[tuple[int, int], QModule] = {}
-_GR: dict[tuple[int, int], PolyPresentation] = {}
-_RES: dict[tuple[int, int], tuple[PModule, list[PStage], int]] = {}
-_BREAL: dict[tuple[int, int, int, int], PModule] = {}
+_GR: dict[tuple, PolyPresentation] = {}
+_RES: dict[tuple, tuple[PModule, list[PStage], int]] = {}
 
 
 def _quantize(t: int) -> int:
     return ((max(t, 0) + 15) // 16) * 16
 
 
-def _cbar(ctx: PrimeContext, k: int) -> QModule:
-    key = (ctx.p, k)
-    got = _CBAR.get(key)
-    if got is None:
-        got = _CBAR[key] = weight_restricted_C(ctx, k)
-    return got
-
-
-def _gr_pres(ctx: PrimeContext, k: int, t_max: int) -> PolyPresentation:
-    """gr of a weight block, cached monotonically in the window."""
-    key = (ctx.p, k)
+def _gr_pres(module: QModule, t_max: int) -> PolyPresentation:
+    """gr of a weight block, grown monotonically in the window."""
+    key = content_key(module)
     got = _GR.get(key)
     if got is None or got.t_max < t_max:
-        got = _GR[key] = gr_module(_cbar(ctx, k), t_max)
+        got = _GR[key] = gr_module(module, t_max)
     return got
 
 
-def _resolved(ctx: PrimeContext, k: int, t_max: int) -> tuple[PModule, list[PStage], int]:
+def _resolved(module: QModule, t_max: int) -> tuple[PModule, list[PStage], int]:
     """Realized gr block with its minimal resolution through stage 2."""
-    key = (ctx.p, k)
+    key = content_key(module)
     got = _RES.get(key)
     if got is None or got[0].t_max < t_max:
-        A = realize(_gr_pres(ctx, k, t_max), t_max)
+        A = realize(_gr_pres(module, t_max), t_max)
         stages = p_resolution(A, 2)
         top = max((t for st in stages for _, t in st.gen_bidegrees), default=0)
         got = _RES[key] = (A, stages, top)
-    return got
-
-
-def _b_realized(ctx: PrimeContext, m: int, qm: int, t_max: int) -> PModule:
-    key = (ctx.p, m, qm, t_max)
-    got = _BREAL.get(key)
-    if got is None:
-        pres = _gr_pres(ctx, m, t_max - qm).shifted(qm)
-        got = _BREAL[key] = realize(pres, t_max)
     return got
 
 
@@ -176,12 +161,12 @@ def propiso_check(
     over a window wide enough that its certified range contains the
     requested one, growing the cached resolutions when needed.
     """
-    ck = _cbar(ctx, k)
-    cm = _cbar(ctx, m)
+    ck = weight_restricted_C(ctx, k)
+    cm = weight_restricted_C(ctx, m)
     qm = ctx.q * m
     if t_hi is None:
         t_hi = qm + cm.max_degree() + pad
-    _, _, top = _resolved(ctx, k, _quantize(2 * ck.max_degree() + 34))
+    _, _, top = _resolved(ck, _quantize(2 * ck.max_degree() + 34))
     for _ in range(4):
         # floor of possible classes on either side: the exterior Ext starts
         # at qm - maxdeg, the polynomial side at qm - (top resolution gen)
@@ -190,13 +175,13 @@ def propiso_check(
             raise ValueError(f"empty comparison window [{lo}, {t_hi}]")
         t_b = _quantize(t_hi + top)
         t_a = _quantize(t_b - lo)
-        A, stages, new_top = _resolved(ctx, k, t_a)
+        A, stages, new_top = _resolved(ck, t_a)
         if new_top == top:
             break
         top = new_top
     else:
         raise ArithmeticError("resolution generator degrees failed to stabilize")
-    B = _b_realized(ctx, m, qm, t_b)
+    B = realize(_gr_pres(cm, t_b - qm).shifted(qm), t_b)
 
     dual = ext_via_dual(ck, suspend(cm, qm), t_hi - (qm - ck.max_degree()), t_hi, t_min=lo)
     lhs: dict[int, int] = {}
@@ -264,7 +249,7 @@ def obstruction_report(
     weight block it is quotiented to); charts here use the suspended
     internal degree, so t = (unsuspended chart) + qk.
     """
-    ck = _cbar(ctx, k)
+    ck = weight_restricted_C(ctx, k)
     B1 = brown_gitler(ctx, 1, k).module
     if B1.total_dim != ck.total_dim:
         raise ValueError(

@@ -10,9 +10,11 @@ with d_i = 2p^i - 1, so v_i sits at (1, d_i) and d preserves t.
 Dimensions come from ranks, dim Ext^{s,t} = dim C^{s,t} - rank d^{s,t} -
 rank d^{s-1,t}, with each rank eliminated once per complex.  Class
 representatives are built only by `KoszulComplex.homology`, for the
-callers that need them (`project` and `v_mult`).
+callers that need them (`project` and `v_mult`); it is one call to
+`fplin.homology_basis`, the primitive Margolis homology uses too.
 
-Charts are memoised by module content: `ext_koszul` computes each
+Charts are memoised by module content (`qmodules.content_key`, the same
+identity the E_2 comparison caches use): `ext_koszul` computes each
 (module, window) once per process, so two equal modules built apart, such
 as the same `restrict_qs` pair asked for by two checks, share one chart.
 The complex itself is dropped after each computation.
@@ -25,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..fplin import kernel_array, reduce_mod_rows, rref_array
-from ..qmodules import QModule, restrict_qs
+from ..fplin import homology_basis, reduce_mod_rows, rref_array
+from ..qmodules import QModule, content_key, restrict_qs
 
 
 @lru_cache(maxsize=None)
@@ -186,32 +188,17 @@ class KoszulComplex:
     # -- cohomology ----------------------------------------------------------
 
     def homology(self, s: int, t: int) -> tuple[np.ndarray, tuple, np.ndarray, tuple]:
-        """(representative rows, their pivots, border rows, border pivots)."""
+        """(representative rows, their pivots, border rows, border pivots).
+
+        d^{-1,t} is the empty (n x 0) map, so s = 0 has no borders.
+        """
         key = (s, t)
         cached = self._homology.get(key)
-        if cached is not None:
-            return cached
-        n = self.chain_dim(s, t)
-        cycles = kernel_array(self.differential(s, t), self.p)
-        if s == 0:
-            borders = np.zeros((0, n), dtype=np.int64)
-            border_piv: tuple[int, ...] = ()
-        else:
-            prev = self.differential(s - 1, t)
-            rows, piv = rref_array(prev.T, self.p)
-            borders, border_piv = rows[: len(piv)], tuple(piv)
-        if cycles.shape[0] == 0:
-            reps = np.zeros((0, n), dtype=np.int64)
-            rep_piv: tuple[int, ...] = ()
-        else:
-            reduced = np.array(
-                [reduce_mod_rows(row, borders, border_piv, self.p) for row in cycles]
+        if cached is None:
+            cached = self._homology[key] = homology_basis(
+                self.differential(s, t), self.differential(s - 1, t), self.p
             )
-            rows, piv = rref_array(reduced, self.p)
-            reps, rep_piv = rows[: len(piv)], tuple(piv)
-        result = (reps, rep_piv, borders, border_piv)
-        self._homology[key] = result
-        return result
+        return cached
 
     def _rank(self, s: int, t: int) -> int:
         """Rank of d: C^{s,t} -> C^{s+1,t}, eliminated once per (s, t)."""
@@ -259,21 +246,6 @@ class KoszulComplex:
         return out
 
 
-def _content_key(module: QModule) -> tuple:
-    """Everything Ext depends on, compared exactly: no digest, so equal keys mean equal modules."""
-    return (
-        module.ctx.p,
-        module.qs,
-        module.truncated_above,
-        tuple((d, module.dim(d)) for d in module.degrees()),
-        tuple(
-            (i, d, mat.shape, mat.tobytes())
-            for i in sorted(module.actions)
-            for d, mat in sorted(module.actions[i].items())
-        ),
-    )
-
-
 _CHARTS: dict[tuple, dict[tuple[int, int], int]] = {}
 
 
@@ -292,7 +264,7 @@ def ext_koszul(
             f"t_max {t_max} exceeds the certified degree {top} of the truncated module"
         )
     lo = (module.min_degree() if module.basis else 0) if t_min is None else t_min
-    key = (_content_key(module), s_max, t_max, lo)
+    key = (content_key(module), s_max, t_max, lo)
     dims = _CHARTS.get(key)
     if dims is None:
         complex_ = KoszulComplex(module)

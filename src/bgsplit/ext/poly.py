@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..fplin import coset_representatives, kernel_array, reduce_mod_rows, rref_array
+from ..fplin import coset_representatives, kernel_array, quotient_projection, rref_array
 from ..qmodules import QModule
 from .koszul import BigradedDims, KoszulComplex
 
@@ -392,17 +392,9 @@ def realize(pres: PolyPresentation, t_max: int | None = None) -> PModule:
     keeps: dict[Bidegree, list[int]] = {}
     projs: dict[Bidegree, np.ndarray] = {}
     for bd, cols in columns.items():
-        n = len(cols)
-        rows, piv = spans.get(bd, (np.zeros((0, n), dtype=np.int64), ()))
-        keep = [c for c in range(n) if c not in set(piv)]
-        keeps[bd] = keep
-        dims[bd] = len(keep)
-        proj = np.zeros((len(keep), n), dtype=np.int64)
-        for c in range(n):
-            e = np.zeros(n, dtype=np.int64)
-            e[c] = 1
-            proj[:, c] = reduce_mod_rows(e, rows, piv, p)[keep]
-        projs[bd] = proj
+        rows, piv = spans.get(bd, ((), ()))
+        keeps[bd], projs[bd] = quotient_projection(rows, piv, len(cols), p)
+        dims[bd] = len(keeps[bd])
 
     acts: dict[int, dict[Bidegree, np.ndarray]] = {j: {} for j in range(len(pres.var_degrees))}
     for bd, cols in columns.items():

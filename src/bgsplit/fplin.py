@@ -21,6 +21,8 @@ __all__ = [
     "reduce_mod_rows",
     "kernel_array",
     "coset_representatives",
+    "homology_basis",
+    "quotient_projection",
     "solve_columns",
     "is_prime",
 ]
@@ -104,6 +106,22 @@ def kernel_array(a: np.ndarray, p: int) -> np.ndarray:
     return normal
 
 
+def _echelon_rows(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The nonzero rows of rref(a) and their pivot columns."""
+    rows, pivots = rref_array(a, p)
+    return rows[: len(pivots)], tuple(pivots)
+
+
+def _reduced_echelon(
+    vectors: np.ndarray, sub: np.ndarray, sub_pivots: tuple[int, ...], p: int
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Echelon basis of the vectors reduced against the echelon rows `sub`."""
+    if vectors.shape[0] == 0:
+        return vectors, ()
+    reduced = np.array([reduce_mod_rows(v, sub, sub_pivots, p) for v in vectors])
+    return _echelon_rows(reduced, p)
+
+
 def coset_representatives(vectors: np.ndarray, subspace_rows: np.ndarray, p: int) -> np.ndarray:
     """Canonical rows spanning span(vectors) modulo span(subspace_rows).
 
@@ -114,11 +132,41 @@ def coset_representatives(vectors: np.ndarray, subspace_rows: np.ndarray, p: int
     vectors = np.mod(np.asarray(vectors, dtype=np.int64), p)
     if vectors.shape[0] == 0:
         return vectors
-    sub, spiv = rref_array(np.asarray(subspace_rows, dtype=np.int64), p)
-    sub = sub[: len(spiv)]
-    reduced = np.array([reduce_mod_rows(v, sub, tuple(spiv), p) for v in vectors])
-    rows, piv = rref_array(reduced, p)
-    return rows[: len(piv)]
+    sub, spiv = _echelon_rows(np.asarray(subspace_rows, dtype=np.int64), p)
+    return _reduced_echelon(vectors, sub, spiv, p)[0]
+
+
+def homology_basis(
+    d_out: np.ndarray, d_in: np.ndarray, p: int
+) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, tuple[int, ...]]:
+    """Canonical basis of ker d_out / im d_in, for composable maps with d_out @ d_in = 0.
+
+    Returns (reps, rep_pivots, borders, border_pivots): echelon rows of
+    the boundaries im d_in, and echelon rows of the cycles reduced against
+    them, one per homology class.  An (n x 0) d_in has no boundaries.
+    """
+    borders, border_pivots = _echelon_rows(np.asarray(d_in, dtype=np.int64).T, p)
+    reps, rep_pivots = _reduced_echelon(kernel_array(d_out, p), borders, border_pivots, p)
+    return reps, rep_pivots, borders, border_pivots
+
+
+def quotient_projection(
+    rows: np.ndarray, pivots: tuple[int, ...], n: int, p: int
+) -> tuple[list[int], np.ndarray]:
+    """Projection of F_p^n onto its quotient by the span of reduced-echelon rows.
+
+    The quotient's coordinates are the non-pivot columns `keep`.  Reducing
+    a unit vector against the rows leaves a non-pivot unit vector alone and
+    turns the pivot unit vector of a row into minus the rest of that row,
+    so proj is the identity on `keep` and -row[keep] at each pivot column.
+    """
+    piv = set(pivots)
+    keep = [c for c in range(n) if c not in piv]
+    proj = np.zeros((len(keep), n), dtype=np.int64)
+    proj[np.arange(len(keep)), keep] = 1
+    for row, c in zip(rows, pivots):
+        proj[:, c] = (-row[keep]) % p
+    return keep, proj
 
 
 def solve_columns(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .browngitler import bp_homology
-from .fplin import kernel_array, reduce_mod_rows, rref_array
+from .fplin import coset_representatives, homology_basis
 from .monomials import Monomial, PrimeContext, format_monomial, sort_key
 from .qmodules import (
     QModule,
@@ -42,28 +42,6 @@ def _vector_text(v: np.ndarray, labels) -> str:
         text = _label_text(lab)
         terms.append(text if c == 1 else f"{c}*{text}")
     return " + ".join(terms) if terms else "0"
-
-
-def _image_rows(module: QModule, i: int, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Echelon rows spanning Q_i(M_{d+drop}) inside M_d."""
-    p = module.ctx.p
-    mat = module.act(i, d + module.drop(i))
-    if mat.size == 0:
-        return np.zeros((0, module.dim(d)), dtype=np.int64), ()
-    rows, pivots = rref_array(mat.T, p)
-    return rows[: len(pivots)], tuple(pivots)
-
-
-def _homology_at(module: QModule, i: int, d: int) -> np.ndarray:
-    """Canonical representative rows of ker Q_i / im Q_i in degree d."""
-    p = module.ctx.p
-    cycles = kernel_array(module.act(i, d), p)
-    if cycles.shape[0] == 0:
-        return np.zeros((0, module.dim(d)), dtype=np.int64)
-    borders, pivots = _image_rows(module, i, d)
-    reduced = np.array([reduce_mod_rows(row, borders, pivots, p) for row in cycles])
-    rows, piv = rref_array(reduced, p)
-    return rows[: len(piv)]
 
 
 @dataclass
@@ -137,11 +115,12 @@ def margolis_homology(
             f"truncated above {module.truncated_above} and Q_{i} drops degree "
             f"by {module.drop(i)}"
         )
+    p = module.ctx.p
     classes = {}
     for d in range(lo, hi + 1):
         if module.dim(d) == 0:
             continue
-        rows = _homology_at(module, i, d)
+        rows = homology_basis(module.act(i, d), module.act(i, d + module.drop(i)), p)[0]
         if rows.shape[0]:
             classes[d] = rows
     return MargolisHomology(module, i, (lo, hi), classes)
@@ -200,9 +179,6 @@ class MargolisBP2Report:
     first_failing_degree: int | None
     failures: list[str]
 
-    def classes_at(self, d: int):
-        return self.per_degree.get(d, (0, 0))
-
 
 def margolis_bp2(ctx: PrimeContext, i: int, max_degree: int) -> MargolisBP2Report:
     """Margolis homology of H_*BP<2> against its closed-form monomial basis.
@@ -238,15 +214,14 @@ def margolis_bp2(ctx: PrimeContext, i: int, max_degree: int) -> MargolisBP2Repor
             continue
         if not expected:
             continue
-        borders, pivots = _image_rows(module, i, d)
         rows = []
         for mono in expected:
             _, v = module.element(mono)
             if ((module.act(i, d) @ v) % p).any():
                 fail(d, f"degree {d}: {format_monomial(mono)} is not a cycle")
-            rows.append(reduce_mod_rows(v, borders, pivots, p))
-        _, piv = rref_array(np.array(rows), p)
-        if len(piv) != len(expected):
+            rows.append(v)
+        borders = module.act(i, d + module.drop(i)).T
+        if coset_representatives(np.array(rows), borders, p).shape[0] != len(expected):
             fail(d, f"degree {d}: closed-form classes are dependent modulo boundaries")
     return MargolisBP2Report(
         prime=p,

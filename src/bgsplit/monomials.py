@@ -107,12 +107,6 @@ class Monomial:
             raise ValueError("repeated tau factor squares to zero")
         return Monomial(tuple(clean), tuple(taus))
 
-    def xi_exponent(self, a: int) -> int:
-        for idx, e in self.xi:
-            if idx == a:
-                return e
-        return 0
-
     def times(self, other: "Monomial") -> "Monomial | None":
         """Product, or None when a shared tau factor squares to zero."""
         if set(self.tau) & set(other.tau):

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fplin import reduce_mod_rows, rref_array
+from .fplin import quotient_projection, rref_array
 from .monomials import (
     AlgebraSpec,
     Monomial,
@@ -230,10 +230,6 @@ class QModuleMap:
             return np.zeros((self.target.dim(d + self.shift), self.source.dim(d)), dtype=np.int64)
         return got
 
-    def apply(self, d: int, vector: np.ndarray) -> tuple[int, np.ndarray]:
-        p = self.source.ctx.p
-        return d + self.shift, (self.mat(d) @ np.asarray(vector, dtype=np.int64)) % p
-
 
 def verify_map(f: QModuleMap) -> MapReport:
     """Check Q-equivariance of f in every stored source degree."""
@@ -413,6 +409,21 @@ def restrict_qs(m: QModule, qs: Sequence[int]) -> QModule:
     return QModule(m.ctx, keep, m.basis, actions, m.truncated_above, _skip_check=True)
 
 
+def content_key(module: QModule) -> tuple:
+    """Everything Ext depends on, compared exactly: no digest, so equal keys mean equal modules."""
+    return (
+        module.ctx.p,
+        module.qs,
+        module.truncated_above,
+        tuple((d, module.dim(d)) for d in module.degrees()),
+        tuple(
+            (i, d, mat.shape, mat.tobytes())
+            for i in sorted(module.actions)
+            for d, mat in sorted(module.actions[i].items())
+        ),
+    )
+
+
 def _resolve_elements(m: QModule, elements: Iterable) -> dict[int, list[np.ndarray]]:
     """Normalize labels / (degree, vector) pairs to per-degree vectors."""
     out: dict[int, list[np.ndarray]] = {}
@@ -505,30 +516,18 @@ def quotient(m: QModule, generators: Iterable) -> tuple[QModule, QModuleMap]:
     """
     p = m.ctx.p
     sub, inc = submodule_generated(m, generators)
-    sub_rows: dict[int, np.ndarray] = {}
-    sub_pivots: dict[int, tuple[int, ...]] = {}
+    spans: dict[int, tuple[np.ndarray, list[int]]] = {}
     for d in sub.degrees():
-        rows = inc.mat(d).T
-        red, pivots = rref_array(rows, p)
-        sub_rows[d] = red[: len(pivots)]
-        sub_pivots[d] = tuple(pivots)
+        red, pivots = rref_array(inc.mat(d).T, p)
+        spans[d] = (red[: len(pivots)], pivots)
 
     basis: dict[int, tuple] = {}
     proj_mats: dict[int, np.ndarray] = {}
     keep: dict[int, list[int]] = {}
     for d in m.degrees():
-        rows = sub_rows.get(d, np.zeros((0, m.dim(d)), dtype=np.int64))
-        pivots = sub_pivots.get(d, ())
-        cols = [c for c in range(m.dim(d)) if c not in set(pivots)]
-        keep[d] = cols
-        basis[d] = tuple(m.basis[d][c] for c in cols)
-        proj = np.zeros((len(cols), m.dim(d)), dtype=np.int64)
-        for j in range(m.dim(d)):
-            e = np.zeros(m.dim(d), dtype=np.int64)
-            e[j] = 1
-            e = reduce_mod_rows(e, rows, pivots, p)
-            proj[:, j] = e[cols]
-        proj_mats[d] = proj
+        rows, pivots = spans.get(d, ((), ()))
+        keep[d], proj_mats[d] = quotient_projection(rows, pivots, m.dim(d), p)
+        basis[d] = tuple(m.basis[d][c] for c in keep[d])
 
     actions: dict[int, dict[int, np.ndarray]] = {i: {} for i in m.qs}
     for i in m.qs:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from bgsplit.cli import main
+
+GOLDEN_P3_K0 = Path(__file__).parent / "data" / "verify_p3_k0.json"
 
 
 def run_json(capsys, argv):
@@ -44,8 +47,9 @@ def test_odd_composite_and_two_are_config_errors(capsys):
 
 
 def test_bad_ranges_are_config_errors(capsys):
-    assert main(["verify-splitting", "--jobs", "0", "--max-degree", "0"]) == 2
-    assert "jobs" in capsys.readouterr().err
+    argv = ["verify-splitting", "--max-degree", "12", "--k-max", "0", "--s-max", "2"]
+    assert main(argv + ["--t-max", "-5"]) == 2
+    assert "t_max must be nonnegative" in capsys.readouterr().err
     assert main(["verify-splitting", "--max-degree", "10", "--t-max", "20"]) == 2
     assert "t_max" in capsys.readouterr().err
 
@@ -123,3 +127,10 @@ def test_output_file_lands_under_env_dir(capsys, tmp_path, monkeypatch):
     assert code == 0
     on_disk = json.loads((tmp_path / "basis.json").read_text())
     assert on_disk == json.loads(capsys.readouterr().out)
+
+
+def test_benchmark_window_report_is_byte_identical(capsys):
+    # the verify-p3-k0 benchmark window; a refactor must leave its report unchanged
+    argv = ["verify-splitting", "--p", "3", "--max-degree", "60", "--k-max", "0", "--s-max", "6"]
+    assert main(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == GOLDEN_P3_K0.read_text(encoding="utf-8")

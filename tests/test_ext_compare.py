@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from bgsplit.browngitler import bp_homology, brown_gitler, weight_restricted_C
+from bgsplit.ext import compare
 from bgsplit.ext.compare import (
     PropisoReport,
     dual_module,
@@ -15,7 +16,7 @@ from bgsplit.ext.compare import (
 from bgsplit.ext.koszul import BigradedDims
 from bgsplit.ext.resolution import ext_general
 from bgsplit.monomials import PrimeContext
-from bgsplit.qmodules import suspend, trivial_module
+from bgsplit.qmodules import content_key, suspend, trivial_module
 
 P3 = PrimeContext(3)
 FULL = (0, 1, 2)
@@ -133,3 +134,43 @@ def test_obstruction_theta_nine_survives():
     # no odd classes in s >= 2 enter this window, but the comparison
     # itself is not vacuous: the blockwise columns carry real classes
     assert any(r.column_rows() for r in report.block_reports.values())
+
+
+# -- comparison caches -------------------------------------------------------------
+
+
+@pytest.fixture
+def gr_built(monkeypatch):
+    """Empty the comparison caches and record the modules gr_module is run on."""
+    built = []
+    gr_module = compare.gr_module
+
+    def counting(module, t_max):
+        built.append(module)
+        return gr_module(module, t_max)
+
+    monkeypatch.setattr(compare, "_GR", {})
+    monkeypatch.setattr(compare, "_RES", {})
+    monkeypatch.setattr(compare, "gr_module", counting)
+    return built
+
+
+def _columns(report: PropisoReport) -> tuple:
+    return report.t_lo, report.t_hi, report.lhs_columns, report.rhs_columns
+
+
+def test_equal_blocks_share_one_gr_presentation(gr_built):
+    # C_k depends only on floor(k/p), so C_0, C_1 and C_2 have one content
+    for k in (0, 1, 2):
+        assert propiso_check(P3, k, 0).passed
+    assert [content_key(m) for m in gr_built] == [content_key(weight_restricted_C(P3, 0))]
+
+
+def test_comparison_does_not_depend_on_cache_history(gr_built):
+    small = _columns(propiso_check(P3, 3, 3))
+    # the larger window must regrow the entries the small one left behind
+    big = _columns(propiso_check(P3, 3, 9))
+    assert _columns(propiso_check(P3, 3, 3)) == small
+    compare._GR.clear()
+    compare._RES.clear()
+    assert _columns(propiso_check(P3, 3, 9)) == big

@@ -6,7 +6,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgsplit.fplin import coset_representatives, kernel_array, rref_array, solve_columns
+from bgsplit.fplin import (
+    coset_representatives,
+    homology_basis,
+    kernel_array,
+    quotient_projection,
+    reduce_mod_rows,
+    rref_array,
+    solve_columns,
+)
 
 
 def _m(rows) -> np.ndarray:
@@ -161,3 +169,53 @@ def test_quotient_reps_complete_to_basis(pm):
     if cols:
         stacked = np.concatenate([sub, reps], axis=0)
         assert _row_space(stacked, p).shape[0] == cols
+
+
+def _rank(a: np.ndarray, p: int) -> int:
+    return len(rref_array(a, p)[1])
+
+
+@st.composite
+def chain_pairs(draw):
+    """(p, d_out, d_in) with d_out @ d_in = 0: d_out factors through ker d_in^T."""
+    p = draw(st.sampled_from([3, 5]))
+    n, m, r = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+
+    def matrix(rows, cols):
+        entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
+        return np.array(entries, dtype=np.int64).reshape((rows, cols))
+
+    d_in = matrix(n, m)
+    annihilator = kernel_array(d_in.T, p)
+    d_out = (matrix(r, annihilator.shape[0]) @ annihilator) % p
+    return p, d_out, d_in
+
+
+@settings(max_examples=120, deadline=None)
+@given(chain_pairs())
+def test_homology_basis_counts_cycles_modulo_boundaries(pair):
+    p, d_out, d_in = pair
+    assert not ((d_out @ d_in) % p).any()
+    n = d_in.shape[0]
+    reps, rep_piv, borders, border_piv = homology_basis(d_out, d_in, p)
+    assert len(rep_piv) == reps.shape[0] and len(border_piv) == borders.shape[0]
+    assert not ((d_out @ reps.T) % p).any()
+    assert reps.shape[0] == (n - _rank(d_out, p)) - _rank(d_in, p)
+    stacked = np.concatenate([reps, borders], axis=0)
+    assert _rank(stacked, p) == stacked.shape[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(fp_matrices(), st.data())
+def test_quotient_projection_is_reduction_mod_rows(pm, data):
+    p, a = pm
+    n = a.shape[1]
+    red, piv = rref_array(a, p)
+    rows = red[: len(piv)]
+    keep, proj = quotient_projection(rows, piv, n, p)
+    assert keep == [c for c in range(n) if c not in piv]
+    assert proj.shape == (len(keep), n)
+    for _ in range(3):
+        v = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)), dtype=np.int64)
+        assert np.array_equal((proj @ v) % p, reduce_mod_rows(v, rows, tuple(piv), p)[keep])
+    assert not ((proj @ rows.T) % p).any()
