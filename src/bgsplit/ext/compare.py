@@ -20,7 +20,6 @@ from ..qmodules import QModule, content_key, suspend, tensor
 from .koszul import BigradedDims, ext_koszul
 from .poly import (
     PModule,
-    PolyPresentation,
     PStage,
     ext_from_resolution,
     gr_module,
@@ -67,13 +66,13 @@ def ext_via_dual(
     return ext_koszul(tensor(dual_module(m), n), s_max, t_max, t_min=t_min)
 
 
-# -- comparison caches ------------------------------------------------------------
+# -- comparison cache -------------------------------------------------------------
 # Keyed by module content, so equal weight blocks (C_k depends only on
 # floor(k/p)) share one entry.  Each entry keeps the largest window asked
 # for so far and serves every smaller one; windows are quantized so that
-# nearby requests do not regrow it.
+# nearby requests do not regrow it.  gr presentations come from
+# `gr_module`, which keeps its own content-keyed memo the same way.
 
-_GR: dict[tuple, PolyPresentation] = {}
 _RES: dict[tuple, tuple[PModule, list[PStage], int]] = {}
 
 
@@ -81,21 +80,12 @@ def _quantize(t: int) -> int:
     return ((max(t, 0) + 15) // 16) * 16
 
 
-def _gr_pres(module: QModule, t_max: int) -> PolyPresentation:
-    """gr of a weight block, grown monotonically in the window."""
-    key = content_key(module)
-    got = _GR.get(key)
-    if got is None or got.t_max < t_max:
-        got = _GR[key] = gr_module(module, t_max)
-    return got
-
-
 def _resolved(module: QModule, t_max: int) -> tuple[PModule, list[PStage], int]:
     """Realized gr block with its minimal resolution through stage 2."""
     key = content_key(module)
     got = _RES.get(key)
     if got is None or got[0].t_max < t_max:
-        A = realize(_gr_pres(module, t_max), t_max)
+        A = realize(gr_module(module, t_max), t_max)
         stages = p_resolution(A, 2)
         top = max((t for st in stages for _, t in st.gen_bidegrees), default=0)
         got = _RES[key] = (A, stages, top)
@@ -181,7 +171,7 @@ def propiso_check(
         top = new_top
     else:
         raise ArithmeticError("resolution generator degrees failed to stabilize")
-    B = realize(_gr_pres(cm, t_b - qm).shifted(qm), t_b)
+    B = realize(gr_module(cm, t_b - qm).shifted(qm), t_b)
 
     dual = ext_via_dual(ck, suspend(cm, qm), t_hi - (qm - ck.max_degree()), t_hi, t_min=lo)
     lhs: dict[int, int] = {}

@@ -13,11 +13,13 @@ representatives are built only by `KoszulComplex.homology`, for the
 callers that need them (`project` and `v_mult`); it is one call to
 `fplin.homology_basis`, the primitive Margolis homology uses too.
 
-Charts are memoised by module content (`qmodules.content_key`, the same
-identity the E_2 comparison caches use): `ext_koszul` computes each
-(module, window) once per process, so two equal modules built apart, such
-as the same `restrict_qs` pair asked for by two checks, share one chart.
-The complex itself is dropped after each computation.
+Charts and v-injectivity reports are memoised by module content
+(`qmodules.content_key`, the same identity the gr and comparison caches
+use): `ext_koszul` and `v_injectivity` compute each (module, window) once
+per process, so two equal modules built apart, such as the same
+`restrict_qs` pair asked for by two checks or the blocks C_k with one
+floor(k/p), share one result.  The complex itself is dropped after each
+computation.
 """
 
 from __future__ import annotations
@@ -354,37 +356,51 @@ class VInjectivityReport:
     window: tuple[int, int, int]
 
 
+_V_INJECTIVITY: dict[tuple, dict[int, tuple[int, tuple[tuple[int, int], ...]]]] = {}
+
+
 def v_injectivity(module: QModule, i: int, s_max: int, t_max: int) -> VInjectivityReport:
     """Check v_i-multiplication has zero kernel on classes in the window.
 
     Sources run over s <= s_max and t <= t_max; targets live one v_i
     bidegree higher, so a truncated module must certify t_max + d_i.
+    Reports are memoised by module content and window: the first call
+    builds one complex and checks every operator whose targets the module
+    certifies, so later calls for any i are lookups.
     """
-    drop = module.ctx.q_degree(i)
+    if i not in module.qs:
+        raise KeyError(f"Q_{i} is not defined on this module")
     top = module.truncated_above
-    if top is not None and t_max + drop > top:
+    ops = [j for j in module.qs if top is None or t_max + module.ctx.q_degree(j) <= top]
+    if i not in ops:
+        drop = module.ctx.q_degree(i)
         raise ValueError(
             f"targets reach t = {t_max + drop}, beyond the certified degree {top}; "
             f"lower t_max to {top - drop}"
         )
-    complex_ = KoszulComplex(module)
     lo = module.min_degree() if module.basis else 0
-    checked = 0
-    kernel_at = []
-    for t in range(lo, t_max + 1):
-        for s in range(s_max + 1):
-            n = complex_.dim(s, t)
-            if n == 0:
-                continue
-            checked += n
-            mult = complex_.v_mult(s, t, i)
-            _, piv = rref_array(mult, module.ctx.p)
-            if len(piv) < n:
-                kernel_at.append((s, t))
+    key = (content_key(module), s_max, t_max)
+    reports = _V_INJECTIVITY.get(key)
+    if reports is None:
+        complex_ = KoszulComplex(module)
+        checked = 0
+        kernel_at: dict[int, list[tuple[int, int]]] = {j: [] for j in ops}
+        for t in range(lo, t_max + 1):
+            for s in range(s_max + 1):
+                n = complex_.dim(s, t)
+                if n == 0:
+                    continue
+                checked += n
+                for j in ops:
+                    _, piv = rref_array(complex_.v_mult(s, t, j), module.ctx.p)
+                    if len(piv) < n:
+                        kernel_at[j].append((s, t))
+        reports = _V_INJECTIVITY[key] = {j: (checked, tuple(kernel_at[j])) for j in ops}
+    checked, kernel_at = reports[i]
     return VInjectivityReport(
         i=i,
         passed=not kernel_at,
         checked_classes=checked,
-        kernel_at=kernel_at,
+        kernel_at=list(kernel_at),
         window=(s_max, lo, t_max),
     )

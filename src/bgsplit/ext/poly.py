@@ -10,13 +10,13 @@ window it is exact on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from ..fplin import coset_representatives, kernel_array, quotient_projection, rref_array
-from ..qmodules import QModule
+from ..qmodules import QModule, content_key
 from .koszul import BigradedDims, KoszulComplex
 
 Bidegree = tuple[int, int]
@@ -321,6 +321,9 @@ def _assert_no_units(gen_rows: dict[Bidegree, np.ndarray], col_index) -> None:
 # -- gr and realization ----------------------------------------------------------
 
 
+_GR: dict[tuple, PolyPresentation] = {}
+
+
 def gr_module(module: QModule, t_max: int) -> PolyPresentation:
     """Minimal presentation of Ext(F_p, module) as a module over its v's.
 
@@ -328,6 +331,10 @@ def gr_module(module: QModule, t_max: int) -> PolyPresentation:
     the Ext itself; generators are a basis of Ext/(v Ext) and relations
     are minimal generators of the free cover's kernel, both exact for
     t <= t_max (capped at the module's own certification, with a note).
+
+    Memoised by module content: each entry keeps the largest window asked
+    for and serves a smaller one by truncation, since generators and
+    relations at t depend only on Ext in degrees <= t.
     """
     cap = module.truncated_above
     note = None
@@ -335,6 +342,24 @@ def gr_module(module: QModule, t_max: int) -> PolyPresentation:
     if cap is not None and t_max > cap:
         tm = cap
         note = f"t_max shrunk to certified {cap}"
+    key = content_key(module)
+    pres = _GR.get(key)
+    if pres is None or pres.t_max < tm:
+        pres = _GR[key] = _gr_presentation(module, tm)
+    # generators and relations are listed in ascending (t, s), so the kept
+    # generators are a prefix and the relations' generator indices stay valid
+    return PolyPresentation(
+        pres.p,
+        pres.var_degrees,
+        tuple(bd for bd in pres.generators if bd[1] <= tm),
+        tuple(rel for rel in pres.relations if rel[0][1] <= tm),
+        tm,
+        note,
+    )
+
+
+def _gr_presentation(module: QModule, tm: int) -> PolyPresentation:
+    """The minimal presentation of Ext(F_p, module), computed for t <= tm."""
     e = ext_p_module(module, tm)
     gen_bidegrees, reps = _p_min_generators(e)
     columns = _free_columns(gen_bidegrees, e.var_degrees, tm)
@@ -351,9 +376,7 @@ def gr_module(module: QModule, t_max: int) -> PolyPresentation:
                 if row[pos]
             )
             relations.append((bd, entries))
-    return PolyPresentation(
-        e.p, e.var_degrees, tuple(gen_bidegrees), tuple(relations), tm, note
-    )
+    return PolyPresentation(e.p, e.var_degrees, tuple(gen_bidegrees), tuple(relations), tm)
 
 
 def realize(pres: PolyPresentation, t_max: int | None = None) -> PModule:
@@ -628,29 +651,37 @@ class PdReport:
         return self.length <= 1 and self.socle_empty
 
 
+_PD: dict[tuple[PolyPresentation, int], PdReport] = {}
+
+
 def projective_dimension(a: PolyPresentation, u_cap: int = 4) -> PdReport:
     """Resolution length inside the window and socle emptiness.
 
     The socle (elements killed by every v_j) is certified only where all
     the v-targets stay inside the window, t <= t_max - max(var degrees);
-    an empty socle witnesses depth >= 1.
+    an empty socle witnesses depth >= 1.  Reports are memoised per
+    (presentation, u_cap); each call gets its own copy.
     """
-    A = realize(a)
-    stages = p_resolution(A, u_cap)
-    socle_t_max = A.t_max - max(a.var_degrees)
-    socle: list[Bidegree] = []
-    for s, t in A.bidegrees():
-        if t > socle_t_max or not A.dim(s, t):
-            continue
-        stacked = np.concatenate(
-            [A.act(j, s, t) for j in range(len(a.var_degrees))], axis=0
+    key = (a, u_cap)
+    report = _PD.get(key)
+    if report is None:
+        A = realize(a)
+        stages = p_resolution(A, u_cap)
+        socle_t_max = A.t_max - max(a.var_degrees)
+        socle: list[Bidegree] = []
+        for s, t in A.bidegrees():
+            if t > socle_t_max or not A.dim(s, t):
+                continue
+            stacked = np.concatenate(
+                [A.act(j, s, t) for j in range(len(a.var_degrees))], axis=0
+            )
+            if kernel_array(stacked, A.p).shape[0]:
+                socle.append((s, t))
+        report = _PD[key] = PdReport(
+            length=max(len(stages) - 1, 0),
+            socle_empty=not socle,
+            socle_bidegrees=tuple(socle),
+            t_max=A.t_max,
+            socle_t_max=socle_t_max,
         )
-        if kernel_array(stacked, A.p).shape[0]:
-            socle.append((s, t))
-    return PdReport(
-        length=max(len(stages) - 1, 0),
-        socle_empty=not socle,
-        socle_bidegrees=tuple(socle),
-        t_max=A.t_max,
-        socle_t_max=socle_t_max,
-    )
+    return replace(report)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from bgsplit.browngitler import bp_homology, brown_gitler, weight_restricted_C
-from bgsplit.ext import compare
+from bgsplit.ext import compare, poly
 from bgsplit.ext.compare import (
     PropisoReport,
     dual_module,
@@ -141,17 +141,17 @@ def test_obstruction_theta_nine_survives():
 
 @pytest.fixture
 def gr_built(monkeypatch):
-    """Empty the comparison caches and record the modules gr_module is run on."""
+    """Empty the gr memo and the comparison cache and record the modules gr is built for."""
     built = []
-    gr_module = compare.gr_module
+    build = poly._gr_presentation
 
     def counting(module, t_max):
         built.append(module)
-        return gr_module(module, t_max)
+        return build(module, t_max)
 
-    monkeypatch.setattr(compare, "_GR", {})
+    monkeypatch.setattr(poly, "_GR", {})
     monkeypatch.setattr(compare, "_RES", {})
-    monkeypatch.setattr(compare, "gr_module", counting)
+    monkeypatch.setattr(poly, "_gr_presentation", counting)
     return built
 
 
@@ -171,6 +171,6 @@ def test_comparison_does_not_depend_on_cache_history(gr_built):
     # the larger window must regrow the entries the small one left behind
     big = _columns(propiso_check(P3, 3, 9))
     assert _columns(propiso_check(P3, 3, 3)) == small
-    compare._GR.clear()
+    poly._GR.clear()
     compare._RES.clear()
     assert _columns(propiso_check(P3, 3, 9)) == big

@@ -16,6 +16,7 @@ from bgsplit.ext.koszul import (
     v_injectivity,
     v_monomials,
 )
+from bgsplit.fplin import rref_array
 from bgsplit.margolis import classify_invertible, construct_model
 from bgsplit.monomials import PrimeContext
 from bgsplit.qmodules import (
@@ -240,6 +241,12 @@ def test_v_injectivity_fails_on_free_targets():
     assert report.kernel_at
 
 
+def test_v_injectivity_rejects_an_undefined_operator():
+    pair = restrict_qs(weight_restricted_C(P3, 9), (0, 1))
+    with pytest.raises(KeyError, match="Q_2 is not defined"):
+        v_injectivity(pair, 2, 6, 40)
+
+
 def test_invertible_model_ext_translation():
     # Ext^{s,t}(F_p, model(a,b)) for s > 0 must equal Ext^{s-b,t-c}(F_p,F_p)
     # over the pair for one uniform translation c; c comes out as a
@@ -290,7 +297,7 @@ def test_chart_rows_deterministic():
 
 @pytest.fixture
 def complex_count(monkeypatch):
-    """Empty the chart memo and count the complexes ext_koszul builds."""
+    """Empty the chart and v-injectivity memos and count the complexes built."""
     built = []
 
     class Counting(koszul.KoszulComplex):
@@ -299,6 +306,7 @@ def complex_count(monkeypatch):
             super().__init__(module)
 
     monkeypatch.setattr(koszul, "_CHARTS", {})
+    monkeypatch.setattr(koszul, "_V_INJECTIVITY", {})
     monkeypatch.setattr(koszul, "KoszulComplex", Counting)
     return built
 
@@ -342,3 +350,75 @@ def test_mutating_a_returned_chart_leaves_the_memo_alone(complex_count):
     again = ext_koszul(c9, 4, 30)
     assert again.dims == expected
     assert len(complex_count) == 1
+
+
+def _direct_v_injectivity(module, i, s_max, t_max):
+    """(checked classes, kernel bidegrees) from a fresh complex, no memo."""
+    kc = KoszulComplex(module)
+    checked, kernel_at = 0, []
+    for t in range(module.min_degree(), t_max + 1):
+        for s in range(s_max + 1):
+            n = kc.dim(s, t)
+            if n:
+                checked += n
+                if len(rref_array(kc.v_mult(s, t, i), module.ctx.p)[1]) < n:
+                    kernel_at.append((s, t))
+    return checked, kernel_at
+
+
+def test_equal_blocks_share_one_v_injectivity_complex(complex_count):
+    # C_k depends only on floor(k/p), so C_0, C_1 and C_2 have one content
+    reports = [
+        v_injectivity(weight_restricted_C(P3, k), i, 6, 40) for k in (0, 1, 2) for i in FULL
+    ]
+    assert len(complex_count) == 1
+    assert all(r.passed and r.checked_classes == reports[0].checked_classes for r in reports)
+    assert [r.i for r in reports] == [0, 1, 2] * 3
+
+
+def test_same_basis_with_zero_actions_gets_its_own_v_injectivity(complex_count):
+    free = free_module(P3, FULL)
+    # zero matrices of the same shapes: only the matrix entries differ, and
+    # with no action every v_i acts freely on Ext
+    zero = QModule(
+        P3,
+        free.qs,
+        free.basis,
+        {i: {d: np.zeros_like(mat) for d, mat in free.actions[i].items()} for i in free.qs},
+        free.truncated_above,
+    )
+    acted = v_injectivity(free, 0, 3, 40)
+    inert = v_injectivity(zero, 0, 3, 40)
+    assert len(complex_count) == 2
+    assert not acted.passed and inert.passed
+    assert (inert.checked_classes, inert.kernel_at) == _direct_v_injectivity(zero, 0, 3, 40)
+    assert (acted.checked_classes, acted.kernel_at) == _direct_v_injectivity(free, 0, 3, 40)
+
+
+def test_mutating_a_returned_kernel_leaves_the_v_injectivity_memo_alone(complex_count):
+    free = free_module(P3, FULL)
+    first = v_injectivity(free, 0, 3, 40)
+    expected = list(first.kernel_at)
+    first.kernel_at.clear()
+    first.kernel_at.append((99, 99))
+    again = v_injectivity(free, 0, 3, 40)
+    assert again.kernel_at == expected
+    assert not again.passed
+    assert len(complex_count) == 1
+
+
+@pytest.mark.parametrize("order", [(2, 0, 1), (0, 1, 2)])
+def test_v_injectivity_memo_keeps_the_truncation_gate(complex_count, order):
+    # t_max + d_0 = 31 and t_max + d_1 = 35 stay within the truncation at 40,
+    # t_max + d_2 = 47 does not, so only v_2 must be refused
+    bounded = bp_homology(P3, 2, 40).module
+    reports = {}
+    for i in order:
+        if i == 2:
+            with pytest.raises(ValueError, match="beyond the certified degree 40"):
+                v_injectivity(bounded, i, 4, 30)
+        else:
+            reports[i] = v_injectivity(bounded, i, 4, 30)
+    assert len(complex_count) == 1
+    for i, rep in reports.items():
+        assert (rep.checked_classes, rep.kernel_at) == _direct_v_injectivity(bounded, i, 4, 30)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
+
 from bgsplit.browngitler import bp_homology, weight_restricted_C
+from bgsplit.ext import poly
 from bgsplit.ext.poly import (
     PolyPresentation,
     ext_over_P2,
@@ -15,6 +19,7 @@ from bgsplit.ext.poly import (
     residue_field_presentation,
 )
 from bgsplit.monomials import PrimeContext
+from bgsplit.qmodules import QModule
 
 P3 = PrimeContext(3)
 VARS = (1, 5, 17)
@@ -170,3 +175,91 @@ def test_shifted_presentation_moves_everything():
     back = realize(moved, 60)
     base = realize(pres, 24)
     assert back.dims == {(s, t + 36): d for (s, t), d in base.dims.items()}
+
+
+# -- gr and projective-dimension memos ---------------------------------------------
+
+
+@pytest.fixture
+def poly_builds(monkeypatch):
+    """Empty the gr and pd memos and record the gr builds and resolutions."""
+    built = {"gr": [], "resolution": []}
+    build, resolve = poly._gr_presentation, poly.p_resolution
+
+    def counting_gr(module, t_max):
+        built["gr"].append(module)
+        return build(module, t_max)
+
+    def counting_resolution(m, u_max):
+        built["resolution"].append(m)
+        return resolve(m, u_max)
+
+    monkeypatch.setattr(poly, "_GR", {})
+    monkeypatch.setattr(poly, "_PD", {})
+    monkeypatch.setattr(poly, "_gr_presentation", counting_gr)
+    monkeypatch.setattr(poly, "p_resolution", counting_resolution)
+    return built
+
+
+def test_equal_blocks_share_one_gr_and_one_resolution(poly_builds):
+    # C_k depends only on floor(k/p), so C_0, C_1 and C_2 have one content
+    reports = []
+    for k in (0, 1, 2):
+        ck = weight_restricted_C(P3, k)
+        reports.append(projective_dimension(gr_module(ck, ck.max_degree() + 24)))
+    assert len(poly_builds["gr"]) == 1
+    assert len(poly_builds["resolution"]) == 1
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].passed
+
+
+def test_same_basis_with_zero_actions_gets_its_own_gr(poly_builds):
+    c9 = weight_restricted_C(P3, 9)
+    # zero matrices of the same shapes: only the matrix entries differ, and
+    # with no action gr is free on one generator per basis element
+    zero = QModule(
+        P3,
+        c9.qs,
+        c9.basis,
+        {i: {d: np.zeros_like(mat) for d, mat in c9.actions[i].items()} for i in c9.qs},
+        c9.truncated_above,
+    )
+    acted = gr_module(c9, 41)
+    inert = gr_module(zero, 41)
+    assert len(poly_builds["gr"]) == 2
+    assert acted.relations and not inert.relations
+    assert inert == poly._gr_presentation(zero, 41)
+    assert projective_dimension(inert).length == 0
+    assert projective_dimension(acted).length == 1
+    assert len(poly_builds["resolution"]) == 2
+
+
+def test_mutating_a_returned_pd_report_leaves_the_memo_alone(poly_builds):
+    pres = gr_module(weight_restricted_C(P3, 9), 41)
+    first = projective_dimension(pres)
+    expected = (first.length, first.socle_empty, first.socle_bidegrees, first.t_max)
+    first.length = 7
+    first.socle_empty = False
+    first.socle_bidegrees = ((9, 9),)
+    again = projective_dimension(pres)
+    assert (again.length, again.socle_empty, again.socle_bidegrees, again.t_max) == expected
+    assert len(poly_builds["resolution"]) == 1
+
+
+@pytest.mark.parametrize(
+    "p, k", [(3, k) for k in range(0, 28, 3)] + [(5, 0), (5, 5), (5, 25)]
+)
+def test_truncated_gr_equals_a_cold_build(monkeypatch, p, k):
+    # the memo holds the pd-bound window; smaller windows are served by
+    # truncation and must equal a presentation computed at that window
+    monkeypatch.setattr(poly, "_GR", {})
+    ck = weight_restricted_C(PrimeContext(p), k)
+    top = ck.max_degree() + 8 * p
+    gr_module(ck, top)
+    windows = (top // 4, top // 2)
+    warm = [gr_module(ck, t) for t in windows]
+    cold = []
+    for t in windows:
+        poly._GR.clear()
+        cold.append(gr_module(ck, t))
+    assert warm == cold
