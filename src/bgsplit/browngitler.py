@@ -393,7 +393,7 @@ def length_splitting(ctx: PrimeContext, max_degree: int) -> SplitPair:
 
 
 @lru_cache(maxsize=None)
-def weight_restricted_C(ctx: PrimeContext, k: int, max_degree: int | None = None) -> QModule:
+def weight_restricted_C(ctx: PrimeContext, k: int) -> QModule:
     """The weight-pk block of the reduced part, pulled back through theta_k.
 
     Equivariance of theta_k identifies the block with B_1(k) modulo its
@@ -403,8 +403,6 @@ def weight_restricted_C(ctx: PrimeContext, k: int, max_degree: int | None = None
     this module.  Memoised per (prime, k), so every caller shares one block.
     """
     B = brown_gitler(ctx, 1, k).module
-    if max_degree is not None and ctx.q * k > max_degree:
-        raise ValueError("block suspension exceeds the requested range")
     gens = [lab for d in B.degrees() for lab in B.basis[d] if mono_length(lab) >= 3]
     reduced, _ = quotient(B, gens)
     return reduced

@@ -194,8 +194,8 @@ def _image_strings(theta_map) -> list[dict]:
 
 def cmd_theta(cfg: RunConfig, i: int, k: int) -> int:
     cfg.validate()
-    if i < 0:
-        raise ConfigError("theta needs a nonnegative algebra index")
+    if not 0 <= i <= 2:
+        raise ConfigError("theta needs an algebra index in 0..2")
     if k < 0:
         raise ConfigError("k must be nonnegative")
     ctx = PrimeContext(cfg.p)

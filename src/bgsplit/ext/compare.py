@@ -142,7 +142,6 @@ def propiso_check(
     m: int,
     t_hi: int | None = None,
     t_lo: int | None = None,
-    pad: int = _PAD,
 ) -> PropisoReport:
     """Compare odd exterior Ext columns with the degree-1 polynomial line.
 
@@ -155,7 +154,7 @@ def propiso_check(
     cm = weight_restricted_C(ctx, m)
     qm = ctx.q * m
     if t_hi is None:
-        t_hi = qm + cm.max_degree() + pad
+        t_hi = qm + cm.max_degree() + _PAD
     _, _, top = _resolved(ck, _quantize(2 * ck.max_degree() + 34))
     for _ in range(4):
         # floor of possible classes on either side: the exterior Ext starts
@@ -230,9 +229,7 @@ class ObstructionReport:
         return f"unmatched obstruction classes at {bad}"
 
 
-def obstruction_report(
-    ctx: PrimeContext, k: int, t_hi: int | None = None, pad: int = _PAD
-) -> ObstructionReport:
+def obstruction_report(ctx: PrimeContext, k: int, t_hi: int | None = None) -> ObstructionReport:
     """Enumerate s >= 2 odd classes out of the suspended block and match them.
 
     The source is the Brown-Gitler comodule for k (checked against the
@@ -248,7 +245,7 @@ def obstruction_report(
         )
     qk = ctx.q * k
     if t_hi is None:
-        t_hi = qk + 2 * ck.max_degree() + pad
+        t_hi = qk + 2 * ck.max_degree() + _PAD
     hi_unsus = t_hi - qk
     reach = t_hi + ck.max_degree()
     split = length_splitting(ctx, reach)

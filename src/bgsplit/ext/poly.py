@@ -248,36 +248,30 @@ def _p_min_generators(m: PModule) -> tuple[list[Bidegree], list[np.ndarray]]:
     return bidegs, reps
 
 
-def _cover_and_kernels(target: PModule, gen_bidegrees, reps, columns):
+def _cover_and_kernels(target: PModule, reps, columns):
     """Free cover matrices into target coordinates and their kernels per bidegree.
 
     Also checks the cover is onto (generators do generate) and that no
     part of the target sits at a bidegree the free module misses.
     """
     p = target.p
-    memo: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-
-    def vec(g: int, alpha: tuple[int, ...]) -> np.ndarray:
-        key = (g, alpha)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if not any(alpha):
-            v = reps[g] % p
-        else:
+    # ascending t, so v^alpha g comes after the v^(alpha - e_j) g it is pushed from
+    image: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+    for s, t in sorted(columns, key=lambda bd: bd[1]):
+        for g, alpha in columns[(s, t)]:
+            if not any(alpha):
+                image[(g, alpha)] = reps[g] % p
+                continue
             j = next(h for h, a in enumerate(alpha) if a)
             prev = tuple(a - 1 if h == j else a for h, a in enumerate(alpha))
-            s0, t0 = gen_bidegrees[g]
-            src = (s0 + sum(prev), t0 + _dot(prev, target.var_degrees))
-            v = (target.act(j, *src) @ vec(g, prev)) % p
-        memo[key] = v
-        return v
+            step = target.act(j, s - 1, t - target.var_degrees[j])
+            image[(g, alpha)] = (step @ image[(g, prev)]) % p
 
     kernels: dict[Bidegree, np.ndarray] = {}
     for bd, cols in columns.items():
         mat = np.zeros((target.dim(*bd), len(cols)), dtype=np.int64)
         for c, (g, alpha) in enumerate(cols):
-            mat[:, c] = vec(g, alpha)
+            mat[:, c] = image[(g, alpha)]
         k = kernel_array(mat, p)
         if len(cols) - k.shape[0] != target.dim(*bd):
             raise AssertionError(f"free cover misses part of the target at {bd}")
@@ -287,35 +281,6 @@ def _cover_and_kernels(target: PModule, gen_bidegrees, reps, columns):
         if n and bd not in columns:
             raise AssertionError(f"target is nonzero at uncovered bidegree {bd}")
     return kernels
-
-
-def _kernel_min_generators(kernels, columns, col_index, var_degrees, p):
-    """Minimal generators of the kernel submodule, per bidegree ascending."""
-    out: dict[Bidegree, np.ndarray] = {}
-    for bd in sorted(kernels, key=lambda b: (b[1], b[0])):
-        s, t = bd
-        spans = []
-        for j, dv in enumerate(var_degrees):
-            src = (s - 1, t - dv)
-            if src in kernels:
-                spans.append(_relabel(kernels[src], columns[src], col_index[bd], j))
-        span = (
-            np.concatenate(spans, axis=0)
-            if spans
-            else np.zeros((0, len(columns[bd])), dtype=np.int64)
-        )
-        found = coset_representatives(kernels[bd], span, p)
-        if found.shape[0]:
-            out[bd] = found
-    return out
-
-
-def _assert_no_units(gen_rows: dict[Bidegree, np.ndarray], col_index) -> None:
-    """Kernel generators may not touch an alpha = 0 coordinate of the free module."""
-    for bd, rows in gen_rows.items():
-        for (g, alpha), pos in col_index[bd].items():
-            if not any(alpha) and rows[:, pos].any():
-                raise AssertionError("relation matrix contains a unit; the cover was not minimal")
 
 
 # -- gr and realization ----------------------------------------------------------
@@ -359,24 +324,26 @@ def gr_module(module: QModule, t_max: int) -> PolyPresentation:
 
 
 def _gr_presentation(module: QModule, tm: int) -> PolyPresentation:
-    """The minimal presentation of Ext(F_p, module), computed for t <= tm."""
+    """The minimal presentation of Ext(F_p, module), computed for t <= tm.
+
+    It is the first two stages of the minimal resolution: stage 0's
+    generators, and stage 1's generator vectors read over stage 0's
+    columns as (gen, alpha, coefficient) entries.
+    """
     e = ext_p_module(module, tm)
-    gen_bidegrees, reps = _p_min_generators(e)
-    columns = _free_columns(gen_bidegrees, e.var_degrees, tm)
-    col_index = _column_index(columns)
-    kernels = _cover_and_kernels(e, gen_bidegrees, reps, columns)
-    rel_rows = _kernel_min_generators(kernels, columns, col_index, e.var_degrees, e.p)
-    _assert_no_units(rel_rows, col_index)
+    stages = p_resolution(e, 1)
+    generators = stages[0].gen_bidegrees if stages else ()
     relations = []
-    for bd in sorted(rel_rows, key=lambda b: (b[1], b[0])):
-        for row in rel_rows[bd]:
+    if len(stages) == 2:
+        cover, syzygies = stages
+        for bd, vector in zip(syzygies.gen_bidegrees, syzygies.gen_vectors):
             entries = tuple(
-                (g, alpha, int(row[pos]))
-                for (g, alpha), pos in sorted(col_index[bd].items())
-                if row[pos]
+                (g, alpha, int(vector[pos]))
+                for pos, (g, alpha) in enumerate(cover.columns[bd])
+                if vector[pos]
             )
             relations.append((bd, entries))
-    return PolyPresentation(e.p, e.var_degrees, tuple(gen_bidegrees), tuple(relations), tm)
+    return PolyPresentation(e.p, e.var_degrees, generators, tuple(relations), tm)
 
 
 def realize(pres: PolyPresentation, t_max: int | None = None) -> PModule:
@@ -450,37 +417,47 @@ class PStage:
     gen_bidegrees: tuple[Bidegree, ...]
     gen_vectors: tuple[np.ndarray, ...]
     columns: dict[Bidegree, list[tuple[int, tuple[int, ...]]]]
-    col_index: dict[Bidegree, dict[tuple[int, tuple[int, ...]], int]]
+
+
+def _assert_no_units(stage: PStage, cover: PStage) -> None:
+    """A syzygy stage's generators may not touch an alpha = 0 column of its cover."""
+    for bd, vector in zip(stage.gen_bidegrees, stage.gen_vectors):
+        for pos, (_, alpha) in enumerate(cover.columns[bd]):
+            if not any(alpha) and vector[pos]:
+                raise AssertionError("relation matrix contains a unit; the cover was not minimal")
 
 
 def p_resolution(m: PModule, u_max: int) -> list[PStage]:
-    """Stages of the minimal free resolution of m, exact for t <= m.t_max.
+    """Stages 0..u_max of the minimal free resolution of m, exact for t <= m.t_max.
 
-    Stops after u_max stages or when the kernel vanishes inside the
-    window.  Kernels are realized with their inherited v-actions, so each
-    stage is the honest degreewise syzygy module of the previous one.
+    The only place that covers, takes kernels and finds minimal generators
+    over P: gr presentations are its first two stages.  Stops after stage
+    u_max or when the kernel vanishes inside the window.  Kernels are
+    realized with their inherited v-actions, so each stage is the honest
+    degreewise syzygy module of the previous one, and no stage u >= 1 may
+    touch a unit of stage u - 1 (minimality).
     """
     stages: list[PStage] = []
     target = m
     to_free: dict[Bidegree, np.ndarray] | None = None
-    for _ in range(u_max + 1):
+    for u in range(u_max + 1):
         gen_bidegrees, reps = _p_min_generators(target)
         if not gen_bidegrees:
             break
         columns = _free_columns(gen_bidegrees, m.var_degrees, m.t_max)
-        col_index = _column_index(columns)
         if to_free is None:
             gen_vectors = [row % m.p for row in reps]
         else:
             gen_vectors = [
                 (row @ to_free[bd]) % m.p for row, bd in zip(reps, gen_bidegrees)
             ]
-        kernels = _cover_and_kernels(target, gen_bidegrees, reps, columns)
-        next_gens = _kernel_min_generators(kernels, columns, col_index, m.var_degrees, m.p)
-        _assert_no_units(next_gens, col_index)
-        stages.append(
-            PStage(tuple(gen_bidegrees), tuple(gen_vectors), columns, col_index)
-        )
+        stages.append(PStage(tuple(gen_bidegrees), tuple(gen_vectors), columns))
+        if u:
+            _assert_no_units(stages[u], stages[u - 1])
+        if u == u_max:
+            break
+        kernels = _cover_and_kernels(target, reps, columns)
+        col_index = _column_index(columns)
         kdims = {bd: rows.shape[0] for bd, rows in kernels.items()}
         kacts: dict[int, dict[Bidegree, np.ndarray]] = {
             j: {} for j in range(len(m.var_degrees))
@@ -651,22 +628,21 @@ class PdReport:
         return self.length <= 1 and self.socle_empty
 
 
-_PD: dict[tuple[PolyPresentation, int], PdReport] = {}
+_PD: dict[PolyPresentation, PdReport] = {}
 
 
-def projective_dimension(a: PolyPresentation, u_cap: int = 4) -> PdReport:
-    """Resolution length inside the window and socle emptiness.
+def projective_dimension(a: PolyPresentation) -> PdReport:
+    """Resolution length inside the window, up to 4, and socle emptiness.
 
     The socle (elements killed by every v_j) is certified only where all
     the v-targets stay inside the window, t <= t_max - max(var degrees);
     an empty socle witnesses depth >= 1.  Reports are memoised per
-    (presentation, u_cap); each call gets its own copy.
+    presentation; each call gets its own copy.
     """
-    key = (a, u_cap)
-    report = _PD.get(key)
+    report = _PD.get(a)
     if report is None:
         A = realize(a)
-        stages = p_resolution(A, u_cap)
+        stages = p_resolution(A, 4)
         socle_t_max = A.t_max - max(a.var_degrees)
         socle: list[Bidegree] = []
         for s, t in A.bidegrees():
@@ -677,7 +653,7 @@ def projective_dimension(a: PolyPresentation, u_cap: int = 4) -> PdReport:
             )
             if kernel_array(stacked, A.p).shape[0]:
                 socle.append((s, t))
-        report = _PD[key] = PdReport(
+        report = _PD[a] = PdReport(
             length=max(len(stages) - 1, 0),
             socle_empty=not socle,
             socle_bidegrees=tuple(socle),

@@ -116,39 +116,24 @@ def _assert_radical(stage: ResolutionStage, gens: dict[int, np.ndarray]) -> None
                 raise AssertionError("kernel escapes the radical; the cover was not minimal")
 
 
-def minimal_resolution(
-    module: QModule,
-    s_max: int | None = None,
-    degree_floor: int | None = None,
-) -> list[ResolutionStage]:
-    """Stages F_0, F_1, ... of the minimal free resolution of module.
+def minimal_resolution(module: QModule, s_max: int) -> list[ResolutionStage]:
+    """Stages F_0, ..., F_{s_max} of the minimal free resolution of module.
 
-    Stops after s_max stages, when the kernel vanishes, or when every
-    generator of the next stage sits below degree_floor (its free orbit
-    can never reach back above the floor).  At least one bound must be
-    given; the module must be complete.
+    Stops early when the kernel vanishes; the module must be complete.
     """
     if module.truncated_above is not None:
         raise ValueError("resolutions need the complete finite module")
-    if s_max is None and degree_floor is None:
-        raise ValueError("either s_max or degree_floor must bound the resolution")
     stages: list[ResolutionStage] = []
     target = module
     gens = _minimal_generators(module)
-    s = 0
-    while True:
-        if s_max is not None and s > s_max:
-            break
+    for s in range(s_max + 1):
         if not gens:
-            break
-        if degree_floor is not None and max(gens) < degree_floor:
             break
         stage = _build_stage(target, gens, ("g", s))
         stages.append(stage)
         gens = _kernel_generators(stage)
         _assert_radical(stage, gens)
         target = stage.free
-        s += 1
     return stages
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 from bgsplit.cli import main
 
 GOLDEN_P3_K0 = Path(__file__).parent / "data" / "verify_p3_k0.json"
+GOLDEN_P5_T100 = Path(__file__).parent / "data" / "verify_p5_t100.json"
 
 
 def run_json(capsys, argv):
@@ -78,6 +79,12 @@ def test_theta_trivial_and_padding_blocks(capsys):
     assert payload["images"][0]["image"] == "xi1"
 
 
+def test_theta_algebra_index_out_of_range_is_a_config_error(capsys):
+    for i in ("3", "-1"):
+        assert main(["theta", "--p", "3", "--i", i, "--k", "1"]) == 2
+        assert "algebra index in 0..2" in capsys.readouterr().err
+
+
 def test_verify_splitting_small_window(capsys):
     code, payload = run_json(
         capsys, ["verify-splitting", "--p", "3", "--max-degree", "24", "--k-max", "3"]
@@ -134,3 +141,10 @@ def test_benchmark_window_report_is_byte_identical(capsys):
     argv = ["verify-splitting", "--p", "3", "--max-degree", "60", "--k-max", "0", "--s-max", "6"]
     assert main(argv + ["--format", "json"]) == 0
     assert capsys.readouterr().out == GOLDEN_P3_K0.read_text(encoding="utf-8")
+
+
+def test_p5_window_report_is_byte_identical(capsys):
+    # p = 5 is the prime the hypothesis needs; this pins today's report there
+    argv = ["verify-splitting", "--p", "5", "--max-degree", "100"]
+    assert main(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == GOLDEN_P5_T100.read_text(encoding="utf-8")

@@ -166,6 +166,37 @@ def test_residue_field_socle_is_the_generator():
     assert not report.passed
 
 
+def test_redundant_cover_generator_trips_the_unit_check(monkeypatch):
+    module = realize(gr_module(weight_restricted_C(P3, 9), 44))
+    assert len(p_resolution(module, 2)) == 2
+    find = poly._p_min_generators
+    covers = []
+
+    def with_a_redundant_generator(m):
+        bidegrees, reps = find(m)
+        covers.append(m)
+        if len(covers) == 1:
+            # the module's own cover gets its first generator twice
+            bidegrees, reps = [bidegrees[0], *bidegrees], [reps[0], *reps]
+        return bidegrees, reps
+
+    monkeypatch.setattr(poly, "_p_min_generators", with_a_redundant_generator)
+    with pytest.raises(AssertionError, match="relation matrix contains a unit"):
+        p_resolution(module, 2)
+
+
+@pytest.mark.parametrize("p, k", [(3, 9), (3, 18), (3, 27), (5, 25)])
+def test_re_resolving_a_realized_gr_gives_its_presentation(p, k):
+    # the gr presentation and a fresh resolution of the module it presents
+    # must agree: same generators, relations in the same bidegrees, pd <= 1
+    ck = weight_restricted_C(PrimeContext(p), k)
+    pres = gr_module(ck, ck.max_degree() + 8 * p)
+    stages = p_resolution(realize(pres), 4)
+    assert stages[0].gen_bidegrees == pres.generators
+    assert stages[1].gen_bidegrees == tuple(bd for bd, _ in pres.relations)
+    assert len(stages) <= 2
+
+
 def test_shifted_presentation_moves_everything():
     pres = gr_module(weight_restricted_C(P3, 9), 50)
     moved = pres.shifted(36)
@@ -182,16 +213,26 @@ def test_shifted_presentation_moves_everything():
 
 @pytest.fixture
 def poly_builds(monkeypatch):
-    """Empty the gr and pd memos and record the gr builds and resolutions."""
+    """Empty the gr and pd memos and record the gr builds and pd resolutions.
+
+    A gr build resolves through two stages itself; only the resolutions
+    made outside a gr build, which are projective_dimension's, count.
+    """
     built = {"gr": [], "resolution": []}
+    in_gr = []
     build, resolve = poly._gr_presentation, poly.p_resolution
 
     def counting_gr(module, t_max):
         built["gr"].append(module)
-        return build(module, t_max)
+        in_gr.append(module)
+        try:
+            return build(module, t_max)
+        finally:
+            in_gr.pop()
 
     def counting_resolution(m, u_max):
-        built["resolution"].append(m)
+        if not in_gr:
+            built["resolution"].append(m)
         return resolve(m, u_max)
 
     monkeypatch.setattr(poly, "_GR", {})

@@ -52,8 +52,6 @@ def test_resolution_requires_complete_module():
     bounded = bp_homology(P3, 2, 20).module
     with pytest.raises(ValueError, match="complete"):
         minimal_resolution(bounded, s_max=2)
-    with pytest.raises(ValueError, match="bound"):
-        minimal_resolution(weight_restricted_C(P3, 9))
 
 
 def test_ext_general_agrees_with_koszul_for_unit_source():
