@@ -8,7 +8,9 @@ cochain m (x) v^alpha at s = |alpha| and t = deg(m) + sum alpha_i d_i
 with d_i = 2p^i - 1, so v_i sits at (1, d_i) and d preserves t.
 
 Dimensions come from ranks, dim Ext^{s,t} = dim C^{s,t} - rank d^{s,t} -
-rank d^{s-1,t}, with each rank eliminated once per complex.  Class
+rank d^{s-1,t}, with each rank taken once per complex by `fplin.rank`,
+which builds no echelon form; v-injectivity likewise compares the rank
+of each v_i-multiplication with the dimension of its source.  Class
 representatives are built only by `KoszulComplex.homology`, for the
 callers that need them (`project` and `v_mult`); it is one call to
 `fplin.homology_basis`, the primitive Margolis homology uses too.
@@ -29,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..fplin import homology_basis, reduce_mod_rows, rref_array
+from ..fplin import homology_basis, rank, reduce_mod_rows
 from ..qmodules import QModule, content_key, restrict_qs
 
 
@@ -209,11 +211,11 @@ class KoszulComplex:
         if cached is not None:
             return cached
         if self.chain_dim(s, t) == 0 or self.chain_dim(s + 1, t) == 0:
-            rank = 0
+            cached = 0
         else:
-            rank = len(rref_array(self.differential(s, t), self.p)[1])
-        self._ranks[key] = rank
-        return rank
+            cached = rank(self.differential(s, t), self.p)
+        self._ranks[key] = cached
+        return cached
 
     def dim(self, s: int, t: int) -> int:
         """dim Ext^{s,t} = dim C^{s,t} - rank d^{s,t} - rank d^{s-1,t}.
@@ -392,8 +394,7 @@ def v_injectivity(module: QModule, i: int, s_max: int, t_max: int) -> VInjectivi
                     continue
                 checked += n
                 for j in ops:
-                    _, piv = rref_array(complex_.v_mult(s, t, j), module.ctx.p)
-                    if len(piv) < n:
+                    if rank(complex_.v_mult(s, t, j), module.ctx.p) < n:
                         kernel_at[j].append((s, t))
         reports = _V_INJECTIVITY[key] = {j: (checked, tuple(kernel_at[j])) for j in ops}
     checked, kernel_at = reports[i]

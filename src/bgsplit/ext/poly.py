@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..fplin import coset_representatives, kernel_array, quotient_projection, rref_array
+from ..fplin import coset_representatives, kernel_array, quotient_projection, rank, rref_array
 from ..qmodules import QModule, content_key
 from .koszul import BigradedDims, KoszulComplex
 
@@ -585,14 +585,13 @@ def ext_from_resolution(
             dim_here = sum(dim for _, _, dim in _hom_blocks(stages[u], B, b_by_t, t))
             if u + 1 < len(stages):
                 delta = _p_hom_differential(stages[u + 1], stages[u], B, b_by_t, t, memo)
-                _, piv = rref_array(delta, B.p)
-                rank = len(piv)
+                rank_here = rank(delta, B.p)
             else:
-                rank = 0
-            d = dim_here - rank - prev_rank
+                rank_here = 0
+            d = dim_here - rank_here - prev_rank
             if d:
                 dims[(u, t)] = d
-            prev_rank = rank
+            prev_rank = rank_here
     return BigradedDims(dims, u_max, t_hi, t_lo, note)
 
 
@@ -651,7 +650,7 @@ def projective_dimension(a: PolyPresentation) -> PdReport:
             stacked = np.concatenate(
                 [A.act(j, s, t) for j in range(len(a.var_degrees))], axis=0
             )
-            if kernel_array(stacked, A.p).shape[0]:
+            if rank(stacked, A.p) < stacked.shape[1]:
                 socle.append((s, t))
         report = _PD[a] = PdReport(
             length=max(len(stages) - 1, 0),

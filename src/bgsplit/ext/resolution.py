@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fplin import coset_representatives, kernel_array, rref_array
+from ..fplin import coset_representatives, kernel_array, rank
 from ..qmodules import QModule, QModuleMap, direct_sum, free_module
 from .koszul import BigradedDims
 
@@ -215,12 +215,11 @@ def ext_general(
             dim_here = sum(dim for _, dim in _hom_blocks(stages[s], n, t))
             if s + 1 < len(stages):
                 delta = _hom_differential(stages[s + 1], stages[s], n, t)
-                _, piv = rref_array(delta, p)
-                rank = len(piv)
+                rank_here = rank(delta, p)
             else:
-                rank = 0
-            d = dim_here - rank - prev_rank
+                rank_here = 0
+            d = dim_here - rank_here - prev_rank
             if d:
                 dims[(s, t)] = d
-            prev_rank = rank
+            prev_rank = rank_here
     return BigradedDims(dims, s_max, t_max, lo, note=note)

@@ -6,6 +6,12 @@ nonzero entry in scan order, so identical inputs give identical outputs
 across runs and platforms.  All functions are pure; inputs are never
 mutated.
 
+Callers that need only a dimension ask `rank`, which builds no echelon
+form.  It peels singleton columns and rows in vectorised passes
+(structured Gaussian elimination, LaMacchia-Odlyzko) and hands the core
+left over to `rref_array`.  It returns only an integer, so the order in
+which it takes pivots cannot show in any output.
+
 Entries stay far below int64 overflow because every product is reduced
 mod p before the next accumulation (p is small, at most a few hundred).
 """
@@ -17,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "rank",
     "rref_array",
     "reduce_mod_rows",
     "kernel_array",
@@ -75,6 +82,35 @@ def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
+def rank(a: np.ndarray, p: int) -> int:
+    """Rank of `a` mod p.
+
+    A column with a single nonzero entry is a pivot whose row can be
+    deleted with no fill-in, and singleton columns that hit the same row
+    give that row's one pivot.  So each pass adds the number of distinct
+    rows the singleton columns hit, deletes those rows, and deletes the
+    singleton and zero columns; then it transposes, so passes alternate
+    between columns and rows.  They stop when a column pass and a row
+    pass in a row find no singleton, and `rref_array` eliminates the core
+    that is left.  The passes read only the nonzero pattern and the
+    indices of the surviving rows and columns; the entries are copied
+    once, for the core.
+    """
+    t = np.asarray(a, dtype=np.int64)
+    nz = np.mod(t, p) != 0
+    rows, cols = np.arange(t.shape[0]), np.arange(t.shape[1])
+    r = idle = 0
+    while nz.size and idle < 2:
+        counts = np.count_nonzero(nz, axis=0)
+        hit = nz[:, counts == 1].any(axis=1)
+        found = int(np.count_nonzero(hit))
+        r += found
+        idle = 0 if found else idle + 1
+        nz = nz[~hit][:, counts > 1].T
+        rows, cols, t = cols[counts > 1], rows[~hit], t.T
+    return r + len(rref_array(t[np.ix_(rows, cols)], p)[1]) if nz.size else r
+
+
 def reduce_mod_rows(v: np.ndarray, rref_rows: np.ndarray, pivots: tuple[int, ...], p: int) -> np.ndarray:
     """Reduce a residue vector against reduced-echelon rows (pure)."""
     out = v.copy()
@@ -94,7 +130,8 @@ def kernel_array(a: np.ndarray, p: int) -> np.ndarray:
     if rows == 0:
         return np.eye(cols, dtype=np.int64)
     red, pivots = rref_array(a, p)
-    free = [c for c in range(cols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     if not free:
         return np.zeros((0, cols), dtype=np.int64)
     vecs = np.zeros((len(free), cols), dtype=np.int64)

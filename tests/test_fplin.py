@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bgsplit
 from bgsplit.fplin import (
     coset_representatives,
     homology_basis,
     kernel_array,
     quotient_projection,
+    rank,
     reduce_mod_rows,
     rref_array,
     solve_columns,
@@ -19,6 +26,11 @@ from bgsplit.fplin import (
 
 def _m(rows) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
+
+
+def _rank(a: np.ndarray, p: int) -> int:
+    """The reference rank: the pivot count of the full echelon form."""
+    return len(rref_array(a, p)[1])
 
 
 def _row_space(a: np.ndarray, p: int) -> np.ndarray:
@@ -110,6 +122,75 @@ def test_solve_columns_consistent_and_inconsistent():
     assert solve_columns(b, _m([0, 1]), 3) is None
 
 
+def test_rank_counts_distinct_rows_of_singleton_columns():
+    # both columns are singletons on row 0: one pivot, not two
+    assert rank(_m([[1, 2], [0, 0]]), 3) == 1
+    assert rank(_m([[1, 2, 0, 0], [0, 0, 1, 1], [0, 0, 1, 2]]), 5) == 3
+
+
+def test_rank_peels_singleton_rows():
+    # no singleton column; row 0 is a singleton on column 0
+    assert rank(_m([[1, 0], [1, 1], [1, 2]]), 3) == 2
+    # rows 0 and 1 are singletons on the same column: one pivot, not two
+    assert rank(_m([[1, 0], [2, 0], [1, 1], [1, 2]]), 3) == 2
+
+
+def test_rank_of_a_core_without_singletons():
+    assert rank(_m([[1, 1], [1, 2]]), 3) == 2
+    assert rank(_m([[1, 1], [2, 2]]), 3) == 1
+
+
+def test_rank_of_empty_shapes():
+    for shape in ((0, 0), (0, 4), (4, 0)):
+        assert rank(np.zeros(shape, dtype=np.int64), 3) == 0
+
+
+def test_rank_reduces_entries_first():
+    # mod 3 this is [[0, 1], [0, 1]]; read unreduced, column 0 would be a singleton
+    assert rank(_m([[3, 1], [0, 1]]), 3) == 1
+    assert rank(_m([[-1, 3], [4, -3]]), 3) == 1
+    assert rank(_m([[-1, 0], [0, 7]]), 5) == 2
+
+
+def test_rank_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma, which costs every invocation about 1.7 MB of RSS
+    src = Path(bgsplit.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import bgsplit.cli, bgsplit.ext\n"
+        "from bgsplit.fplin import rank\n"
+        "assert rank(np.array([[1, 2, 0], [0, 0, 1], [0, 0, 2]]), 3) == 2\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+@st.composite
+def sparse_fp_matrices(draw):
+    """Mostly-zero matrices up to 12 x 12, rich in singleton rows and columns."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    rows = draw(st.integers(min_value=0, max_value=12))
+    cols = draw(st.integers(min_value=0, max_value=12))
+    a = np.zeros((rows, cols), dtype=np.int64)
+    if rows and cols:
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), st.integers(1, p - 1))
+        for i, j, v in draw(st.lists(cells, max_size=rows * cols // 4 + 2)):
+            a[i, j] = v
+    return p, a
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_fp_matrices())
+def test_rank_matches_echelon_pivots(pm):
+    p, a = pm
+    assert rank(a, p) == _rank(a, p)
+    assert rank(a.T, p) == rank(a, p)
+
+
 @st.composite
 def fp_matrices(draw):
     p = draw(st.sampled_from([3, 5, 7]))
@@ -169,10 +250,6 @@ def test_quotient_reps_complete_to_basis(pm):
     if cols:
         stacked = np.concatenate([sub, reps], axis=0)
         assert _row_space(stacked, p).shape[0] == cols
-
-
-def _rank(a: np.ndarray, p: int) -> int:
-    return len(rref_array(a, p)[1])
 
 
 @st.composite

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgsplit import margolis
 from bgsplit.browngitler import (
     bp_homology,
     brown_gitler,
@@ -82,6 +83,33 @@ def test_margolis_bp2_small_degrees():
     rep0 = margolis_bp2(P3, 0, 20)
     supported = {d: v for d, v in rep0.per_degree.items() if v != (0, 0)}
     assert supported == {0: (1, 1), 4: (1, 1), 8: (1, 1), 12: (1, 1), 16: (2, 2), 20: (2, 2)}
+
+
+def _doctored_closed_form(monkeypatch, degree, doctor):
+    """Replace the closed-form list at one degree by doctor(list)."""
+    closed_form = margolis._xi_monomials
+
+    def doctored(ctx, d, cap):
+        monos = closed_form(ctx, d, cap)
+        return doctor(monos) if d == degree else monos
+
+    monkeypatch.setattr(margolis, "_xi_monomials", doctored)
+
+
+def test_margolis_bp2_fails_on_a_missing_class(monkeypatch):
+    # degree 16 of the Q_0 answer holds xi1^4 and xi2
+    _doctored_closed_form(monkeypatch, 16, lambda monos: monos[:-1])
+    rep = margolis_bp2(P3, 0, 20)
+    assert not rep.passed and rep.first_failing_degree == 16
+    assert rep.per_degree[16] == (2, 1)
+    assert any("homology dimension" in f for f in rep.failures)
+
+
+def test_margolis_bp2_fails_on_dependent_classes(monkeypatch):
+    _doctored_closed_form(monkeypatch, 16, lambda monos: [monos[0], monos[0]])
+    rep = margolis_bp2(P3, 0, 20)
+    assert not rep.passed and rep.first_failing_degree == 16
+    assert rep.failures == ["degree 16: closed-form classes are dependent modulo boundaries"]
 
 
 def test_margolis_bp2_truncation_boundary():
