@@ -16,16 +16,9 @@ import numpy as np
 
 from ..browngitler import brown_gitler, length_splitting, weight_restricted_C
 from ..monomials import PrimeContext
-from ..qmodules import QModule, content_key, suspend, tensor
+from ..qmodules import QModule, suspend, tensor
 from .koszul import BigradedDims, ext_koszul
-from .poly import (
-    PModule,
-    PStage,
-    ext_from_resolution,
-    gr_module,
-    p_resolution,
-    realize,
-)
+from .poly import PStage, ext_from_resolution, gr_module, realize, resolved_block
 
 _PAD = 24
 
@@ -66,30 +59,20 @@ def ext_via_dual(
     return ext_koszul(tensor(dual_module(m), n), s_max, t_max, t_min=t_min)
 
 
-# -- comparison cache -------------------------------------------------------------
-# Keyed by module content, so equal weight blocks (C_k depends only on
-# floor(k/p)) share one entry.  Each entry keeps the largest window asked
-# for so far and serves every smaller one; windows are quantized so that
-# nearby requests do not regrow it.  gr presentations come from
-# `gr_module`, which keeps its own content-keyed memo the same way.
-
-_RES: dict[tuple, tuple[PModule, list[PStage], int]] = {}
+# -- comparison windows -----------------------------------------------------------
+# Both sides read `poly.resolved_block`, the one content-keyed memo of P(2)
+# resolutions: the source block's stages directly, the target through its
+# gr presentation.  Windows are quantized so that nearby requests do not
+# regrow an entry.
 
 
 def _quantize(t: int) -> int:
     return ((max(t, 0) + 15) // 16) * 16
 
 
-def _resolved(module: QModule, t_max: int) -> tuple[PModule, list[PStage], int]:
-    """Realized gr block with its minimal resolution through stage 2."""
-    key = content_key(module)
-    got = _RES.get(key)
-    if got is None or got[0].t_max < t_max:
-        A = realize(gr_module(module, t_max), t_max)
-        stages = p_resolution(A, 2)
-        top = max((t for st in stages for _, t in st.gen_bidegrees), default=0)
-        got = _RES[key] = (A, stages, top)
-    return got
+def _top(stages: list[PStage]) -> int:
+    """Largest internal degree of a generator in the resolution."""
+    return max((t for st in stages for _, t in st.gen_bidegrees), default=0)
 
 
 # -- the per-t comparison --------------------------------------------------------
@@ -155,7 +138,7 @@ def propiso_check(
     qm = ctx.q * m
     if t_hi is None:
         t_hi = qm + cm.max_degree() + _PAD
-    _, _, top = _resolved(ck, _quantize(2 * ck.max_degree() + 34))
+    top = _top(resolved_block(ck, _quantize(2 * ck.max_degree() + 34))[1])
     for _ in range(4):
         # floor of possible classes on either side: the exterior Ext starts
         # at qm - maxdeg, the polynomial side at qm - (top resolution gen)
@@ -164,7 +147,8 @@ def propiso_check(
             raise ValueError(f"empty comparison window [{lo}, {t_hi}]")
         t_b = _quantize(t_hi + top)
         t_a = _quantize(t_b - lo)
-        A, stages, new_top = _resolved(ck, t_a)
+        a_t_max, stages = resolved_block(ck, t_a)
+        new_top = _top(stages)
         if new_top == top:
             break
         top = new_top
@@ -177,7 +161,7 @@ def propiso_check(
     for (s, t), dim in dual.dims.items():
         if (t - s) % 2:
             lhs[t] = lhs.get(t, 0) + dim
-    poly = ext_from_resolution(stages, A.t_max, B, 1, t_hi, t_min=lo)
+    poly = ext_from_resolution(stages, a_t_max, B, 1, t_hi, t_min=lo)
     if poly.t_max < t_hi:
         raise ArithmeticError(f"polynomial side certified only to {poly.t_max} < {t_hi}")
     rhs = {t: d for (u, t), d in poly.dims.items() if u == 1}

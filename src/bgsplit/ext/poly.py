@@ -284,9 +284,28 @@ def _cover_and_kernels(target: PModule, reps, columns):
 
 
 # -- gr and realization ----------------------------------------------------------
+# One memo per block content, so equal weight blocks (C_k depends only on
+# floor(k/p)) share one entry.  An entry holds the minimal resolution of
+# Ext(F_p, module) through stage 2 at the largest window asked for so far:
+# gr presentations read its first two stages, and the E_2 comparison
+# resolves over all three.  Stages at t depend only on Ext in degrees <= t,
+# so a smaller window is served by truncation.
 
 
-_GR: dict[tuple, PolyPresentation] = {}
+_BLOCKS: dict[tuple, tuple[int, list[PStage]]] = {}
+
+
+def resolved_block(module: QModule, t_max: int) -> tuple[int, list[PStage]]:
+    """(window, stages 0..2) of the minimal resolution of Ext(F_p, module).
+
+    The window is the largest one asked for so far, at least t_max;
+    t_max may not exceed the module's certified degree.
+    """
+    key = content_key(module)
+    got = _BLOCKS.get(key)
+    if got is None or got[0] < t_max:
+        got = _BLOCKS[key] = (t_max, p_resolution(ext_p_module(module, t_max), 2))
+    return got
 
 
 def gr_module(module: QModule, t_max: int) -> PolyPresentation:
@@ -297,9 +316,9 @@ def gr_module(module: QModule, t_max: int) -> PolyPresentation:
     are minimal generators of the free cover's kernel, both exact for
     t <= t_max (capped at the module's own certification, with a note).
 
-    Memoised by module content: each entry keeps the largest window asked
-    for and serves a smaller one by truncation, since generators and
-    relations at t depend only on Ext in degrees <= t.
+    Generators are stage 0 of the block's memoised resolution; relations
+    are stage 1's generator vectors read over stage 0's columns as
+    (gen, alpha, coefficient) entries.
     """
     cap = module.truncated_above
     note = None
@@ -307,43 +326,24 @@ def gr_module(module: QModule, t_max: int) -> PolyPresentation:
     if cap is not None and t_max > cap:
         tm = cap
         note = f"t_max shrunk to certified {cap}"
-    key = content_key(module)
-    pres = _GR.get(key)
-    if pres is None or pres.t_max < tm:
-        pres = _GR[key] = _gr_presentation(module, tm)
+    _, stages = resolved_block(module, tm)
     # generators and relations are listed in ascending (t, s), so the kept
     # generators are a prefix and the relations' generator indices stay valid
-    return PolyPresentation(
-        pres.p,
-        pres.var_degrees,
-        tuple(bd for bd in pres.generators if bd[1] <= tm),
-        tuple(rel for rel in pres.relations if rel[0][1] <= tm),
-        tm,
-        note,
-    )
-
-
-def _gr_presentation(module: QModule, tm: int) -> PolyPresentation:
-    """The minimal presentation of Ext(F_p, module), computed for t <= tm.
-
-    It is the first two stages of the minimal resolution: stage 0's
-    generators, and stage 1's generator vectors read over stage 0's
-    columns as (gen, alpha, coefficient) entries.
-    """
-    e = ext_p_module(module, tm)
-    stages = p_resolution(e, 1)
-    generators = stages[0].gen_bidegrees if stages else ()
+    generators = tuple(bd for bd in stages[0].gen_bidegrees if bd[1] <= tm) if stages else ()
     relations = []
-    if len(stages) == 2:
-        cover, syzygies = stages
+    if len(stages) > 1:
+        cover, syzygies = stages[:2]
         for bd, vector in zip(syzygies.gen_bidegrees, syzygies.gen_vectors):
+            if bd[1] > tm:
+                continue
             entries = tuple(
                 (g, alpha, int(vector[pos]))
                 for pos, (g, alpha) in enumerate(cover.columns[bd])
                 if vector[pos]
             )
             relations.append((bd, entries))
-    return PolyPresentation(e.p, e.var_degrees, generators, tuple(relations), tm)
+    var_degrees = tuple(module.ctx.q_degree(i) for i in module.qs)
+    return PolyPresentation(module.ctx.p, var_degrees, generators, tuple(relations), tm, note)
 
 
 def realize(pres: PolyPresentation, t_max: int | None = None) -> PModule:

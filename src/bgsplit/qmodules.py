@@ -56,8 +56,6 @@ __all__ = [
     "trivial_module",
     "identity_map",
     "compose",
-    "module_to_json",
-    "module_from_json",
 ]
 
 
@@ -600,37 +598,3 @@ def compose(g: QModuleMap, f: QModuleMap) -> QModuleMap:
         mats[d] = (g.mat(d + f.shift) @ f.mat(d)) % p
     return QModuleMap(f.source, g.target, mats, f.shift + g.shift)
 
-
-def module_to_json(m: QModule) -> dict:
-    """Schema bgsplit.qmodule/1; labels are flattened to their text form."""
-    def label_str(lab) -> str:
-        return format_monomial(lab) if isinstance(lab, Monomial) else str(lab)
-
-    return {
-        "schema": "bgsplit.qmodule/1",
-        "p": m.ctx.p,
-        "qs": list(m.qs),
-        "truncated_above": m.truncated_above,
-        "degrees": m.degrees(),
-        "basis": {str(d): [label_str(lab) for lab in m.basis[d]] for d in m.degrees()},
-        "actions": {
-            str(i): {
-                str(d): m.actions[i][d].tolist()
-                for d in sorted(m.actions[i])
-                if m.actions[i][d].size
-            }
-            for i in m.qs
-        },
-    }
-
-
-def module_from_json(data: dict) -> QModule:
-    if data.get("schema") != "bgsplit.qmodule/1":
-        raise ValueError("unrecognized qmodule schema")
-    ctx = PrimeContext(int(data["p"]))
-    basis = {int(d): tuple(labels) for d, labels in data["basis"].items()}
-    actions = {
-        int(i): {int(d): np.array(mat, dtype=np.int64) for d, mat in acts.items()}
-        for i, acts in data["actions"].items()
-    }
-    return QModule(ctx, [int(i) for i in data["qs"]], basis, actions, data.get("truncated_above"))

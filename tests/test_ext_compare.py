@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from bgsplit.browngitler import bp_homology, brown_gitler, weight_restricted_C
-from bgsplit.ext import compare, poly
+from bgsplit.ext import poly
 from bgsplit.ext.compare import (
     PropisoReport,
     dual_module,
@@ -136,41 +136,35 @@ def test_obstruction_theta_nine_survives():
     assert any(r.column_rows() for r in report.block_reports.values())
 
 
-# -- comparison caches -------------------------------------------------------------
-
-
-@pytest.fixture
-def gr_built(monkeypatch):
-    """Empty the gr memo and the comparison cache and record the modules gr is built for."""
-    built = []
-    build = poly._gr_presentation
-
-    def counting(module, t_max):
-        built.append(module)
-        return build(module, t_max)
-
-    monkeypatch.setattr(poly, "_GR", {})
-    monkeypatch.setattr(compare, "_RES", {})
-    monkeypatch.setattr(poly, "_gr_presentation", counting)
-    return built
+# -- the block memo ---------------------------------------------------------------
 
 
 def _columns(report: PropisoReport) -> tuple:
     return report.t_lo, report.t_hi, report.lhs_columns, report.rhs_columns
 
 
-def test_equal_blocks_share_one_gr_presentation(gr_built):
+def test_equal_blocks_share_one_gr_presentation(poly_work):
     # C_k depends only on floor(k/p), so C_0, C_1 and C_2 have one content
     for k in (0, 1, 2):
         assert propiso_check(P3, k, 0).passed
-    assert [content_key(m) for m in gr_built] == [content_key(weight_restricted_C(P3, 0))]
+    assert [content_key(m) for m in poly_work.blocks] == [content_key(weight_restricted_C(P3, 0))]
 
 
-def test_comparison_does_not_depend_on_cache_history(gr_built):
+def test_comparison_does_not_depend_on_cache_history(poly_work):
     small = _columns(propiso_check(P3, 3, 3))
     # the larger window must regrow the entries the small one left behind
     big = _columns(propiso_check(P3, 3, 9))
     assert _columns(propiso_check(P3, 3, 3)) == small
-    poly._GR.clear()
-    compare._RES.clear()
+    poly._BLOCKS.clear()
     assert _columns(propiso_check(P3, 3, 9)) == big
+
+
+def test_comparison_resolves_only_block_builds(poly_work):
+    # the source block's resolution is the one its gr presentation came
+    # from: nothing is realized and resolved a second time
+    for m in (0, 9):
+        assert propiso_check(P3, 9, m).passed
+    assert poly_work.blocks
+    assert len(poly_work.resolved) == len(poly_work.blocks)
+    assert not poly_work.outside
+    assert not any(a is r for a in poly_work.resolved for r in poly_work.realized)

@@ -208,53 +208,22 @@ def test_shifted_presentation_moves_everything():
     assert back.dims == {(s, t + 36): d for (s, t), d in base.dims.items()}
 
 
-# -- gr and projective-dimension memos ---------------------------------------------
+# -- block and projective-dimension memos -------------------------------------------
 
 
-@pytest.fixture
-def poly_builds(monkeypatch):
-    """Empty the gr and pd memos and record the gr builds and pd resolutions.
-
-    A gr build resolves through two stages itself; only the resolutions
-    made outside a gr build, which are projective_dimension's, count.
-    """
-    built = {"gr": [], "resolution": []}
-    in_gr = []
-    build, resolve = poly._gr_presentation, poly.p_resolution
-
-    def counting_gr(module, t_max):
-        built["gr"].append(module)
-        in_gr.append(module)
-        try:
-            return build(module, t_max)
-        finally:
-            in_gr.pop()
-
-    def counting_resolution(m, u_max):
-        if not in_gr:
-            built["resolution"].append(m)
-        return resolve(m, u_max)
-
-    monkeypatch.setattr(poly, "_GR", {})
-    monkeypatch.setattr(poly, "_PD", {})
-    monkeypatch.setattr(poly, "_gr_presentation", counting_gr)
-    monkeypatch.setattr(poly, "p_resolution", counting_resolution)
-    return built
-
-
-def test_equal_blocks_share_one_gr_and_one_resolution(poly_builds):
+def test_equal_blocks_share_one_gr_and_one_resolution(poly_work):
     # C_k depends only on floor(k/p), so C_0, C_1 and C_2 have one content
     reports = []
     for k in (0, 1, 2):
         ck = weight_restricted_C(P3, k)
         reports.append(projective_dimension(gr_module(ck, ck.max_degree() + 24)))
-    assert len(poly_builds["gr"]) == 1
-    assert len(poly_builds["resolution"]) == 1
+    assert len(poly_work.blocks) == 1
+    assert len(poly_work.outside) == 1
     assert reports[0] == reports[1] == reports[2]
     assert reports[0].passed
 
 
-def test_same_basis_with_zero_actions_gets_its_own_gr(poly_builds):
+def test_same_basis_with_zero_actions_gets_its_own_gr(poly_work):
     c9 = weight_restricted_C(P3, 9)
     # zero matrices of the same shapes: only the matrix entries differ, and
     # with no action gr is free on one generator per basis element
@@ -267,15 +236,16 @@ def test_same_basis_with_zero_actions_gets_its_own_gr(poly_builds):
     )
     acted = gr_module(c9, 41)
     inert = gr_module(zero, 41)
-    assert len(poly_builds["gr"]) == 2
+    assert len(poly_work.blocks) == 2
     assert acted.relations and not inert.relations
-    assert inert == poly._gr_presentation(zero, 41)
+    poly._BLOCKS.clear()
+    assert inert == gr_module(zero, 41)
     assert projective_dimension(inert).length == 0
     assert projective_dimension(acted).length == 1
-    assert len(poly_builds["resolution"]) == 2
+    assert len(poly_work.outside) == 2
 
 
-def test_mutating_a_returned_pd_report_leaves_the_memo_alone(poly_builds):
+def test_mutating_a_returned_pd_report_leaves_the_memo_alone(poly_work):
     pres = gr_module(weight_restricted_C(P3, 9), 41)
     first = projective_dimension(pres)
     expected = (first.length, first.socle_empty, first.socle_bidegrees, first.t_max)
@@ -284,16 +254,15 @@ def test_mutating_a_returned_pd_report_leaves_the_memo_alone(poly_builds):
     first.socle_bidegrees = ((9, 9),)
     again = projective_dimension(pres)
     assert (again.length, again.socle_empty, again.socle_bidegrees, again.t_max) == expected
-    assert len(poly_builds["resolution"]) == 1
+    assert len(poly_work.outside) == 1
 
 
 @pytest.mark.parametrize(
     "p, k", [(3, k) for k in range(0, 28, 3)] + [(5, 0), (5, 5), (5, 25)]
 )
-def test_truncated_gr_equals_a_cold_build(monkeypatch, p, k):
+def test_truncated_gr_equals_a_cold_build(poly_work, p, k):
     # the memo holds the pd-bound window; smaller windows are served by
     # truncation and must equal a presentation computed at that window
-    monkeypatch.setattr(poly, "_GR", {})
     ck = weight_restricted_C(PrimeContext(p), k)
     top = ck.max_degree() + 8 * p
     gr_module(ck, top)
@@ -301,6 +270,6 @@ def test_truncated_gr_equals_a_cold_build(monkeypatch, p, k):
     warm = [gr_module(ck, t) for t in windows]
     cold = []
     for t in windows:
-        poly._GR.clear()
+        poly._BLOCKS.clear()
         cold.append(gr_module(ck, t))
     assert warm == cold

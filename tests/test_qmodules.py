@@ -13,9 +13,7 @@ from bgsplit.qmodules import (
     direct_sum,
     free_module,
     identity_map,
-    module_from_json,
     module_from_monomials,
-    module_to_json,
     q_action_on_monomial,
     quotient,
     restrict_qs,
@@ -266,17 +264,3 @@ def test_identity_and_composition():
     both = compose(ident, ident)
     assert verify_map(both).passed
 
-
-# -- serialization ---------------------------------------------------------------
-
-
-def test_json_round_trip_preserves_structure():
-    m = b19_module()
-    data = module_to_json(m)
-    assert data["schema"] == "bgsplit.qmodule/1"
-    back = module_from_json(data)
-    assert back.total_dim == m.total_dim
-    assert back.degrees() == m.degrees()
-    for i in m.qs:
-        for d in m.degrees():
-            assert np.array_equal(back.act(i, d), m.act(i, d))
