@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .monomials import (
     enumerate_by_weight,
     format_monomial,
     length as mono_length,
-    sort_key,
+    products,
     weight as mono_weight,
 )
 from .qmodules import (
@@ -439,118 +440,53 @@ def si_ri_splitting(
 # -- W families ---------------------------------------------------------------
 
 
-def _family_menu(ctx: PrimeContext, which: str, weight_cap: int | None, degree_cap: int | None):
-    """Generator menu (factor monomial, weight, degree, repeatable).
+def _family_runs(ctx: PrimeContext, which: str):
+    """The pair of primitives of a family and its factors as runs of (factor, cap).
 
     Each family has one bottom polynomial generator raised to the p^2 and
     then an arithmetic progression of xi indices together with the
-    matching taus.  The menu stops as soon as a generator exceeds every
-    requested cap, which keeps it finite without arbitrary index bounds.
+    matching taus.
     """
     p = ctx.p
     if which == "W1":
-        qs = (1, 2)
-        bottom = (1, p * p)
-        xi_indices, xi_step = range(2, 10**6), p
-        taus = range(3, 10**6)
+        qs, bottom = (1, 2), 1
+        xi_indices, xi_step = count(2), p
+        taus = count(3)
     elif which == "Wo":
-        qs = (0, 2)
-        bottom = (1, p * p)
-        xi_indices, xi_step = range(3, 10**6, 2), 1
-        taus = range(3, 10**6, 2)
+        qs, bottom = (0, 2), 1
+        xi_indices, xi_step = count(3, 2), 1
+        taus = count(3, 2)
     elif which == "We":
-        qs = (0, 2)
-        bottom = (2, p * p)
-        xi_indices, xi_step = range(4, 10**6, 2), 1
-        taus = range(4, 10**6, 2)
+        qs, bottom = (0, 2), 2
+        xi_indices, xi_step = count(4, 2), 1
+        taus = count(4, 2)
     else:
         raise ValueError("family must be one of W1, We, Wo")
-    if weight_cap is None and degree_cap is None:
-        raise ValueError("a weight or degree cap is required")
-
-    def admissible(w: int, d: int) -> bool:
-        if weight_cap is not None and w > weight_cap:
-            return False
-        if degree_cap is not None and d > degree_cap:
-            return False
-        return True
-
-    items = []
-    f = Monomial.make({bottom[0]: bottom[1]})
-    if admissible(mono_weight(ctx, f), mono_degree(ctx, f)):
-        items.append((f, mono_weight(ctx, f), mono_degree(ctx, f), True))
-    for a in xi_indices:
-        f = Monomial.make({a: xi_step})
-        if not admissible(mono_weight(ctx, f), mono_degree(ctx, f)):
-            break
-        items.append((f, mono_weight(ctx, f), mono_degree(ctx, f), True))
-    for b in taus:
-        f = Monomial.make({}, (b,))
-        if not admissible(mono_weight(ctx, f), mono_degree(ctx, f)):
-            break
-        items.append((f, mono_weight(ctx, f), mono_degree(ctx, f), False))
-    return qs, items
+    runs = [
+        [(Monomial(((bottom, p * p),), ()), None)],
+        ((Monomial(((a, xi_step),), ()), None) for a in xi_indices),
+        ((Monomial((), (b,)), 1) for b in taus),
+    ]
+    return qs, runs
 
 
-def _enumerate_family(ctx: PrimeContext, which: str, *, exact_weight: int | None = None,
-                      max_degree: int | None = None) -> tuple[tuple[int, ...], list[Monomial]]:
-    qs, items = _family_menu(ctx, which, exact_weight, max_degree)
-
-    def fits(w: int, d: int) -> bool:
-        if exact_weight is not None and w > exact_weight:
-            return False
-        if max_degree is not None and d > max_degree:
-            return False
-        return True
-
-    found: list[Monomial] = []
-
-    def rec(idx: int, current: Monomial, w: int, d: int) -> None:
-        if idx == len(items):
-            if (exact_weight is None or w == exact_weight) and (
-                max_degree is None or d <= max_degree
-            ):
-                found.append(current)
-            return
-        factor, fw, fd, repeatable = items[idx]
-        rec(idx + 1, current, w, d)
-        mult = 1
-        m = current
-        while True:
-            nxt = m.times(factor)
-            if nxt is None or not fits(w + mult * fw, d + mult * fd):
-                break
-            rec(idx + 1, nxt, w + mult * fw, d + mult * fd)
-            if not repeatable:
-                break
-            m = nxt
-            mult += 1
-
-    rec(0, Monomial.make(), 0, 0)
-    found.sort(key=lambda m: sort_key(ctx, m))
-    return qs, found
-
-
-def w_family(ctx: PrimeContext, which: str, n: int, max_degree: int | None = None) -> QModule:
+def w_family(ctx: PrimeContext, which: str, n: int) -> QModule:
     """The weight-indexed component of a W family (finite in each weight).
 
-    W1(n) and Wo(n) collect weight p^3 * n, We(n) weight p^4 * n.  The
-    component is finite, so max_degree is only an optional guard.
+    W1(n) and Wo(n) collect weight p^3 * n, We(n) weight p^4 * n.
     """
     if n < 0:
         raise ValueError("weight index must be nonnegative")
     exponent = 4 if which == "We" else 3
-    target = n * ctx.p**exponent
-    qs, monos = _enumerate_family(ctx, which, exact_weight=target)
-    module = module_from_monomials(ctx, AlgebraSpec(2), monos, qs)
-    if max_degree is not None and module.basis and module.max_degree() > max_degree:
-        raise ValueError("family component extends beyond the requested degree bound")
-    return module
+    qs, runs = _family_runs(ctx, which)
+    monos = products(ctx, runs, mono_weight, n * ctx.p**exponent, exact=True)
+    return module_from_monomials(ctx, AlgebraSpec(2), monos, qs)
 
 
 def w_family_truncated(ctx: PrimeContext, which: str, max_degree: int) -> QModule:
     """Degreewise truncation of the whole family (all weights at once)."""
-    qs, monos = _enumerate_family(ctx, which, max_degree=max_degree)
+    qs, runs = _family_runs(ctx, which)
+    monos = products(ctx, runs, mono_degree, max_degree)
     return module_from_monomials(ctx, AlgebraSpec(2), monos, qs, truncated_above=max_degree)
 
 
@@ -571,32 +507,14 @@ class FactorizationReport:
 def _truncated_polynomial_complement(ctx: PrimeContext, which: str, max_degree: int) -> list[Monomial]:
     """Monomial basis of the Q-trivial tensor complement of a W family."""
     p = ctx.p
-    out: list[Monomial] = []
     if which == "E12":
-        # xi_1 below p^2, higher xi below p
-        bounds = [(1, p * p)] + [(r, p) for r in range(2, 12)]
+        # xi_1 below p^2, xi_2 .. xi_11 below p
+        caps = [p * p - 1] + [p - 1] * 10
     else:
         # xi_1 and xi_2 below p^2
-        bounds = [(1, p * p), (2, p * p)]
-
-    def rec(idx: int, current: dict[int, int], d: int) -> None:
-        if idx == len(bounds):
-            out.append(Monomial.make(dict(current)))
-            return
-        a, bound = bounds[idx]
-        step = ctx.xi_degree(a)
-        for e in range(bound):
-            nd = d + e * step
-            if nd > max_degree:
-                break
-            if e:
-                current[a] = e
-            rec(idx + 1, current, nd)
-            current.pop(a, None)
-
-    rec(0, {}, 0)
-    out.sort(key=lambda m: sort_key(ctx, m))
-    return out
+        caps = [p * p - 1] * 2
+    xis = [(Monomial(((a, 1),), ()), cap) for a, cap in enumerate(caps, 1)]
+    return products(ctx, [xis], mono_degree, max_degree)
 
 
 def verify_tensor_factorization(ctx: PrimeContext, which: str, max_degree: int) -> FactorizationReport:

@@ -380,22 +380,22 @@ def _w_block_entry(ctx: PrimeContext, fam: str, n: int) -> tuple[bool, str]:
     return True, f"{fam}({n}) -> ({cls.a}, {cls.b})"
 
 
-def _check_w_margolis(ctx: PrimeContext, cfg: RunConfig, n_cap: int = 5) -> dict:
-    items = [(fam, n) for fam in ("W1", "We", "Wo") for n in range(n_cap + 1)]
+def _check_w_margolis(ctx: PrimeContext, cfg: RunConfig) -> dict:
+    items = [(fam, n) for fam in ("W1", "We", "Wo") for n in range(6)]
     results = [_w_block_entry(ctx, *it) for it in items]
     bad = [msg for ok, msg in results if not ok]
     spot = next(msg for (fam, n), (ok, msg) in zip(items, results) if (fam, n) == ("W1", 1))
     detail = (
         f"one-dimensional Margolis homologies classified and reproduced on "
-        f"models for n <= {n_cap}; {spot}"
+        f"models for n <= 5; {spot}"
         if not bad
         else "; ".join(bad)
     )
-    return _entry("w-margolis", not bad, f"n <= {n_cap}", detail)
+    return _entry("w-margolis", not bad, "n <= 5", detail)
 
 
 def _check_even_concentration(ctx: PrimeContext, cfg: RunConfig, cbar) -> dict:
-    t_hi = min(cfg.t_window, cfg.max_degree)
+    t_hi = cfg.t_window
     reports = [
         even_concentration_check(restrict_qs(cbar, pair), 0, cfg.s_max, t_hi)
         for pair in ((0, 1), (0, 2), (1, 2))
@@ -410,7 +410,7 @@ def _check_even_concentration(ctx: PrimeContext, cfg: RunConfig, cbar) -> dict:
 
 
 def _check_bockstein(ctx: PrimeContext, cfg: RunConfig, cbar) -> dict:
-    t_hi = min(cfg.t_window, cfg.max_degree)
+    t_hi = cfg.t_window
     reports = [bockstein_e1(cbar, i, cfg.s_max, t_hi) for i in (0, 1, 2)]
     bad = [r.i for r in reports if not r.collapse]
     detail = (

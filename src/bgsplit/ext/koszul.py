@@ -32,26 +32,14 @@ from functools import lru_cache
 import numpy as np
 
 from ..fplin import homology_basis, rank, reduce_mod_rows
+from ..monomials import exponent_vectors
 from ..qmodules import QModule, content_key, restrict_qs
 
 
 @lru_cache(maxsize=None)
 def v_monomials(qs: tuple[int, ...], s: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples over qs with |alpha| = s, in lexicographic order."""
-    if s < 0:
-        return ()
-    if not qs:
-        return ((),) if s == 0 else ()
-
-    def rec(k: int, remaining: int):
-        if k == len(qs) - 1:
-            yield (remaining,)
-            return
-        for e in range(remaining + 1):
-            for rest in rec(k + 1, remaining - e):
-                yield (e,) + rest
-
-    return tuple(rec(0, s))
+    return tuple(exponent_vectors((1,) * len(qs), s, exact=True))
 
 
 @lru_cache(maxsize=None)

@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..fplin import coset_representatives, kernel_array, quotient_projection, rank, rref_array
+from ..monomials import exponent_vectors
 from ..qmodules import QModule, content_key
 from .koszul import BigradedDims, KoszulComplex
 
@@ -25,15 +26,7 @@ Bidegree = tuple[int, int]
 @lru_cache(maxsize=None)
 def _alphas_within(var_degrees: tuple[int, ...], budget: int) -> tuple[tuple[int, ...], ...]:
     """All exponent tuples alpha with sum(alpha * var_degrees) <= budget, lex order."""
-    if budget < 0:
-        return ()
-    if not var_degrees:
-        return ((),)
-    head = var_degrees[0]
-    out = []
-    for a in range(budget // head + 1):
-        out.extend((a, *rest) for rest in _alphas_within(var_degrees[1:], budget - a * head))
-    return tuple(sorted(out))
+    return tuple(exponent_vectors(var_degrees, budget))
 
 
 def _dot(alpha: tuple[int, ...], var_degrees: tuple[int, ...]) -> int:

@@ -11,12 +11,13 @@ construct_model realizes the parameters as an explicit module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
 from .browngitler import bp_homology
 from .fplin import homology_basis, rank
-from .monomials import Monomial, PrimeContext, format_monomial, sort_key
+from .monomials import Monomial, PrimeContext, degree, format_monomial, products
 from .qmodules import (
     QModule,
     _shift_grading,
@@ -129,44 +130,25 @@ def margolis_homology(
 # -- closed forms for H_*BP<2> ----------------------------------------------
 
 
-def _closed_form_cap(ctx: PrimeContext, i: int):
-    """Exponent cap (inclusive, None for unbounded) per xi index for Q_i."""
+def _closed_form(ctx: PrimeContext, i: int, max_degree: int) -> dict[int, list[Monomial]]:
+    """The closed-form basis of H(H_*BP<2>; Q_i) through max_degree, by degree.
+
+    The basis is the xi monomials under a per-index exponent cap (None
+    for unbounded), enumerated in one pass and bucketed by degree.
+    """
     p = ctx.p
-    if i == 0:
-        return lambda a: None if a <= 2 else 0
-    if i == 1:
-        return lambda a: None if a == 1 else p - 1
-    if i == 2:
-        return lambda a: p * p - 1
-    raise ValueError("closed forms are available for Q_0, Q_1, Q_2 only")
-
-
-def _xi_monomials(ctx: PrimeContext, degree: int, cap) -> list[Monomial]:
-    """All xi-only monomials of the exact degree obeying the exponent caps."""
-    found: list[tuple[tuple[int, int], ...]] = []
-
-    def rec(a: int, remaining: int, acc: list[tuple[int, int]]) -> None:
-        if remaining == 0:
-            found.append(tuple(acc))
-            return
-        da = ctx.xi_degree(a)
-        if da > remaining:
-            return
-        top = remaining // da
-        ca = cap(a)
-        if ca is not None:
-            top = min(top, ca)
-        for e in range(top + 1):
-            if e:
-                acc.append((a, e))
-            rec(a + 1, remaining - e * da, acc)
-            if e:
-                acc.pop()
-
-    rec(1, degree, [])
-    monos = [Monomial.make(xs, ()) for xs in found]
-    monos.sort(key=lambda m: sort_key(ctx, m))
-    return monos
+    caps = {
+        0: lambda a: None if a <= 2 else 0,
+        1: lambda a: None if a == 1 else p - 1,
+        2: lambda a: p * p - 1,
+    }
+    if i not in caps:
+        raise ValueError("closed forms are available for Q_0, Q_1, Q_2 only")
+    xis = ((Monomial(((a, 1),), ()), caps[i](a)) for a in count(1))
+    forms: dict[int, list[Monomial]] = {}
+    for m in products(ctx, [xis], degree, max_degree):
+        forms.setdefault(degree(ctx, m), []).append(m)
+    return forms
 
 
 @dataclass
@@ -195,7 +177,7 @@ def margolis_bp2(ctx: PrimeContext, i: int, max_degree: int) -> MargolisBP2Repor
     exactly when adjoining it to the boundaries raises their rank by its
     size.
     """
-    cap = _closed_form_cap(ctx, i)
+    forms = _closed_form(ctx, i, max_degree)
     module = bp_homology(ctx, 2, max_degree + ctx.q_degree(i)).module
     p = ctx.p
     per_degree: dict[int, tuple[int, int]] = {}
@@ -209,7 +191,7 @@ def margolis_bp2(ctx: PrimeContext, i: int, max_degree: int) -> MargolisBP2Repor
             first_failing = d
 
     for d in range(max_degree + 1):
-        expected = _xi_monomials(ctx, d, cap)
+        expected = forms.get(d, [])
         q = module.act(i, d)
         borders = module.act(i, d + module.drop(i)).T
         border_rank = rank(borders, p)

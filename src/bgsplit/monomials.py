@@ -10,13 +10,23 @@ Weight is additive under multiplication, and length counts the tau
 factors.  An AlgebraSpec selects the quotient Hopf algebroid
 F_p[xi_1, xi_2, ...] (x) E(tau_{i+1}, tau_{i+2}, ...), the homology of the
 (i)-truncated Brown-Peterson spectrum; i = -1 keeps every tau.
+
+Every basis in the package is enumerated by `exponent_vectors`: all
+exponent vectors e >= 0 with sum e_j c_j within a budget, or equal to
+it, under optional caps.  `products` reads those vectors as products of
+factor powers, which gives the monomial bases by degree and by weight
+here, the W families and tensor complements in `browngitler` and the
+Margolis closed forms in `margolis`; the v-monomials of the Ext layers
+are the vectors themselves.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from itertools import count, takewhile
+from math import gcd
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .fplin import is_prime
 
@@ -28,6 +38,8 @@ __all__ = [
     "degree",
     "weight",
     "length",
+    "exponent_vectors",
+    "products",
     "enumerate_by_degree",
     "enumerate_by_weight",
     "sort_key",
@@ -100,10 +112,11 @@ class Monomial:
                 raise ValueError(f"negative exponent on xi{a}")
             if e:
                 clean.append((a, e))
+        tau = tuple(tau)
         taus = sorted(set(tau))
         if taus and taus[0] < 0:
             raise ValueError("tau index out of range")
-        if len(taus) != len(tuple(tau)):
+        if len(taus) != len(tau):
             raise ValueError("repeated tau factor squares to zero")
         return Monomial(tuple(clean), tuple(taus))
 
@@ -158,47 +171,92 @@ def sort_key(ctx: PrimeContext, m: Monomial) -> tuple:
     return (degree(ctx, m), weight(ctx, m), m.xi, m.tau)
 
 
-def _xi_parts(
-    ctx: PrimeContext, cost, budget: int, a_start: int = 1, exact: bool = False
-) -> Iterator[dict[int, int]]:
-    """All xi exponent maps with total `cost` within budget, or equal to it if `exact`.
+def exponent_vectors(
+    costs: Sequence[int],
+    budget: int,
+    caps: Sequence[int | None] | None = None,
+    exact: bool = False,
+) -> list[tuple[int, ...]]:
+    """Every e >= 0 with sum e_j costs[j] <= budget, or = budget if `exact`.
 
-    `cost` maps a generator index to its price (degree or weight); the
-    recursion stops as soon as the cheapest remaining generator no longer
-    fits, so only finitely many indices are touched.  With `exact`, a
-    branch that stops with budget left over yields nothing.
+    Costs are positive; caps[j] bounds e_j (None leaves it unbounded).  The
+    vectors come in lexicographic order.  A branch stops as soon as the
+    budget left is below every remaining cost, and in exact mode as soon
+    as it is not a multiple of their gcd; the last position is solved
+    directly.  Passing the costs in descending order prunes the most.
     """
-    def rec(a: int, left: int) -> Iterator[dict[int, int]]:
-        price = cost(a)
-        if price > left:
+    n = len(costs)
+    if budget < 0:
+        return []
+    caps = [None] * n if caps is None else list(caps)
+    low = [budget + 1] * (n + 1)
+    div = [0] * (n + 1)
+    for j in reversed(range(n)):
+        low[j] = min(costs[j], low[j + 1])
+        div[j] = gcd(costs[j], div[j + 1])
+    out: list[tuple[int, ...]] = []
+
+    def rec(j: int, left: int, head: tuple[int, ...]) -> None:
+        if left < low[j]:
             if left == 0 or not exact:
-                yield {}
+                out.append(head + (0,) * (n - j))
             return
-        for tail in rec(a + 1, left):
-            yield tail
-        e = 1
-        while e * price <= left:
-            for tail in rec(a + 1, left - e * price):
-                out = dict(tail)
-                out[a] = e
-                yield out
-            e += 1
-
-    yield from rec(a_start, budget)
-
-
-def _tau_parts(spec: AlgebraSpec, cost, budget: int) -> Iterator[tuple[int, ...]]:
-    def rec(b: int, left: int) -> Iterator[tuple[int, ...]]:
-        price = cost(b)
-        if price > left:
-            yield ()
+        c, cap = costs[j], caps[j]
+        top = left // c if cap is None else min(cap, left // c)
+        if j == n - 1:
+            if not exact:
+                out.extend([head + (e,) for e in range(top + 1)])
+            elif top * c == left:
+                out.append(head + (top,))
             return
-        for tail in rec(b + 1, left):
-            yield tail
-        for tail in rec(b + 1, left - price):
-            yield (b,) + tail
+        if exact and left % div[j]:
+            return
+        for e in range(top + 1):
+            rec(j + 1, left - e * c, head + (e,))
 
-    yield from rec(max(spec.min_tau, 0), budget)
+    rec(0, budget, ())
+    return out
+
+
+def products(
+    ctx: PrimeContext,
+    runs: Iterable[Iterable[tuple[Monomial, int | None]]],
+    measure: Callable[[PrimeContext, Monomial], int],
+    budget: int,
+    exact: bool = False,
+) -> list[Monomial]:
+    """Every product of factor powers with `measure` <= budget (= budget if `exact`).
+
+    A run yields (factor, cap) pairs, each factor a power of one generator
+    that no other factor uses, and the cap bounds its exponent (None
+    leaves it unbounded; a tau factor needs cap 1).  Each run is read only
+    while its factors fit in the budget, so a run's cost must rise along
+    it and a run may be infinite.  The result is sorted by `sort_key`.
+    """
+    factors = [fc for run in runs for fc in takewhile(lambda fc: measure(ctx, fc[0]) <= budget, run)]
+    factors.sort(key=lambda fc: -measure(ctx, fc[0]))
+    costs = [measure(ctx, f) for f, _ in factors]
+    out = []
+    for e in exponent_vectors(costs, budget, [cap for _, cap in factors], exact):
+        xi, tau = [], []
+        for (f, _), k in zip(factors, e):
+            if not k:
+                continue
+            if f.tau:
+                tau.append(f.tau[0])
+            else:
+                xi.append((f.xi[0][0], f.xi[0][1] * k))
+        out.append(Monomial(tuple(sorted(xi)), tuple(sorted(tau))))
+    out.sort(key=lambda m: sort_key(ctx, m))
+    return out
+
+
+def _generators(spec: AlgebraSpec) -> list[Iterator[tuple[Monomial, int | None]]]:
+    """The generators of the algebra as two runs: every xi_a, then every surviving tau_b."""
+    return [
+        ((Monomial(((a, 1),), ()), None) for a in count(1)),
+        ((Monomial((), (b,)), 1) for b in count(max(spec.min_tau, 0))),
+    ]
 
 
 def enumerate_by_degree(ctx: PrimeContext, spec: AlgebraSpec, max_degree: int) -> list[Monomial]:
@@ -207,32 +265,15 @@ def enumerate_by_degree(ctx: PrimeContext, spec: AlgebraSpec, max_degree: int) -
     The result is sorted by the canonical order and is a prefix of the
     enumeration at any larger bound, which pins down basis indexing.
     """
-    if max_degree < 0:
-        return []
-    out = []
-    for taus in _tau_parts(spec, ctx.tau_degree, max_degree):
-        left = max_degree - sum(ctx.tau_degree(b) for b in taus)
-        for xi in _xi_parts(ctx, ctx.xi_degree, left):
-            out.append(Monomial.make(xi, taus))
-    out.sort(key=lambda m: sort_key(ctx, m))
-    return out
+    return products(ctx, _generators(spec), degree, max_degree)
 
 
 def enumerate_by_weight(ctx: PrimeContext, spec: AlgebraSpec, exact_weight: int) -> list[Monomial]:
     """Every monomial of the algebra with weight exactly `exact_weight`.
 
-    Generation is exact: the xi parts fill the weight the taus leave over
-    to the last unit, so no monomial of smaller weight is built.
+    Generation is exact: no monomial of another weight is built.
     """
-    if exact_weight < 0:
-        return []
-    out = []
-    for taus in _tau_parts(spec, lambda b: ctx.p**b, exact_weight):
-        left = exact_weight - sum(ctx.p**b for b in taus)
-        for xi in _xi_parts(ctx, lambda a: ctx.p**a, left, exact=True):
-            out.append(Monomial.make(xi, taus))
-    out.sort(key=lambda m: sort_key(ctx, m))
-    return out
+    return products(ctx, _generators(spec), weight, exact_weight, exact=True)
 
 
 def format_monomial(m: Monomial) -> str:

@@ -9,6 +9,8 @@ from bgsplit.cli import main
 
 GOLDEN_P3_K0 = Path(__file__).parent / "data" / "verify_p3_k0.json"
 GOLDEN_P5_T100 = Path(__file__).parent / "data" / "verify_p5_t100.json"
+GOLDEN_BASIS = Path(__file__).parent / "data" / "basis_p3_i2_d120.tsv"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_json(capsys, argv):
@@ -25,6 +27,20 @@ def test_basis_lists_degree_weight_length(capsys):
     assert sorted(r["degree"] for r in rows) == [0, 4, 8, 12, 16, 16, 17]
     tau = next(r for r in rows if r["monomial"] == "tau2")
     assert (tau["degree"], tau["weight"], tau["length"]) == (17, 9, 1)
+
+
+def test_basis_listing_is_byte_identical(capsys):
+    # pins the monomial enumeration order and gradings through degree 120
+    assert main(["basis", "--p", "3", "--i", "2", "--max-degree", "120", "--format", "tsv"]) == 0
+    assert capsys.readouterr().out == GOLDEN_BASIS.read_text(encoding="utf-8")
+
+
+def test_readme_basis_example_matches_the_cli(capsys):
+    readme = README.read_text(encoding="utf-8")
+    command = "bgsplit basis --i 1 --max-degree 17"
+    shown = readme.split(f"```sh\n{command}\n```\n\n```\n", 1)[1].split("```", 1)[0]
+    assert main(command.split()[1:]) == 0
+    assert capsys.readouterr().out == shown
 
 
 def test_basis_degenerate_window(capsys):

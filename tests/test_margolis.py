@@ -87,13 +87,14 @@ def test_margolis_bp2_small_degrees():
 
 def _doctored_closed_form(monkeypatch, degree, doctor):
     """Replace the closed-form list at one degree by doctor(list)."""
-    closed_form = margolis._xi_monomials
+    closed_form = margolis._closed_form
 
-    def doctored(ctx, d, cap):
-        monos = closed_form(ctx, d, cap)
-        return doctor(monos) if d == degree else monos
+    def doctored(ctx, i, max_degree):
+        forms = closed_form(ctx, i, max_degree)
+        forms[degree] = doctor(forms.get(degree, []))
+        return forms
 
-    monkeypatch.setattr(margolis, "_xi_monomials", doctored)
+    monkeypatch.setattr(margolis, "_closed_form", doctored)
 
 
 def test_margolis_bp2_fails_on_a_missing_class(monkeypatch):

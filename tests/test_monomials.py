@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from bgsplit.monomials import (
     degree,
     enumerate_by_degree,
     enumerate_by_weight,
+    exponent_vectors,
     format_monomial,
     length,
     parse_monomial,
@@ -54,6 +57,13 @@ def test_repeated_tau_is_rejected():
     with pytest.raises(ValueError):
         Monomial.make((), [2, 2])
     assert Monomial.make((), [2]).times(Monomial.make((), [2])) is None
+
+
+def test_make_reads_a_one_shot_tau_iterable_once():
+    assert Monomial.make({1: 2}, iter([3])) == Monomial.make({1: 2}, (3,))
+    assert Monomial.make({}, (t for t in (5, 2))) == Monomial.make({}, (2, 5))
+    with pytest.raises(ValueError, match="squares to zero"):
+        Monomial.make({}, iter([3, 3]))
 
 
 def test_times_merges_exponents():
@@ -127,6 +137,49 @@ def test_weight_enumeration_is_the_exact_weight_slice(p, i, w):
     spec = AlgebraSpec(i)
     expected = [m for m in enumerate_by_degree(ctx, spec, 2 * w) if weight(ctx, m) == w]
     assert enumerate_by_weight(ctx, spec, w) == expected
+
+
+def _reference_vectors(costs, budget, caps, exact):
+    """Brute force over the box each cap (or the budget) allows, in lex order."""
+    box = [range((budget // c if cap is None else cap) + 1) for c, cap in zip(costs, caps)]
+    out = []
+    for e in product(*box):
+        total = sum(k * c for k, c in zip(e, costs))
+        if total == budget or (total < budget and not exact):
+            out.append(e)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=7), st.none() | st.integers(min_value=0, max_value=3)),
+        max_size=4,
+    ),
+    st.integers(min_value=-3, max_value=20),
+    st.booleans(),
+)
+def test_exponent_vectors_match_brute_force(positions, budget, exact):
+    costs = [c for c, _ in positions]
+    caps = [cap for _, cap in positions]
+    expected = _reference_vectors(costs, budget, caps, exact) if budget >= 0 else []
+    assert exponent_vectors(costs, budget, caps, exact) == expected
+    if all(cap is None for cap in caps):
+        assert exponent_vectors(costs, budget, exact=exact) == expected
+
+
+def test_exponent_vector_edge_cases():
+    assert exponent_vectors((), 0) == [()]
+    assert exponent_vectors((), 0, exact=True) == [()]
+    assert exponent_vectors((), 3) == [()]
+    assert exponent_vectors((), 3, exact=True) == []
+    assert exponent_vectors((2, 1), -1) == []
+    assert exponent_vectors((2, 1), 0, exact=True) == [(0, 0)]
+    assert exponent_vectors((2, 1), 0) == [(0, 0)]
+    assert exponent_vectors((2,), 3, exact=True) == []
+    assert exponent_vectors((2, 2), 3) == [(0, 0), (0, 1), (1, 0)]
+    assert exponent_vectors((1, 1), 2, [None, 1], exact=True) == [(1, 1), (2, 0)]
+    assert exponent_vectors((3, 1), 4, [1, 0]) == [(0, 0), (1, 0)]
 
 
 @st.composite
