@@ -9,6 +9,12 @@ two distinguished families of subquotients:
   * M_i(j), the span of monomials of weight exactly j, closed under
     Q_0, ..., Q_i.
 
+Within a degree the canonical monomial order sorts by weight, and no Q_j
+raises weight, so B_i(k) is the degreewise prefix of B_i(K) for every
+K >= k, with the top-left blocks of its action matrices.  `brown_gitler`
+therefore holds a single module per (prime, i), the largest asked for,
+and serves every B_i(k) from it.
+
 theta(i, k) raises weight: it sends a monomial x of B_i(k) to the index
 shift of x (xi_a -> xi_{a+1}, tau_b -> tau_{b+1}) padded by
 xi_1^(k - weight(x)), landing in M_{i+1}(pk) with degree raised by
@@ -24,6 +30,7 @@ algebras.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count
@@ -46,8 +53,10 @@ from .monomials import (
 from .qmodules import (
     QModule,
     QModuleMap,
+    action_columns,
     compose,
     module_from_monomials,
+    monomials_by_degree,
     quotient,
     restrict_qs,
     submodule_generated,
@@ -141,16 +150,85 @@ def _qs_through(top: int) -> tuple[int, ...]:
     return tuple(range(0, min(top, 2) + 1))
 
 
+# (ctx, i) -> (K, B_i(K)): the largest Brown-Gitler comodule built so far
+_HELD: dict[tuple[PrimeContext, int], tuple[int, QModule]] = {}
+
+
 def brown_gitler(ctx: PrimeContext, i: int, k: int) -> BrownGitlerComodule:
-    """B_i(k): monomials of weight <= k, closed under Q_0..Q_{i+1}."""
+    """B_i(k): monomials of weight <= k, closed under Q_0..Q_{i+1}.
+
+    Within a degree the canonical order sorts by weight, and no Q_j raises
+    weight, so B_i(k) is the degreewise prefix of B_i(K) for any K >= k and
+    its action matrices are the top-left blocks of B_i(K)'s.  One module
+    per (ctx, i) is held: a smaller k is sliced from it, a larger one grows
+    it by the new weights only (`_grow`).  Either way the result has been
+    through the checked QModule constructor and equals the build from
+    scratch over all weights <= k.
+    """
     if i not in (-1, 0, 1, 2):
         raise ValueError("truncation index out of range")
     if k < 0:
         raise ValueError("weight bound must be nonnegative")
-    spec = AlgebraSpec(i)
-    monos = [m for w in range(k + 1) for m in enumerate_by_weight(ctx, spec, w)]
-    module = module_from_monomials(ctx, spec, monos, _qs_through(i + 1))
+    held = _HELD.get((ctx, i))
+    if held is None or held[0] < k:
+        held = _HELD[(ctx, i)] = _grow(ctx, i, k, held)
+    top, module = held
+    if k < top:
+        module = _weight_prefix(module, k)
     return BrownGitlerComodule(ctx, i, k, module)
+
+
+def _grow(
+    ctx: PrimeContext, i: int, k: int, held: tuple[int, QModule] | None
+) -> tuple[int, QModule]:
+    """B_i(k) from B_i(K), K < k, enumerating and acting on weights K+1..k only.
+
+    The new monomials sort after the old ones of their degree.  Q_j never
+    raises weight, so the old columns keep their matrices, padded below
+    with zero rows; only the new columns are computed, and their images,
+    which may reach old rows, pass the closure check against the whole span.
+    """
+    spec = AlgebraSpec(i)
+    qs = _qs_through(i + 1)
+    start, old = (-1, None) if held is None else held
+    new = monomials_by_degree(
+        ctx, (m for w in range(start + 1, k + 1) for m in enumerate_by_weight(ctx, spec, w))
+    )
+    base = {} if old is None else old.basis
+    basis = {d: base.get(d, ()) + tuple(new.get(d, ())) for d in sorted(base.keys() | new.keys())}
+    index = {m: j for labels in basis.values() for j, m in enumerate(labels)}
+    actions: dict[int, dict[int, np.ndarray]] = {j: {} for j in qs}
+    for j in qs:
+        dj = ctx.q_degree(j)
+        for d, labels in basis.items():
+            rows = len(basis.get(d - dj, ()))
+            mat = np.zeros((rows, len(labels)), dtype=np.int64)
+            past = old.actions[j].get(d) if old is not None else None
+            if past is not None:
+                mat[: past.shape[0], : past.shape[1]] = past
+            if d in new:
+                mat[:, len(base.get(d, ())) :] = action_columns(ctx, spec, j, new[d], index, rows)
+            if mat.size:
+                actions[j][d] = mat
+    return k, QModule(ctx, qs, basis, actions)
+
+
+def _weight_prefix(module: QModule, k: int) -> QModule:
+    """The weight <= k part of a held B_i(K): degreewise prefixes and top-left blocks."""
+    ctx = module.ctx
+    cut = {
+        d: bisect_right(labels, k, key=lambda m: mono_weight(ctx, m))
+        for d, labels in module.basis.items()
+    }
+    basis = {d: module.basis[d][:n] for d, n in cut.items() if n}
+    actions: dict[int, dict[int, np.ndarray]] = {j: {} for j in module.qs}
+    for j in module.qs:
+        dj = module.drop(j)
+        for d, mat in module.actions[j].items():
+            rows, cols = cut.get(d - dj, 0), cut.get(d, 0)
+            if rows and cols:
+                actions[j][d] = mat[:rows, :cols]
+    return QModule(ctx, module.qs, basis, actions)
 
 
 def weight_block(ctx: PrimeContext, i: int, j: int) -> WeightBlock:
@@ -196,7 +274,7 @@ def theta(ctx: PrimeContext, i: int, k: int) -> QModuleMap:
                     f"theta image weight mismatch on {format_monomial(x)}: "
                     f"got {mono_weight(ctx, image)}, expected {ctx.p * k}"
                 )
-            row = target.module.basis[d].index(image)
+            _, row = target.module.label_index(image)
             mat[row, col] = 1
         mats[d] = mat
     return QModuleMap(source, target.module, mats)

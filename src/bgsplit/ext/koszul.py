@@ -103,7 +103,8 @@ class KoszulComplex:
         """(alpha, module degree, block dim) per nonempty block of C^{s,t}, in lex order.
 
         Blocks v^alpha (x) M_d with M_d = 0 add no columns, so they are left
-        out: the walk visits the module's degrees, not every v-monomial.
+        out.  The walk pairs the v-degree buckets of s with the module's
+        degrees from whichever side has fewer entries, and sorts.
         """
         return self._chain(s, t)[0]
 
@@ -117,13 +118,21 @@ class KoszulComplex:
         if cached is not None:
             return cached
         buckets = v_monomials_by_degree(self.qs, self.drops, s)
-        blocks = tuple(
-            sorted(
+        basis = self.module.basis
+        if len(buckets) < len(basis):
+            found = (
+                (alpha, t - vdeg, len(basis[t - vdeg]))
+                for vdeg, alphas in buckets.items()
+                if t - vdeg in basis
+                for alpha in alphas
+            )
+        else:
+            found = (
                 (alpha, d, len(labels))
-                for d, labels in self.module.basis.items()
+                for d, labels in basis.items()
                 for alpha in buckets.get(t - d, ())
             )
-        )
+        blocks = tuple(sorted(found))
         cached = self._chains[key] = (blocks, sum(dim for _, _, dim in blocks))
         return cached
 

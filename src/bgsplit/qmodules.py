@@ -171,20 +171,27 @@ class QModule:
                     )
 
     def _check_relations(self) -> None:
+        """Q_i^2 = 0 and Q_iQ_j + Q_jQ_i = 0 from every basis degree.
+
+        An absent action matrix is zero, so a product with an absent factor
+        is skipped rather than multiplied out; an anticommutator with one
+        product left is still reduced and checked on its own.
+        """
         p = self.ctx.p
+        acts = self.actions
         for d in self.degrees():
             for a, i in enumerate(self.qs):
                 di = self.drop(i)
-                sq = (self.act(i, d - di) @ self.act(i, d)) % p
-                if sq.any():
-                    raise ValueError(f"Q_{i}^2 is nonzero starting at degree {d}")
+                top_i = acts[i].get(d)
+                if top_i is not None:
+                    below = acts[i].get(d - di)
+                    if below is not None and ((below @ top_i) % p).any():
+                        raise ValueError(f"Q_{i}^2 is nonzero starting at degree {d}")
                 for j in self.qs[a + 1 :]:
                     dj = self.drop(j)
-                    anti = (
-                        self.act(i, d - dj) @ self.act(j, d)
-                        + self.act(j, d - di) @ self.act(i, d)
-                    ) % p
-                    if anti.any():
+                    pairs = ((acts[i].get(d - dj), acts[j].get(d)), (acts[j].get(d - di), top_i))
+                    terms = [lo @ hi for lo, hi in pairs if lo is not None and hi is not None]
+                    if terms and (sum(terms) % p).any():
                         raise ValueError(
                             f"Q_{i}Q_{j} + Q_{j}Q_{i} is nonzero starting at degree {d}"
                         )
@@ -258,29 +265,51 @@ def module_from_monomials(
     identical inputs index identically.  A monomial whose Q_i leaves the
     span raises ClosureError naming both offenders.
     """
-    monos = sorted(set(monomials), key=lambda m: sort_key(ctx, m))
-    by_degree: dict[int, list[Monomial]] = {}
-    for m in monos:
-        by_degree.setdefault(mono_degree(ctx, m), []).append(m)
-    index = {m: j for d, ms in by_degree.items() for j, m in enumerate(ms)}
+    by_degree = monomials_by_degree(ctx, monomials)
+    index = {m: j for ms in by_degree.values() for j, m in enumerate(ms)}
     basis = {d: tuple(ms) for d, ms in by_degree.items()}
     actions: dict[int, dict[int, np.ndarray]] = {i: {} for i in qs}
     for i in qs:
         di = ctx.q_degree(i)
         for d, ms in by_degree.items():
-            lower = by_degree.get(d - di, [])
-            mat = np.zeros((len(lower), len(ms)), dtype=np.int64)
-            for col, m in enumerate(ms):
-                for coeff, term in q_action_on_monomial(ctx, spec, i, m):
-                    if term not in index:
-                        raise ClosureError(
-                            f"Q_{i}({format_monomial(m)}) has term "
-                            f"{format_monomial(term)} outside the span"
-                        )
-                    mat[index[term], col] = coeff
+            mat = action_columns(ctx, spec, i, ms, index, len(by_degree.get(d - di, ())))
             if mat.size:
                 actions[i][d] = mat
     return QModule(ctx, qs, basis, actions, truncated_above)
+
+
+def monomials_by_degree(ctx: PrimeContext, monomials: Iterable[Monomial]) -> dict[int, list[Monomial]]:
+    """Distinct monomials grouped by degree, ascending, each group in canonical order."""
+    by_degree: dict[int, list[Monomial]] = {}
+    for m in sorted(set(monomials), key=lambda m: sort_key(ctx, m)):
+        by_degree.setdefault(mono_degree(ctx, m), []).append(m)
+    return by_degree
+
+
+def action_columns(
+    ctx: PrimeContext,
+    spec: AlgebraSpec,
+    i: int,
+    monomials: Sequence[Monomial],
+    index: dict[Monomial, int],
+    rows: int,
+) -> np.ndarray:
+    """Q_i of each monomial as one column over `rows` rows of the degree below.
+
+    `index` gives the row of every monomial of the span; a term missing
+    from it raises ClosureError naming the monomial and the term.
+    """
+    mat = np.zeros((rows, len(monomials)), dtype=np.int64)
+    for col, m in enumerate(monomials):
+        for coeff, term in q_action_on_monomial(ctx, spec, i, m):
+            row = index.get(term)
+            if row is None:
+                raise ClosureError(
+                    f"Q_{i}({format_monomial(m)}) has term "
+                    f"{format_monomial(term)} outside the span"
+                )
+            mat[row, col] = coeff
+    return mat
 
 
 def _shift_grading(m: QModule, n: int) -> QModule:

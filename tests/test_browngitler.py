@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 import bgsplit.browngitler as browngitler
 from bgsplit.browngitler import (
+    WeightBlock,
     assemble_bp_splitting,
     bp_homology,
     brown_gitler,
@@ -21,13 +24,15 @@ from bgsplit.browngitler import (
     weight_restricted_C,
 )
 from bgsplit.monomials import (
+    AlgebraSpec,
     Monomial,
     PrimeContext,
+    enumerate_by_weight,
     format_monomial,
     parse_monomial,
     weight,
 )
-from bgsplit.qmodules import verify_map
+from bgsplit.qmodules import ClosureError, module_from_monomials, verify_map
 
 P3 = PrimeContext(3)
 P5 = PrimeContext(5)
@@ -63,6 +68,68 @@ def test_weight_block_bases():
     assert m27.module.qs == (0, 1, 2)
     assert labels(weight_block(P5, 2, 5).module) == ["xi1"]
     assert labels(weight_block(P3, 2, 0).module) == ["1"]
+
+
+def _cold_brown_gitler(ctx, i, k):
+    """B_i(k) built from scratch over every weight <= k."""
+    spec = AlgebraSpec(i)
+    monos = [m for w in range(k + 1) for m in enumerate_by_weight(ctx, spec, w)]
+    return module_from_monomials(ctx, spec, monos, tuple(range(min(i + 1, 2) + 1)))
+
+
+def _assert_same_module(got, want):
+    assert got.qs == want.qs
+    assert got.basis == want.basis
+    assert list(got.basis) == list(want.basis)
+    for j in want.qs:
+        assert got.actions[j].keys() == want.actions[j].keys()
+        for d, mat in want.actions[j].items():
+            assert np.array_equal(got.actions[j][d], mat), (j, d)
+
+
+@pytest.mark.parametrize("ctx, k_max", [(P3, 39), (P5, 29)], ids=["p3", "p5"])
+@pytest.mark.parametrize("i", [-1, 0, 1, 2])
+def test_held_brown_gitler_equals_cold_builds(monkeypatch, ctx, k_max, i):
+    cold = {k: _cold_brown_gitler(ctx, i, k) for k in range(k_max + 1)}
+    order = list(range(k_max + 1))
+    random.Random(k_max + i).shuffle(order)
+    # the shuffled pass grows the held module and slices it; the reverse
+    # pass starts from an empty memo, grows once and then only slices
+    for ks in (order, order[::-1]):
+        monkeypatch.setattr(browngitler, "_HELD", {})
+        for k in ks:
+            got = brown_gitler(ctx, i, k)
+            assert (got.i, got.k) == (i, k)
+            _assert_same_module(got.module, cold[k])
+        assert list(browngitler._HELD) == [(ctx, i)]
+        assert browngitler._HELD[(ctx, i)][0] == max(ks)
+
+
+def test_growing_brown_gitler_runs_the_closure_check(monkeypatch):
+    monkeypatch.setattr(browngitler, "_HELD", {})
+    held = brown_gitler(P3, 1, 8).module
+    real = browngitler.enumerate_by_weight
+    xi2 = mono("xi2")
+
+    def without_xi2(ctx, spec, w):
+        return [m for m in real(ctx, spec, w) if m != xi2]
+
+    monkeypatch.setattr(browngitler, "enumerate_by_weight", without_xi2)
+    # Q_0 tau2 = xi2, both of weight 9
+    with pytest.raises(ClosureError, match=r"Q_0\(tau2\) has term xi2 outside the span"):
+        brown_gitler(P3, 1, 9)
+    assert browngitler._HELD[(P3, 1)] == (8, held)
+    monkeypatch.setattr(browngitler, "enumerate_by_weight", real)
+    _assert_same_module(brown_gitler(P3, 1, 9).module, _cold_brown_gitler(P3, 1, 9))
+
+
+def test_assembly_holds_one_brown_gitler_module(monkeypatch):
+    monkeypatch.setattr(browngitler, "_HELD", {})
+    assemble_bp_splitting(P3, 2, 60)
+    assert list(browngitler._HELD) == [(P3, 1)]
+    assert browngitler._HELD[(P3, 1)][0] == 60 // P3.q
+    weight_restricted_C.__wrapped__(P3, 3)
+    assert list(browngitler._HELD) == [(P3, 1)]
 
 
 # -- theta -----------------------------------------------------------------
@@ -102,6 +169,16 @@ def test_theta_reports_pass_for_small_weights():
         assert rep.passed, rep.failures
     _, rep = theta_report(P3, 1, 9)
     assert rep.passed and rep.bijective and rep.equivariant
+
+
+def test_theta_image_outside_the_target_fails(monkeypatch):
+    # M_2(3) is spanned by xi1 alone, the image of 1 under theta_1
+    empty = module_from_monomials(P3, AlgebraSpec(2), [], (0, 1, 2))
+    monkeypatch.setattr(
+        browngitler, "weight_block", lambda ctx, i, j: WeightBlock(ctx, i, j, empty)
+    )
+    with pytest.raises(KeyError):
+        theta(P3, 1, 1)
 
 
 def test_theta_suspension_grading():

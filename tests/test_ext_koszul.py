@@ -142,6 +142,22 @@ def test_chain_blocks_match_brute_force(module):
     assert nonempty
 
 
+@pytest.mark.parametrize(
+    "module, walks_buckets",
+    # H_*BP<2> through 120 has more degrees than any s <= 6 has v-degrees;
+    # the unit has one degree and never more than its v-degrees
+    [(bp_homology(P3, 2, 120).module, True), (trivial_module(P3, FULL), False)],
+    ids=["many-degrees", "one-degree"],
+)
+def test_chain_blocks_walk_the_smaller_side(module, walks_buckets):
+    kc = KoszulComplex(module)
+    for s in range(7):
+        buckets = koszul.v_monomials_by_degree(kc.qs, kc.drops, s)
+        assert (len(buckets) < len(module.basis)) is walks_buckets, s
+        for t in range(module.min_degree() - 2, 130):
+            assert list(kc.chain_blocks(s, t)) == _brute_force_blocks(kc, s, t), (s, t)
+
+
 def test_v_multiplication_commutes_with_the_differential():
     for module in (weight_restricted_C(P3, 9), restrict_qs(weight_restricted_C(P3, 9), (1, 2))):
         kc = KoszulComplex(module)

@@ -8,6 +8,7 @@ import pytest
 from bgsplit.monomials import AlgebraSpec, Monomial, PrimeContext, parse_monomial
 from bgsplit.qmodules import (
     ClosureError,
+    QModule,
     QModuleMap,
     compose,
     direct_sum,
@@ -117,10 +118,33 @@ def test_relation_validation_rejects_corrupt_actions():
     bad = acts[1][-17].copy()
     bad[0, 0] = (-bad[0, 0]) % 3
     acts[1][-17] = bad
-    from bgsplit.qmodules import QModule
 
     with pytest.raises(ValueError, match="Q_1Q_2"):
         QModule(P3, free.qs, free.basis, acts)
+
+
+def test_relation_validation_rejects_a_nonzero_square():
+    # Q_0 carries a -> b -> c at p = 3, so Q_0^2 sends a to c
+    one = np.ones((1, 1), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"Q_0\^2 is nonzero starting at degree 2"):
+        QModule(P3, (0,), {2: ("a",), 1: ("b",), 0: ("c",)}, {0: {2: one, 1: one}})
+
+
+@pytest.mark.parametrize(
+    "middle",
+    # a in degree 6 reaches c in degree 0 through b.  Through degree 1,
+    # Q_0Q_1 is stored and Q_1Q_0 would pass the empty degree 5; through
+    # degree 5 it is the other way round.
+    [1, 5],
+    ids=["only-Q0Q1-stored", "only-Q1Q0-stored"],
+)
+def test_relation_validation_checks_a_one_sided_anticommutator(middle):
+    one = np.ones((1, 1), dtype=np.int64)
+    first, second = (1, 0) if middle == 1 else (0, 1)
+    acts = {first: {6: one}, second: {middle: one}}
+    basis = {6: ("a",), middle: ("b",), 0: ("c",)}
+    with pytest.raises(ValueError, match=r"Q_0Q_1 \+ Q_1Q_0 is nonzero starting at degree 6"):
+        QModule(P3, (0, 1), basis, acts)
 
 
 # -- suspension, sums, tensors ------------------------------------------------
