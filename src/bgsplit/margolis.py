@@ -1,7 +1,8 @@
 """Margolis homology and the classification of stably invertible modules.
 
 For each operator Q_i acting on a graded module the homology
-ker Q_i / im Q_i is computed degreewise with canonical representatives.
+ker Q_i / im Q_i is counted degreewise from ranks of the Q_i matrices;
+canonical representatives are built only when a caller reads them.
 Over a rank-two exterior algebra a module whose two homologies are both
 one-dimensional is pinned down by the pair of homology degrees; those
 solve for a suspension a and a power b of the augmentation ideal, and
@@ -11,7 +12,9 @@ construct_model realizes the parameters as an explicit module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
+from typing import Callable
 
 import numpy as np
 
@@ -49,28 +52,37 @@ def _vector_text(v: np.ndarray, labels) -> str:
 class MargolisHomology:
     """Degreewise ker/im of one Q operator on a module.
 
-    classes maps degree to echelon rows of representatives in the
-    module's coordinates there; degrees with zero homology are omitted.
+    dimensions maps degree to dim H_d; degrees with zero homology are
+    omitted.  classes maps the same degrees to echelon rows of
+    representatives in the module's coordinates there, built on first
+    read.
     """
 
     module: QModule
     q_index: int
     degrees: tuple[int, int]
-    classes: dict[int, np.ndarray]
+    dimensions: dict[int, int]
 
     def dim(self, d: int) -> int:
-        rows = self.classes.get(d)
-        return 0 if rows is None else rows.shape[0]
+        return self.dimensions.get(d, 0)
 
     @property
     def total_dim(self) -> int:
-        return sum(rows.shape[0] for rows in self.classes.values())
+        return sum(self.dimensions.values())
 
     def support(self) -> list[int]:
-        return sorted(self.classes)
+        return sorted(self.dimensions)
 
     def dims(self) -> dict[int, int]:
-        return {d: self.classes[d].shape[0] for d in self.support()}
+        return dict(sorted(self.dimensions.items()))
+
+    @cached_property
+    def classes(self) -> dict[int, np.ndarray]:
+        m, i = self.module, self.q_index
+        return {
+            d: homology_basis(m.act(i, d), m.act(i, d + m.drop(i)), m.ctx.p)[0]
+            for d in self.support()
+        }
 
     def to_json(self, name: str = "module") -> dict:
         return {
@@ -82,6 +94,26 @@ class MargolisHomology:
                 for row in self.classes[d]
             ],
         }
+
+
+def _action_rank(module: QModule, i: int) -> Callable[[int], int]:
+    """rank Q_i|_d as a function of the source degree d, each degree ranked once.
+
+    dim H_d needs the ranks at d and d + drop(i), so across a range of
+    degrees every Q_i matrix serves twice; an absent matrix has rank 0.
+    """
+    acts = module.actions[i]
+    p = module.ctx.p
+    memo: dict[int, int] = {}
+
+    def at(d: int) -> int:
+        got = memo.get(d)
+        if got is None:
+            mat = acts.get(d)
+            got = memo[d] = 0 if mat is None else rank(mat, p)
+        return got
+
+    return at
 
 
 def _certified_top(module: QModule, i: int) -> int | None:
@@ -99,7 +131,8 @@ def margolis_homology(
     The default range is the module's full support, which is only valid
     for complete modules.  A truncated module certifies homology at d
     only when d + drop(i) is still inside the truncation, since boundary
-    classes can arrive from above.
+    classes can arrive from above.  Each dimension is a count of ranks:
+    dim H_d = dim M_d - rank Q_i|_d - rank Q_i|_{d+drop}.
     """
     if i not in module.qs:
         raise KeyError(f"Q_{i} is not defined on this module")
@@ -116,15 +149,15 @@ def margolis_homology(
             f"truncated above {module.truncated_above} and Q_{i} drops degree "
             f"by {module.drop(i)}"
         )
-    p = module.ctx.p
-    classes = {}
-    for d in range(lo, hi + 1):
-        if module.dim(d) == 0:
-            continue
-        rows = homology_basis(module.act(i, d), module.act(i, d + module.drop(i)), p)[0]
-        if rows.shape[0]:
-            classes[d] = rows
-    return MargolisHomology(module, i, (lo, hi), classes)
+    rank_at = _action_rank(module, i)
+    di = module.drop(i)
+    dims = {}
+    for d in module.degrees():
+        if lo <= d <= hi:
+            got = module.dim(d) - rank_at(d) - rank_at(d + di)
+            if got:
+                dims[d] = got
+    return MargolisHomology(module, i, (lo, hi), dims)
 
 
 # -- closed forms for H_*BP<2> ----------------------------------------------
@@ -180,6 +213,8 @@ def margolis_bp2(ctx: PrimeContext, i: int, max_degree: int) -> MargolisBP2Repor
     forms = _closed_form(ctx, i, max_degree)
     module = bp_homology(ctx, 2, max_degree + ctx.q_degree(i)).module
     p = ctx.p
+    di = module.drop(i)
+    rank_at = _action_rank(module, i)
     per_degree: dict[int, tuple[int, int]] = {}
     failures: list[str] = []
     first_failing: int | None = None
@@ -192,16 +227,16 @@ def margolis_bp2(ctx: PrimeContext, i: int, max_degree: int) -> MargolisBP2Repor
 
     for d in range(max_degree + 1):
         expected = forms.get(d, [])
-        q = module.act(i, d)
-        borders = module.act(i, d + module.drop(i)).T
-        border_rank = rank(borders, p)
-        got = module.dim(d) - rank(q, p) - border_rank
+        border_rank = rank_at(d + di)
+        got = module.dim(d) - rank_at(d) - border_rank
         per_degree[d] = (got, len(expected))
         if got != len(expected):
             fail(d, f"degree {d}: homology dimension {got}, closed form {len(expected)}")
             continue
         if not expected:
             continue
+        q = module.act(i, d)
+        borders = module.act(i, d + di).T
         rows = []
         for mono in expected:
             _, v = module.element(mono)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from bgsplit import cli, margolis
 from bgsplit.cli import main
+from bgsplit.monomials import PrimeContext
+from bgsplit.qmodules import direct_sum, trivial_module
 
 GOLDEN_P3_K0 = Path(__file__).parent / "data" / "verify_p3_k0.json"
 GOLDEN_P5_T100 = Path(__file__).parent / "data" / "verify_p5_t100.json"
@@ -139,6 +142,49 @@ def test_injected_fault_is_caught(capsys):
     assert [c["name"] for c in bad] == ["q-structure"]
     assert "Q_0^2 is nonzero" in bad[0]["detail"]
     assert "fault injected" in bad[0]["detail"]
+
+
+SMALL_WINDOW = ["verify-splitting", "--p", "3", "--max-degree", "24", "--k-max", "3"]
+
+
+def _only_failure(capsys):
+    code, payload = run_json(capsys, SMALL_WINDOW)
+    assert code == 1
+    assert not payload["passed"]
+    bad = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in bad] == ["w-margolis"]
+    return bad[0]["detail"]
+
+
+def test_w_margolis_catches_a_misplaced_model(capsys, monkeypatch):
+    real = cli.construct_model
+    monkeypatch.setattr(
+        cli, "construct_model", lambda ctx, pair, a, b: real(ctx, pair, a + 1, b)
+    )
+    detail = _only_failure(capsys)
+    assert "W1(1) model misses the Q_1 homology degree 36" in detail
+
+
+def test_w_margolis_catches_a_non_invertible_block(capsys, monkeypatch):
+    real = cli.w_family
+
+    def padded(ctx, which, n):
+        block = real(ctx, which, n)
+        return direct_sum([block, trivial_module(ctx, block.qs)])
+
+    monkeypatch.setattr(cli, "w_family", padded)
+    detail = _only_failure(capsys)
+    assert "W1(1) not invertible" in detail
+
+
+def test_w_margolis_counts_without_representatives(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("w-margolis built Margolis representatives")
+
+    monkeypatch.setattr(margolis, "homology_basis", refuse)
+    entry = cli._check_w_margolis(PrimeContext(3), cli.RunConfig())
+    assert entry["passed"]
+    assert "W1(1) -> (31, -1)" in entry["detail"]
 
 
 def test_output_file_lands_under_env_dir(capsys, tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from bgsplit.browngitler import (
     w_family,
     w_family_truncated,
 )
-from bgsplit.fplin import kernel_array
+from bgsplit.fplin import homology_basis, kernel_array
 from bgsplit.margolis import (
     InvertibleClass,
     NotInvertible,
@@ -71,6 +71,58 @@ def test_homology_bounded_by_kernel():
         for d in b.degrees():
             kernel_dim = kernel_array(b.act(i, d), 3).shape[0]
             assert h.dim(d) <= kernel_dim <= b.dim(d)
+
+
+def _rank_route_cases():
+    """(module, Q index, degree range) over the modules the pipeline classifies."""
+    modules = [w_family(P3, which, n) for which in ("W1", "We", "Wo") for n in range(4)]
+    modules.append(brown_gitler(P3, 1, 9).module)
+    for which in ("W1", "We", "Wo"):
+        for n in range(6):
+            cls = classify_invertible(w_family(P3, which, n))
+            modules.append(construct_model(P3, cls.pair, cls.a, cls.b))
+    modules.append(construct_model(P3, (1, 2), 31, -1))
+    for module in modules:
+        for i in module.qs:
+            yield module, i, None
+    bp = bp_homology(P3, 2, 60).module
+    for i in bp.qs:
+        yield bp, i, (0, 60 - bp.drop(i))
+
+
+def test_dimensions_from_ranks_match_representatives():
+    checked = 0
+    for module, i, window in _rank_route_cases():
+        h = margolis_homology(module, i, window)
+        lo, hi = h.degrees
+        for d in range(lo, hi + 1):
+            rows = h.classes.get(d)
+            counted = 0 if rows is None else rows.shape[0]
+            reps = homology_basis(module.act(i, d), module.act(i, d + module.drop(i)), 3)[0]
+            assert h.dim(d) == counted == reps.shape[0], (i, d)
+            checked += counted
+    assert checked > 100
+
+
+def test_representatives_are_built_only_on_request(monkeypatch):
+    calls = []
+    real = margolis.homology_basis
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(margolis, "homology_basis", counted)
+    w = w_family(P3, "W1", 2)
+    h = margolis_homology(w, 2)
+    assert h.dims() == {96: 1} and h.support() == [96] and h.total_dim == 1
+    assert classify_invertible(w).margolis_degrees == (72, 96)
+    assert freeness_check(w) is False
+    assert not calls
+    assert h.to_json("a")["classes"] == [{"degree": 96, "representative": "xi2^6"}]
+    assert len(calls) == 1
+    h.to_json("a")
+    assert len(calls) == 1
 
 
 def test_margolis_bp2_small_degrees():

@@ -5,12 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bgsplit.browngitler import weight_restricted_C
+from bgsplit.ext.compare import dual_module
 from bgsplit.monomials import AlgebraSpec, Monomial, PrimeContext, parse_monomial
 from bgsplit.qmodules import (
     ClosureError,
     QModule,
     QModuleMap,
+    _shift_grading,
     compose,
+    content_key,
     direct_sum,
     free_module,
     identity_map,
@@ -208,6 +212,81 @@ def test_tensor_with_unit_is_isomorphic():
             assert np.array_equal(t.act(i, d), m.act(i, d))
 
 
+def kron_tensor(m, n, max_degree=None):
+    """Reference tensor product built block by block with np.kron."""
+    pairs, offsets = {}, {}
+    for dm in m.degrees():
+        for dn in n.degrees():
+            if max_degree is None or dm + dn <= max_degree:
+                pairs.setdefault(dm + dn, []).append((dm, dn))
+    basis = {}
+    for t, blocks in pairs.items():
+        blocks.sort()
+        labels = []
+        for dm, dn in blocks:
+            offsets[(dm, dn)] = len(labels)
+            labels.extend((lm, ln) for lm in m.basis[dm] for ln in n.basis[dn])
+        basis[t] = tuple(labels)
+    actions = {i: {} for i in m.qs}
+    for i in m.qs:
+        di = m.drop(i)
+        for t, blocks in pairs.items():
+            mat = np.zeros((len(basis.get(t - di, ())), len(basis[t])), dtype=np.int64)
+            if mat.shape[0]:
+                for dm, dn in blocks:
+                    c0, width = offsets[(dm, dn)], m.dim(dm) * n.dim(dn)
+                    if (dm - di, dn) in offsets:
+                        block = np.kron(m.act(i, dm), np.eye(n.dim(dn), dtype=np.int64))
+                        r0 = offsets[(dm - di, dn)]
+                        mat[r0 : r0 + block.shape[0], c0 : c0 + width] = block
+                    if (dm, dn - di) in offsets:
+                        sign = -1 if dm % 2 else 1
+                        block = sign * np.kron(np.eye(m.dim(dm), dtype=np.int64), n.act(i, dn))
+                        r0 = offsets[(dm, dn - di)]
+                        mat[r0 : r0 + block.shape[0], c0 : c0 + width] += block
+            if mat.size:
+                actions[i][t] = mat % m.ctx.p
+    return basis, actions
+
+
+def assert_matches_kron(m, n, max_degree=None):
+    got = tensor(m, n, max_degree=max_degree)
+    basis, actions = kron_tensor(m, n, max_degree)
+    assert got.basis == basis
+    want = QModule(m.ctx, m.qs, basis, actions, got.truncated_above)
+    assert content_key(got) == content_key(want)
+
+
+def test_tensor_matches_kron_on_odd_degree_factors():
+    m = b19_module()
+    odd = _shift_grading(m, 3)
+    assert any(d % 2 for d in odd.degrees())
+    assert_matches_kron(odd, m)
+    assert_matches_kron(m, odd)
+    assert_matches_kron(odd, _shift_grading(m, -7))
+
+
+def test_tensor_matches_kron_under_truncation():
+    m = b19_module()
+    assert_matches_kron(m, _shift_grading(m, 1), max_degree=20)
+    assert_matches_kron(m, m, max_degree=0)
+
+
+def test_tensor_matches_kron_with_an_empty_factor():
+    m = b19_module()
+    empty = QModule(P3, m.qs, {}, {})
+    assert_matches_kron(m, empty)
+    assert_matches_kron(empty, m)
+    assert tensor(m, empty).total_dim == 0
+
+
+@pytest.mark.parametrize("k", [0, 3, 9])
+@pytest.mark.parametrize("m", [0, 3, 9])
+def test_tensor_matches_kron_on_dual_weight_blocks(k, m):
+    ck, cm = weight_restricted_C(P3, k), weight_restricted_C(P3, m)
+    assert_matches_kron(dual_module(ck), suspend(cm, P3.q * m))
+
+
 # -- submodules and quotients -------------------------------------------------
 
 
@@ -279,6 +358,24 @@ def test_verify_map_flags_non_equivariant_assignment():
     report = verify_map(bad)
     assert not report.passed
     assert ("Q_0", 17) in report.failures
+
+
+def test_verify_map_flags_a_one_sided_target_action():
+    # only Q_0 f is stored: f(a) = x with Q_0 x = y, while Q_0 a = 0
+    one = np.ones((1, 1), dtype=np.int64)
+    source = QModule(P3, (0,), {1: ("a",)}, {})
+    target = QModule(P3, (0,), {1: ("x",), 0: ("y",)}, {0: {1: one}})
+    report = verify_map(QModuleMap(source, target, {1: one}))
+    assert report.failures == [("Q_0", 1)]
+
+
+def test_verify_map_flags_a_one_sided_source_action():
+    # only f Q_0 is stored: Q_0 a = b and f(b) = y, while Q_0 x = 0
+    one = np.ones((1, 1), dtype=np.int64)
+    source = QModule(P3, (0,), {1: ("a",), 0: ("b",)}, {0: {1: one}})
+    target = QModule(P3, (0,), {1: ("x",), 0: ("y",)}, {})
+    report = verify_map(QModuleMap(source, target, {1: one, 0: one}))
+    assert report.failures == [("Q_0", 1)]
 
 
 def test_identity_and_composition():
