@@ -18,7 +18,7 @@ from ..browngitler import brown_gitler, length_splitting, weight_restricted_C
 from ..monomials import PrimeContext
 from ..qmodules import QModule, suspend, tensor
 from .koszul import BigradedDims, ext_koszul
-from .poly import PStage, ext_from_resolution, gr_module, realize, resolved_block
+from .poly import ext_from_resolution, gr_module, realize, resolved_block
 
 _PAD = 24
 
@@ -59,23 +59,14 @@ def ext_via_dual(
     return ext_koszul(tensor(dual_module(m), n), s_max, t_max, t_min=t_min)
 
 
-# -- comparison windows -----------------------------------------------------------
+# -- the per-t comparison and its windows --------------------------------------
 # Both sides read `poly.resolved_block`, the one content-keyed memo of P(2)
 # resolutions: the source block's stages directly, the target through its
-# gr presentation.  Windows are quantized so that nearby requests do not
-# regrow an entry.
-
-
-def _quantize(t: int) -> int:
-    return ((max(t, 0) + 15) // 16) * 16
-
-
-def _top(stages: list[PStage]) -> int:
-    """Largest internal degree of a generator in the resolution."""
-    return max((t for st in stages for _, t in st.gen_bidegrees), default=0)
-
-
-# -- the per-t comparison --------------------------------------------------------
+# gr presentation.  Windows come from the block degrees: every generator of
+# C_k's resolution sits at or below D_k = C_k.max_degree(), so classes start
+# at qm - D_k and B must reach t_hi + D_k.  `ext_from_resolution` certifies
+# from the actual generator degrees, so a generator above D_k would shrink
+# the certified range and the check would raise rather than report.
 
 
 @dataclass
@@ -95,7 +86,6 @@ class PropisoReport:
     lhs_columns: dict[int, int]
     rhs_columns: dict[int, int]
     exterior_dims: BigradedDims
-    note: str | None = None
 
     @property
     def mismatches(self) -> tuple[int, ...]:
@@ -119,44 +109,29 @@ class PropisoReport:
         return out
 
 
-def propiso_check(
-    ctx: PrimeContext,
-    k: int,
-    m: int,
-    t_hi: int | None = None,
-    t_lo: int | None = None,
-) -> PropisoReport:
+def propiso_check(ctx: PrimeContext, k: int, m: int, t_hi: int | None = None) -> PropisoReport:
     """Compare odd exterior Ext columns with the degree-1 polynomial line.
 
     The exterior side maps the weight-pk block into the qm-suspended
-    weight-pm block and is exact at every t; the polynomial side runs
-    over a window wide enough that its certified range contains the
-    requested one, growing the cached resolutions when needed.
+    weight-pm block and is exact at every t; the polynomial side resolves
+    the source through t_hi - (qm - D_k) and realizes the target through
+    t_hi + D_k, with D_k the source block's top degree, and must certify
+    the whole window.
     """
     ck = weight_restricted_C(ctx, k)
     cm = weight_restricted_C(ctx, m)
     qm = ctx.q * m
+    top = ck.max_degree()
     if t_hi is None:
         t_hi = qm + cm.max_degree() + _PAD
-    top = _top(resolved_block(ck, _quantize(2 * ck.max_degree() + 34))[1])
-    for _ in range(4):
-        # floor of possible classes on either side: the exterior Ext starts
-        # at qm - maxdeg, the polynomial side at qm - (top resolution gen)
-        lo = (qm - max(top, ck.max_degree())) if t_lo is None else t_lo
-        if lo > t_hi:
-            raise ValueError(f"empty comparison window [{lo}, {t_hi}]")
-        t_b = _quantize(t_hi + top)
-        t_a = _quantize(t_b - lo)
-        a_t_max, stages = resolved_block(ck, t_a)
-        new_top = _top(stages)
-        if new_top == top:
-            break
-        top = new_top
-    else:
-        raise ArithmeticError("resolution generator degrees failed to stabilize")
+    lo = qm - top
+    if lo > t_hi:
+        raise ValueError(f"empty comparison window [{lo}, {t_hi}]")
+    t_b = t_hi + top
+    a_t_max, stages = resolved_block(ck, t_b - lo)
     B = realize(gr_module(cm, t_b - qm).shifted(qm), t_b)
 
-    dual = ext_via_dual(ck, suspend(cm, qm), t_hi - (qm - ck.max_degree()), t_hi, t_min=lo)
+    dual = ext_via_dual(ck, suspend(cm, qm), t_hi - lo, t_hi, t_min=lo)
     lhs: dict[int, int] = {}
     for (s, t), dim in dual.dims.items():
         if (t - s) % 2:

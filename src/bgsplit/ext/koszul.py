@@ -14,6 +14,8 @@ of each v_i-multiplication with the dimension of its source.  Class
 representatives are built only by `KoszulComplex.homology`, for the
 callers that need them (`project` and `v_mult`); it is one call to
 `fplin.homology_basis`, the primitive Margolis homology uses too.
+Differentials are built where they are read and not kept: a rank keeps
+only its integer, `homology` only its bases.
 
 Charts and v-injectivity reports are memoised by module content
 (`qmodules.content_key`, the same identity the gr and comparison caches
@@ -93,7 +95,6 @@ class KoszulComplex:
         self.p = module.ctx.p
         self.drops = tuple(module.ctx.q_degree(i) for i in self.qs)
         self._chains: dict[tuple[int, int], tuple[tuple, int]] = {}
-        self._diffs: dict[tuple[int, int], np.ndarray] = {}
         self._ranks: dict[tuple[int, int], int] = {}
         self._homology: dict[tuple[int, int], tuple] = {}
 
@@ -140,12 +141,8 @@ class KoszulComplex:
         """Matrix of d = sum Q_i (x) v_i from C^{s,t} to C^{s+1,t}.
 
         The v's commute and the Q's square to zero and anticommute, so no
-        extra signs are needed for d^2 = 0.
+        extra signs are needed for d^2 = 0.  Built on each call, not kept.
         """
-        key = (s, t)
-        cached = self._diffs.get(key)
-        if cached is not None:
-            return cached
         src = self.chain_blocks(s, t)
         dst = self.chain_blocks(s + 1, t)
         offsets = {}
@@ -164,7 +161,6 @@ class KoszulComplex:
                     mat[row : row + action.shape[0], col : col + dim] += action
             col += dim
         mat %= self.p
-        self._diffs[key] = mat
         return mat
 
     def v_mult_chain(self, s: int, t: int, i: int) -> np.ndarray:

@@ -156,7 +156,7 @@ def test_criterion_7_e2_comparison_and_obstructions():
             rep = propiso_check(P3, k, m)
             assert rep.passed, f"columns differ at ({k}, {m}): t in {rep.mismatches[:4]}"
             columns += len(rep.column_rows())
-    assert columns > 0
+    assert columns == 23
     ob = obstruction_report(P3, 9)
     assert ob.all_matched and ob.free_dim == 0
     assert ob.message == "theta_9 survives at E_2-comparison level"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from bgsplit.browngitler import bp_homology, brown_gitler, weight_restricted_C
-from bgsplit.ext import poly
+from bgsplit.ext import compare, poly
 from bgsplit.ext.compare import (
     PropisoReport,
     dual_module,
@@ -99,8 +99,27 @@ def test_propiso_report_flags_a_doctored_column():
 
 
 def test_propiso_rejects_an_empty_window():
+    # C_0 sits in degree 0, so its window starts at t = 0
     with pytest.raises(ValueError, match="empty comparison window"):
-        propiso_check(P3, 0, 0, t_hi=0, t_lo=10)
+        propiso_check(P3, 0, 0, t_hi=-10)
+
+
+@pytest.mark.parametrize("k, m", [(9, 0), (9, 9), (3, 9)])
+def test_propiso_windows_come_from_the_block_degrees(k, m):
+    report = propiso_check(P3, k, m)
+    qm = P3.q * m
+    assert report.t_lo == qm - weight_restricted_C(P3, k).max_degree()
+    assert report.t_hi == qm + weight_restricted_C(P3, m).max_degree() + 24
+
+
+@pytest.mark.parametrize("m", [0, 3, 9])
+def test_propiso_rejects_a_source_resolution_above_its_block(poly_work, monkeypatch, m):
+    # C_9's resolution has generators above D_0 = 0, so resolving C_0 by it
+    # must shrink the certified window below t_hi, and the check must say so
+    c9 = weight_restricted_C(P3, 9)
+    monkeypatch.setattr(compare, "resolved_block", lambda _, t_max: poly.resolved_block(c9, t_max))
+    with pytest.raises(ArithmeticError, match="certified only to"):
+        propiso_check(P3, 0, m)
 
 
 def test_brown_gitler_length_one_agrees_with_weight_restriction():
@@ -141,6 +160,11 @@ def test_obstruction_theta_nine_survives():
 
 def _columns(report: PropisoReport) -> tuple:
     return report.t_lo, report.t_hi, report.lhs_columns, report.rhs_columns
+
+
+def test_comparison_resolves_the_trivial_block_at_its_window(poly_work):
+    assert propiso_check(P3, 0, 0).passed
+    assert poly._BLOCKS[content_key(weight_restricted_C(P3, 0))][0] == 24
 
 
 def test_equal_blocks_share_one_gr_presentation(poly_work):

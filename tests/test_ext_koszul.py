@@ -111,6 +111,27 @@ def test_dim_euler_characteristic_matches_chains(make):
         assert ext == chains, t
 
 
+def test_dims_build_each_differential_once(monkeypatch):
+    # differentials are not kept, so only the rank memo stops d^{s,t}
+    # from being built again for dim(s + 1, t)
+    built = []
+    differential = KoszulComplex.differential
+
+    def counting(self, s, t):
+        built.append((s, t))
+        return differential(self, s, t)
+
+    monkeypatch.setattr(KoszulComplex, "differential", counting)
+    c9 = weight_restricted_C(P3, 9)
+    kc = KoszulComplex(c9)
+    window = [(s, t) for t in range(c9.min_degree(), 61) for s in range(7)]
+    for s, t in window:
+        kc.dim(s, t)
+    ranked = [(s, t) for s, t in window if kc.chain_dim(s, t) and kc.chain_dim(s + 1, t)]
+    assert ranked
+    assert len(built) == len(ranked)
+
+
 def _brute_force_blocks(kc, s, t):
     blocks = []
     for alpha in v_monomials(kc.qs, s):
