@@ -23,7 +23,7 @@ from .browngitler import (
 from .ext.compare import dual_module, obstruction_report, propiso_check
 from .ext.koszul import bockstein_e1, even_concentration_check, v_injectivity
 from .ext.poly import gr_module, projective_dimension
-from .fplin import is_prime
+from .fplin import MAX_PRIME, is_prime
 from .margolis import (
     InvertibleClass,
     classify_invertible,
@@ -66,6 +66,8 @@ class RunConfig:
     inject_fault: bool = False
 
     def validate(self) -> None:
+        if self.p >= MAX_PRIME:
+            raise ConfigError(f"p must be below {MAX_PRIME}")
         if not (self.p >= 3 and is_prime(self.p)):
             raise ConfigError("p must be an odd prime")
         if self.max_degree < 0:

@@ -11,9 +11,10 @@ Dimensions come from ranks, dim Ext^{s,t} = dim C^{s,t} - rank d^{s,t} -
 rank d^{s-1,t}, with each rank taken once per complex by `fplin.rank`,
 which builds no echelon form; v-injectivity likewise compares the rank
 of each v_i-multiplication with the dimension of its source.  Class
-representatives are built only by `KoszulComplex.homology`, for the
-callers that need them (`project` and `v_mult`); it is one call to
-`fplin.homology_basis`, the primitive Margolis homology uses too.
+representatives are built only by `KoszulComplex.homology`, for
+`v_mult`, which reduces the chain images of all representatives at once;
+it is one call to `fplin.homology_basis`, the primitive Margolis
+homology uses too.
 Differentials are built where they are read and not kept: a rank keeps
 only its integer, `homology` only its bases.
 
@@ -221,26 +222,24 @@ class KoszulComplex:
             return 0
         return n - self._rank(s, t) - self._rank(s - 1, t)
 
-    def project(self, s: int, t: int, vec: np.ndarray) -> np.ndarray:
-        """Class coordinates of a cycle in the homology basis at (s, t)."""
-        reps, rep_piv, borders, border_piv = self.homology(s, t)
-        reduced = reduce_mod_rows(vec % self.p, borders, border_piv, self.p)
-        coords = reduced[list(rep_piv)] if rep_piv else np.zeros(0, dtype=np.int64)
-        if not np.array_equal((coords @ reps) % self.p, reduced):
-            raise ValueError("vector is not a cycle at this bidegree")
-        return coords
-
     def v_mult(self, s: int, t: int, i: int) -> np.ndarray:
-        """Induced map on classes (s,t) -> (s+1, t+d_i), columns = sources."""
+        """Induced map on classes (s,t) -> (s+1, t+d_i), columns = sources.
+
+        A reduced image's class coordinates are its entries at the pivots
+        of the target's representatives.
+        """
         reps = self.homology(s, t)[0]
         target = (s + 1, t + self.module.ctx.q_degree(i))
-        out = np.zeros((self.dim(*target), reps.shape[0]), dtype=np.int64)
-        if reps.shape[0] == 0 or out.shape[0] == 0:
-            return out
-        chain = self.v_mult_chain(s, t, i)
-        for col, rep in enumerate(reps):
-            out[:, col] = self.project(*target, (chain @ rep) % self.p)
-        return out
+        n = self.dim(*target)
+        if reps.shape[0] == 0 or n == 0:
+            return np.zeros((n, reps.shape[0]), dtype=np.int64)
+        treps, trep_piv, borders, border_piv = self.homology(*target)
+        images = (reps @ self.v_mult_chain(s, t, i).T) % self.p
+        reduced = reduce_mod_rows(images, borders, border_piv, self.p)
+        coords = reduced[:, list(trep_piv)]
+        if not np.array_equal((coords @ treps) % self.p, reduced):
+            raise ValueError("vector is not a cycle at this bidegree")
+        return coords.T
 
 
 _CHARTS: dict[tuple, dict[tuple[int, int], int]] = {}

@@ -15,7 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..fplin import coset_representatives, kernel_array, quotient_projection, rank, rref_array
+from ..fplin import (
+    coset_representatives, kernel_array, quotient_projection, rank, reduce_mod_rows, rref_array,
+)
 from ..monomials import exponent_vectors
 from ..qmodules import QModule, content_key
 from .koszul import BigradedDims, KoszulComplex
@@ -465,10 +467,9 @@ def p_resolution(m: PModule, u_max: int) -> list[PStage]:
                 if dst not in kernels:
                     continue
                 pushed = _relabel(rows, columns[bd], col_index[dst], j)
-                coords = pushed[:, piv_of[dst]]
-                if ((coords @ kernels[dst] - pushed) % m.p).any():
+                if reduce_mod_rows(pushed, kernels[dst], piv_of[dst], m.p).any():
                     raise AssertionError("kernel is not closed under the v's")
-                mat = coords.T % m.p
+                mat = pushed[:, piv_of[dst]].T % m.p
                 if mat.size:
                     kacts[j][bd] = mat
         # a submodule of a commuting action inherits commutation

@@ -12,8 +12,10 @@ form.  It peels singleton columns and rows in vectorised passes
 left over to `rref_array`.  It returns only an integer, so the order in
 which it takes pivots cannot show in any output.
 
-Entries stay far below int64 overflow because every product is reduced
-mod p before the next accumulation (p is small, at most a few hundred).
+Primes stay below `MAX_PRIME` = 2^16 (the CLI rejects larger ones), so
+a product of two residues is below 2^32 and a matrix product of residues
+over fewer than 2^31 terms stays inside int64.  That makes a single
+`% p` after a whole product exact, which `reduce_mod_rows` relies on.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "MAX_PRIME",
     "rank",
     "rref_array",
     "reduce_mod_rows",
@@ -33,6 +36,8 @@ __all__ = [
     "solve_columns",
     "is_prime",
 ]
+
+MAX_PRIME = 2**16
 
 
 def is_prime(n: int) -> bool:
@@ -112,13 +117,14 @@ def rank(a: np.ndarray, p: int) -> int:
 
 
 def reduce_mod_rows(v: np.ndarray, rref_rows: np.ndarray, pivots: tuple[int, ...], p: int) -> np.ndarray:
-    """Reduce a residue vector against reduced-echelon rows (pure)."""
-    out = v.copy()
-    for k, c in enumerate(pivots):
-        coeff = out[c]
-        if coeff:
-            out = (out - coeff * rref_rows[k]) % p
-    return out
+    """Reduce a residue vector, or each row of a matrix, against reduced-echelon rows.
+
+    Each row is zero at every other row's pivot, so the coefficient of a
+    row is the input's entry at its pivot and the whole reduction is one
+    product followed by one `% p`.
+    """
+    v = np.asarray(v, dtype=np.int64)
+    return (v - v[..., list(pivots)] @ rref_rows) % p
 
 
 def kernel_array(a: np.ndarray, p: int) -> np.ndarray:
@@ -135,10 +141,8 @@ def kernel_array(a: np.ndarray, p: int) -> np.ndarray:
     if not free:
         return np.zeros((0, cols), dtype=np.int64)
     vecs = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        vecs[k, f] = 1
-        for r, c in enumerate(pivots):
-            vecs[k, c] = (-red[r, f]) % p
+    vecs[np.arange(len(free)), free] = 1
+    vecs[:, pivots] = (-red[: len(pivots)][:, free].T) % p
     normal, _ = rref_array(vecs, p)
     return normal
 
@@ -147,16 +151,6 @@ def _echelon_rows(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """The nonzero rows of rref(a) and their pivot columns."""
     rows, pivots = rref_array(a, p)
     return rows[: len(pivots)], tuple(pivots)
-
-
-def _reduced_echelon(
-    vectors: np.ndarray, sub: np.ndarray, sub_pivots: tuple[int, ...], p: int
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Echelon basis of the vectors reduced against the echelon rows `sub`."""
-    if vectors.shape[0] == 0:
-        return vectors, ()
-    reduced = np.array([reduce_mod_rows(v, sub, sub_pivots, p) for v in vectors])
-    return _echelon_rows(reduced, p)
 
 
 def coset_representatives(vectors: np.ndarray, subspace_rows: np.ndarray, p: int) -> np.ndarray:
@@ -170,7 +164,7 @@ def coset_representatives(vectors: np.ndarray, subspace_rows: np.ndarray, p: int
     if vectors.shape[0] == 0:
         return vectors
     sub, spiv = _echelon_rows(np.asarray(subspace_rows, dtype=np.int64), p)
-    return _reduced_echelon(vectors, sub, spiv, p)[0]
+    return _echelon_rows(reduce_mod_rows(vectors, sub, spiv, p), p)[0]
 
 
 def homology_basis(
@@ -183,7 +177,8 @@ def homology_basis(
     them, one per homology class.  An (n x 0) d_in has no boundaries.
     """
     borders, border_pivots = _echelon_rows(np.asarray(d_in, dtype=np.int64).T, p)
-    reps, rep_pivots = _reduced_echelon(kernel_array(d_out, p), borders, border_pivots, p)
+    cycles = reduce_mod_rows(kernel_array(d_out, p), borders, border_pivots, p)
+    reps, rep_pivots = _echelon_rows(cycles, p)
     return reps, rep_pivots, borders, border_pivots
 
 

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fplin import quotient_projection, rref_array
+from .fplin import quotient_projection, reduce_mod_rows, rref_array
 from .monomials import (
     AlgebraSpec,
     Monomial,
@@ -533,20 +533,11 @@ def submodule_generated(m: QModule, elements: Iterable) -> tuple[QModule, QModul
         for d, rows in spans.items():
             lower = spans.get(d - di)
             img = (m.act(i, d) @ rows.T).T % p
-            mat = np.zeros((0 if lower is None else lower.shape[0], rows.shape[0]), dtype=np.int64)
-            for col in range(rows.shape[0]):
-                v = img[col]
-                if not v.any():
-                    continue
-                if lower is None:
-                    raise ValueError("closure sweep missed a Q-image")
-                coords = v[pivots_of[d - di]]
-                residue = (v - coords @ lower) % p
-                if residue.any():
-                    raise ValueError("closure sweep missed a Q-image")
-                mat[:, col] = coords
-            if mat.size:
-                actions[i][d] = mat
+            if lower is not None:
+                actions[i][d] = img[:, pivots_of[d - di]].T
+                img = reduce_mod_rows(img, lower, pivots_of[d - di], p)
+            if img.any():
+                raise ValueError("closure sweep missed a Q-image")
     sub = QModule(m.ctx, m.qs, basis, actions, m.truncated_above)
     inc = QModuleMap(sub, m, {d: rows.T for d, rows in spans.items()})
     return sub, inc

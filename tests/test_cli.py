@@ -11,6 +11,7 @@ from bgsplit.monomials import PrimeContext
 from bgsplit.qmodules import direct_sum, trivial_module
 
 GOLDEN_P3_K0 = Path(__file__).parent / "data" / "verify_p3_k0.json"
+GOLDEN_P3_DEFAULT = Path(__file__).parent / "data" / "verify_p3_default.json"
 GOLDEN_P5_T100 = Path(__file__).parent / "data" / "verify_p5_t100.json"
 GOLDEN_BASIS = Path(__file__).parent / "data" / "basis_p3_i2_d120.tsv"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -64,6 +65,13 @@ def test_odd_composite_and_two_are_config_errors(capsys):
         code = main(["verify-splitting", "--p", p, "--max-degree", "0", "--k-max", "0"])
         assert code == 2
         assert "p must be an odd prime" in capsys.readouterr().err
+
+
+def test_prime_at_or_above_the_bound_is_a_config_error(capsys):
+    # 65537 is prime but above fplin.MAX_PRIME, where int64 products stop being exact
+    for argv in (["basis", "--i", "1"], ["verify-splitting", "--k-max", "0"]):
+        assert main(argv + ["--p", "65537", "--max-degree", "0"]) == 2
+        assert "p must be below 65536" in capsys.readouterr().err
 
 
 def test_bad_ranges_are_config_errors(capsys):
@@ -203,6 +211,12 @@ def test_benchmark_window_report_is_byte_identical(capsys):
     argv = ["verify-splitting", "--p", "3", "--max-degree", "60", "--k-max", "0", "--s-max", "6"]
     assert main(argv + ["--format", "json"]) == 0
     assert capsys.readouterr().out == GOLDEN_P3_K0.read_text(encoding="utf-8")
+
+
+def test_default_window_report_is_byte_identical(capsys):
+    # the default window: the only golden whose e2-comparison has nonzero columns
+    assert main(["verify-splitting", "--format", "json"]) == 0
+    assert capsys.readouterr().out == GOLDEN_P3_DEFAULT.read_text(encoding="utf-8")
 
 
 def test_p5_window_report_is_byte_identical(capsys):

@@ -16,6 +16,7 @@ from bgsplit.ext.koszul import (
     v_injectivity,
     v_monomials,
 )
+from bgsplit.ext.poly import ext_p_module
 from bgsplit.fplin import rref_array
 from bgsplit.margolis import classify_invertible, construct_model
 from bgsplit.monomials import PrimeContext
@@ -189,6 +190,22 @@ def test_v_multiplication_commutes_with_the_differential():
                     rhs = kc.v_mult_chain(s + 1, t, i) @ kc.differential(s, t)
                     assert lhs.shape == rhs.shape
                     assert not ((lhs - rhs) % 3).any(), (i, s, t)
+
+
+def test_v_mult_rejects_images_that_are_not_cycles(monkeypatch):
+    # An all-ones "multiplication" is no chain map.  The free summand puts
+    # nonzero differentials beside the trivial summand's classes, so some
+    # image is not a cycle.  On C_9 and C_27 through t = 60 every differential
+    # out of a v_mult target is zero, so a block cannot reach the guard.
+    def all_ones(self, s, t, i):
+        target = self.chain_dim(s + 1, t + self.module.ctx.q_degree(i))
+        return np.ones((target, self.chain_dim(s, t)), dtype=np.int64)
+
+    module = direct_sum([trivial_module(P3, FULL), free_module(P3, FULL, 6)])
+    assert ext_p_module(module, 30).dims
+    monkeypatch.setattr(KoszulComplex, "v_mult_chain", all_ones)
+    with pytest.raises(ValueError, match="not a cycle"):
+        ext_p_module(module, 30)
 
 
 def test_free_module_ext_concentrated_in_s0():

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bgsplit
@@ -296,3 +296,38 @@ def test_quotient_projection_is_reduction_mod_rows(pm, data):
         v = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)), dtype=np.int64)
         assert np.array_equal((proj @ v) % p, reduce_mod_rows(v, rows, tuple(piv), p)[keep])
     assert not ((proj @ rows.T) % p).any()
+
+
+def _reduce_row_by_row(v: np.ndarray, rows: np.ndarray, pivots, p: int) -> np.ndarray:
+    """The sequential reference: subtract each echelon row in pivot order."""
+    out = v % p
+    for row, c in zip(rows, pivots):
+        out = (out - out[c] * row) % p
+    return out
+
+
+@st.composite
+def echelon_rows_and_vectors(draw):
+    """(p, reduced-echelon rows, their pivots, a matrix of residue rows)."""
+    p, a = draw(fp_matrices())
+    rows, pivots = _row_space(a, p), rref_array(a, p)[1]
+    k = draw(st.integers(min_value=0, max_value=4))
+    n = a.shape[1]
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=k * n, max_size=k * n))
+    return p, rows, pivots, np.array(entries, dtype=np.int64).reshape((k, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_rows_and_vectors())
+@example((3, np.zeros((0, 3), dtype=np.int64), [], _m([[1, 2, 0], [0, 0, 2]])))
+@example((5, _m([[1, 0, 3], [0, 1, 4]]), [0, 1], np.zeros((0, 3), dtype=np.int64)))
+@example((3, np.zeros((0, 2), dtype=np.int64), [], np.zeros((0, 2), dtype=np.int64)))
+def test_matrix_reduction_equals_row_by_row(case):
+    p, rows, pivots, vecs = case
+    reduced = reduce_mod_rows(vecs, rows, tuple(pivots), p)
+    assert reduced.shape == vecs.shape
+    expected = [_reduce_row_by_row(v, rows, pivots, p) for v in vecs]
+    for got, single, want in zip(reduced, vecs, expected):
+        assert np.array_equal(got, want)
+        assert np.array_equal(reduce_mod_rows(single, rows, tuple(pivots), p), want)
+    assert not reduced[:, list(pivots)].any()

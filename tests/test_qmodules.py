@@ -307,6 +307,22 @@ def test_submodule_generated_by_tau2_spans_free_orbit():
     assert verify_map(inc).passed
 
 
+def test_submodule_generated_rejects_an_image_the_sweep_missed():
+    # every action read after the closure sweep is perturbed, so the sweep's span is not closed
+    m = direct_sum([b19_module(), b19_module()])
+    real, read = m.act, set()
+
+    def act(i, d):
+        if (i, d) in read:
+            return (real(i, d) + 1) % P3.p
+        read.add((i, d))
+        return real(i, d)
+
+    m.act = act
+    with pytest.raises(ValueError, match="closure sweep missed a Q-image"):
+        submodule_generated(m, [m.element((0, mono("tau2")))])
+
+
 def test_quotient_by_nothing_and_by_everything():
     m = b19_module()
     q0, proj0 = quotient(m, [])
