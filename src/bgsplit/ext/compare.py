@@ -10,15 +10,15 @@ t - s odd) must land in a matched column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..browngitler import brown_gitler, length_splitting, weight_restricted_C
 from ..monomials import PrimeContext
-from ..qmodules import QModule, suspend, tensor
+from ..qmodules import QModule, tensor
 from .koszul import BigradedDims, ext_koszul
-from .poly import ext_from_resolution, gr_module, realize, resolved_block
+from .poly import ext_from_resolution, resolved_block
 
 _PAD = 24
 
@@ -60,13 +60,13 @@ def ext_via_dual(
 
 
 # -- the per-t comparison and its windows --------------------------------------
-# Both sides read `poly.resolved_block`, the one content-keyed memo of P(2)
-# resolutions: the source block's stages directly, the target through its
-# gr presentation.  Windows come from the block degrees: every generator of
-# C_k's resolution sits at or below D_k = C_k.max_degree(), so classes start
-# at qm - D_k and B must reach t_hi + D_k.  `ext_from_resolution` certifies
-# from the actual generator degrees, so a generator above D_k would shrink
-# the certified range and the check would raise rather than report.
+# A suspension only shifts t, so each pair is computed between C_k and C_m
+# and reported shifted by qm.  Both sides read `poly.resolved_block`: the
+# source block's stages and the target block's Ext, cut to its window.  Every
+# generator of C_k's resolution sits at or below D_k = C_k.max_degree(), so
+# classes start at -D_k and the target must reach hi + D_k.  The polynomial
+# side certifies from the generator degrees and the target's window, so a
+# higher generator or an uncut target makes the check raise, not report.
 
 
 @dataclass
@@ -114,9 +114,9 @@ def propiso_check(ctx: PrimeContext, k: int, m: int, t_hi: int | None = None) ->
 
     The exterior side maps the weight-pk block into the qm-suspended
     weight-pm block and is exact at every t; the polynomial side resolves
-    the source through t_hi - (qm - D_k) and realizes the target through
-    t_hi + D_k, with D_k the source block's top degree, and must certify
-    the whole window.
+    the source through hi + 2 D_k and maps into the target's Ext through
+    hi + D_k (hi = t_hi - qm, D_k the source block's top degree), and
+    must certify the whole window.
     """
     ck = weight_restricted_C(ctx, k)
     cm = weight_restricted_C(ctx, m)
@@ -124,23 +124,24 @@ def propiso_check(ctx: PrimeContext, k: int, m: int, t_hi: int | None = None) ->
     top = ck.max_degree()
     if t_hi is None:
         t_hi = qm + cm.max_degree() + _PAD
-    lo = qm - top
+    lo, hi = qm - top, t_hi - qm
     if lo > t_hi:
         raise ValueError(f"empty comparison window [{lo}, {t_hi}]")
-    t_b = t_hi + top
-    a_t_max, stages = resolved_block(ck, t_b - lo)
-    B = realize(gr_module(cm, t_b - qm).shifted(qm), t_b)
+    ext_k, stages = resolved_block(ck, hi + 2 * top)
+    B = resolved_block(cm, hi + top)[0].truncated(hi + top)
 
-    dual = ext_via_dual(ck, suspend(cm, qm), t_hi - lo, t_hi, t_min=lo)
+    dual = ext_via_dual(ck, cm, hi + top, hi, t_min=-top)
+    shifted = {(s, t + qm): d for (s, t), d in dual.dims.items()}
     lhs: dict[int, int] = {}
-    for (s, t), dim in dual.dims.items():
+    for (s, t), dim in shifted.items():
         if (t - s) % 2:
             lhs[t] = lhs.get(t, 0) + dim
-    poly = ext_from_resolution(stages, a_t_max, B, 1, t_hi, t_min=lo)
-    if poly.t_max < t_hi:
-        raise ArithmeticError(f"polynomial side certified only to {poly.t_max} < {t_hi}")
-    rhs = {t: d for (u, t), d in poly.dims.items() if u == 1}
-    return PropisoReport(k, m, qm, lo, t_hi, lhs, rhs, dual)
+    poly = ext_from_resolution(stages, ext_k.t_max, B, 1, hi, t_min=-top)
+    if poly.t_max < hi:
+        raise ArithmeticError(f"polynomial side certified only to {poly.t_max + qm} < {t_hi}")
+    rhs = {t + qm: d for (u, t), d in poly.dims.items() if u == 1}
+    exterior = replace(dual, dims=shifted, t_max=t_hi, t_min=lo)
+    return PropisoReport(k, m, qm, lo, t_hi, lhs, rhs, exterior)
 
 
 # -- the obstruction survey ------------------------------------------------------

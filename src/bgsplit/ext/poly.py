@@ -87,6 +87,17 @@ class PModule:
             return np.zeros((self.dim(s + 1, t + dv), self.dim(s, t)), dtype=np.int64)
         return mat
 
+    def truncated(self, t_max: int) -> "PModule":
+        """The same module, known only for t <= t_max."""
+        if t_max > self.t_max:
+            raise ValueError(f"t_max {t_max} exceeds the certified window {self.t_max}")
+        dims = {bd: n for bd, n in self.dims.items() if bd[1] <= t_max}
+        acts = {
+            j: {bd: m for bd, m in a.items() if bd[1] + self.var_degrees[j] <= t_max}
+            for j, a in self.acts.items()
+        }
+        return PModule(self.p, self.var_degrees, dims, acts, t_max, _skip_check=True)
+
     def _check(self) -> None:
         for j, a in self.acts.items():
             dv = self.var_degrees[j]
@@ -155,12 +166,6 @@ class PolyPresentation:
     generators: tuple[Bidegree, ...]
     relations: tuple[tuple[Bidegree, RelationEntries], ...]
     t_max: int
-    note: str | None = None
-
-    def shifted(self, dt: int) -> "PolyPresentation":
-        gens = tuple((s, t + dt) for s, t in self.generators)
-        rels = tuple(((s, t + dt), entries) for (s, t), entries in self.relations)
-        return PolyPresentation(self.p, self.var_degrees, gens, rels, self.t_max + dt, self.note)
 
     def relation_strings(self) -> list[str]:
         out = []
@@ -280,26 +285,27 @@ def _cover_and_kernels(target: PModule, reps, columns):
 
 # -- gr and realization ----------------------------------------------------------
 # One memo per block content, so equal weight blocks (C_k depends only on
-# floor(k/p)) share one entry.  An entry holds the minimal resolution of
-# Ext(F_p, module) through stage 2 at the largest window asked for so far:
-# gr presentations read its first two stages, and the E_2 comparison
-# resolves over all three.  Stages at t depend only on Ext in degrees <= t,
-# so a smaller window is served by truncation.
+# floor(k/p)) share one entry: Ext(F_p, module) and its minimal resolution
+# through stage 2, at the largest window asked for so far.  gr presentations
+# read the first two stages; the E_2 comparison resolves a source block over
+# all three and maps into a target block's Ext.  Both at t depend only on Ext
+# in degrees <= t, so a smaller window is served by truncation.
 
 
-_BLOCKS: dict[tuple, tuple[int, list[PStage]]] = {}
+_BLOCKS: dict[tuple, tuple[PModule, list[PStage]]] = {}
 
 
-def resolved_block(module: QModule, t_max: int) -> tuple[int, list[PStage]]:
-    """(window, stages 0..2) of the minimal resolution of Ext(F_p, module).
+def resolved_block(module: QModule, t_max: int) -> tuple[PModule, list[PStage]]:
+    """(Ext(F_p, module), stages 0..2 of its minimal resolution).
 
-    The window is the largest one asked for so far, at least t_max;
-    t_max may not exceed the module's certified degree.
+    Both hold through ext.t_max, the largest window asked for so far and at
+    least t_max; t_max may not exceed the module's certified degree.
     """
     key = content_key(module)
     got = _BLOCKS.get(key)
-    if got is None or got[0] < t_max:
-        got = _BLOCKS[key] = (t_max, p_resolution(ext_p_module(module, t_max), 2))
+    if got is None or got[0].t_max < t_max:
+        ext = ext_p_module(module, t_max)
+        got = _BLOCKS[key] = (ext, p_resolution(ext, 2))
     return got
 
 
@@ -309,27 +315,21 @@ def gr_module(module: QModule, t_max: int) -> PolyPresentation:
     The relevant Adams filtrations collapse, so the associated graded is
     the Ext itself; generators are a basis of Ext/(v Ext) and relations
     are minimal generators of the free cover's kernel, both exact for
-    t <= t_max (capped at the module's own certification, with a note).
+    t <= t_max, which may not exceed the module's certified degree.
 
     Generators are stage 0 of the block's memoised resolution; relations
     are stage 1's generator vectors read over stage 0's columns as
     (gen, alpha, coefficient) entries.
     """
-    cap = module.truncated_above
-    note = None
-    tm = t_max
-    if cap is not None and t_max > cap:
-        tm = cap
-        note = f"t_max shrunk to certified {cap}"
-    _, stages = resolved_block(module, tm)
+    _, stages = resolved_block(module, t_max)
     # generators and relations are listed in ascending (t, s), so the kept
     # generators are a prefix and the relations' generator indices stay valid
-    generators = tuple(bd for bd in stages[0].gen_bidegrees if bd[1] <= tm) if stages else ()
+    generators = tuple(bd for bd in stages[0].gen_bidegrees if bd[1] <= t_max) if stages else ()
     relations = []
     if len(stages) > 1:
         cover, syzygies = stages[:2]
         for bd, vector in zip(syzygies.gen_bidegrees, syzygies.gen_vectors):
-            if bd[1] > tm:
+            if bd[1] > t_max:
                 continue
             entries = tuple(
                 (g, alpha, int(vector[pos]))
@@ -338,22 +338,21 @@ def gr_module(module: QModule, t_max: int) -> PolyPresentation:
             )
             relations.append((bd, entries))
     var_degrees = tuple(module.ctx.q_degree(i) for i in module.qs)
-    return PolyPresentation(module.ctx.p, var_degrees, generators, tuple(relations), tm, note)
+    return PolyPresentation(module.ctx.p, var_degrees, generators, tuple(relations), t_max)
 
 
-def realize(pres: PolyPresentation, t_max: int | None = None) -> PModule:
+def realize(pres: PolyPresentation) -> PModule:
     """The presented module, built degreewise: free basis modulo relations.
 
-    Exact for t <= min(t_max, pres.t_max): relations only propagate
-    upward in t, so no relation above the window can reach below it.
+    Exact for t <= pres.t_max: relations only propagate upward in t, so
+    no relation above the window can reach below it.
     """
     p = pres.p
-    tm = pres.t_max if t_max is None else min(t_max, pres.t_max)
-    columns = _free_columns(pres.generators, pres.var_degrees, tm)
+    columns = _free_columns(pres.generators, pres.var_degrees, pres.t_max)
     col_index = _column_index(columns)
     rel_rows: dict[Bidegree, list[np.ndarray]] = {}
     for bd, entries in pres.relations:
-        if bd[1] > tm:
+        if bd[1] > pres.t_max:
             continue
         row = np.zeros(len(columns[bd]), dtype=np.int64)
         for g, alpha, c in entries:
@@ -395,7 +394,7 @@ def realize(pres: PolyPresentation, t_max: int | None = None) -> PModule:
                 mat[:, c] = projs[dst][:, col_index[dst][(g, beta)]]
             if mat.size:
                 acts[j][bd] = mat
-    return PModule(p, pres.var_degrees, dims, acts, tm)
+    return PModule(p, pres.var_degrees, dims, acts, pres.t_max)
 
 
 # -- minimal resolutions and Ext -------------------------------------------------

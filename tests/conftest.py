@@ -41,8 +41,8 @@ def poly_work(monkeypatch):
         work.exts.append(out)
         return out
 
-    def counting_realize(pres, t_max=None):
-        out = realize(pres, t_max)
+    def counting_realize(pres):
+        out = realize(pres)
         work.realized.append(out)
         return out
 

@@ -12,6 +12,7 @@ from bgsplit.qmodules import direct_sum, trivial_module
 
 GOLDEN_P3_K0 = Path(__file__).parent / "data" / "verify_p3_k0.json"
 GOLDEN_P3_DEFAULT = Path(__file__).parent / "data" / "verify_p3_default.json"
+GOLDEN_P3_DEFAULT_TEXT = Path(__file__).parent / "data" / "verify_p3_default.txt"
 GOLDEN_P5_T100 = Path(__file__).parent / "data" / "verify_p5_t100.json"
 GOLDEN_BASIS = Path(__file__).parent / "data" / "basis_p3_i2_d120.tsv"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -217,6 +218,12 @@ def test_default_window_report_is_byte_identical(capsys):
     # the default window: the only golden whose e2-comparison has nonzero columns
     assert main(["verify-splitting", "--format", "json"]) == 0
     assert capsys.readouterr().out == GOLDEN_P3_DEFAULT.read_text(encoding="utf-8")
+
+
+def test_default_window_text_report_is_byte_identical(capsys):
+    # the text renderer at the default window, with its nonzero comparison columns
+    assert main(["verify-splitting"]) == 0
+    assert capsys.readouterr().out == GOLDEN_P3_DEFAULT_TEXT.read_text(encoding="utf-8")
 
 
 def test_p5_window_report_is_byte_identical(capsys):

@@ -117,9 +117,43 @@ def test_propiso_rejects_a_source_resolution_above_its_block(poly_work, monkeypa
     # C_9's resolution has generators above D_0 = 0, so resolving C_0 by it
     # must shrink the certified window below t_hi, and the check must say so
     c9 = weight_restricted_C(P3, 9)
-    monkeypatch.setattr(compare, "resolved_block", lambda _, t_max: poly.resolved_block(c9, t_max))
+    # the target block reads only the Ext of its entry, so swapping in
+    # C_9's stages doctors the source alone
+    def with_c9_stages(module, t_max):
+        return poly.resolved_block(module, t_max)[0], poly.resolved_block(c9, t_max)[1]
+
+    monkeypatch.setattr(compare, "resolved_block", with_c9_stages)
     with pytest.raises(ArithmeticError, match="certified only to"):
         propiso_check(P3, 0, m)
+
+
+def test_propiso_rejects_an_uncut_target(poly_work, monkeypatch):
+    # the source asks for C_9 at a larger window first, so an uncut target
+    # reaches past hi + D_9 and lifts the certified floor above -D_9
+    monkeypatch.setattr(poly.PModule, "truncated", lambda self, t_max: self)
+    with pytest.raises(ValueError, match="below the certified floor"):
+        propiso_check(P3, 9, 9)
+
+
+@pytest.mark.parametrize(
+    "pairs, nonzero",
+    [(((9, 0), (10, 2), (11, 1)), 1), (((9, 9), (10, 11)), 5)],
+)
+def test_class_pairs_are_shifts(pairs, nonzero):
+    # C_k depends only on floor(k/p): a pair with the same two contents is
+    # the first one shifted by q(m - m0), windows and exterior chart included
+    (k0, m0), *rest = pairs
+    first = propiso_check(P3, k0, m0)
+    assert len(first.column_rows()) == nonzero
+    for k, m in rest:
+        d = P3.q * (m - m0)
+        report = propiso_check(P3, k, m)
+        assert (report.t_lo, report.t_hi) == (first.t_lo + d, first.t_hi + d)
+        assert report.lhs_columns == {t + d: n for t, n in first.lhs_columns.items()}
+        assert report.rhs_columns == {t + d: n for t, n in first.rhs_columns.items()}
+        assert report.exterior_dims.dims == {
+            (s, t + d): n for (s, t), n in first.exterior_dims.dims.items()
+        }
 
 
 def test_brown_gitler_length_one_agrees_with_weight_restriction():
@@ -164,7 +198,7 @@ def _columns(report: PropisoReport) -> tuple:
 
 def test_comparison_resolves_the_trivial_block_at_its_window(poly_work):
     assert propiso_check(P3, 0, 0).passed
-    assert poly._BLOCKS[content_key(weight_restricted_C(P3, 0))][0] == 24
+    assert poly._BLOCKS[content_key(weight_restricted_C(P3, 0))][0].t_max == 24
 
 
 def test_equal_blocks_share_one_gr_presentation(poly_work):
@@ -185,10 +219,10 @@ def test_comparison_does_not_depend_on_cache_history(poly_work):
 
 def test_comparison_resolves_only_block_builds(poly_work):
     # the source block's resolution is the one its gr presentation came
-    # from: nothing is realized and resolved a second time
+    # from, and the target is the block's own Ext: nothing is realized
     for m in (0, 9):
         assert propiso_check(P3, 9, m).passed
     assert poly_work.blocks
     assert len(poly_work.resolved) == len(poly_work.blocks)
     assert not poly_work.outside
-    assert not any(a is r for a in poly_work.resolved for r in poly_work.realized)
+    assert not poly_work.realized

@@ -70,11 +70,13 @@ def test_realize_roundtrip_matches_koszul_module():
                 assert built.act(j, s, t).shape == direct.act(j, s, t).shape
 
 
-def test_gr_caps_to_certified_window():
+def test_gr_rejects_a_window_past_the_certified_degree():
+    # a truncated module certifies nothing above its truncation, so the
+    # window is refused rather than quietly cut
     bounded = bp_homology(P3, 2, 30).module
-    pres = gr_module(bounded, 90)
-    assert pres.t_max == 30
-    assert pres.note is not None
+    with pytest.raises(ValueError, match="exceeds the certified degree 30"):
+        gr_module(bounded, 90)
+    assert gr_module(bounded, 30).t_max == 30
 
 
 def test_residue_field_resolution_is_koszul():
@@ -124,8 +126,8 @@ def test_ext_from_free_source_is_hom_only():
 
 def test_ext_u_line_vanishes_above_projective_dimension():
     a = gr_module(weight_restricted_C(P3, 9), 70)
-    for m, shift in ((0, 0), (3, 12), (9, 36)):
-        b = gr_module(weight_restricted_C(P3, m), 40).shifted(shift)
+    for m in (0, 3, 9):
+        b = gr_module(weight_restricted_C(P3, m), 40)
         ext = ext_over_P2(a, b, 4, 20)
         assert all(u <= 1 for u, _ in ext.dims), sorted(ext.dims)
 
@@ -197,17 +199,6 @@ def test_re_resolving_a_realized_gr_gives_its_presentation(p, k):
     assert len(stages) <= 2
 
 
-def test_shifted_presentation_moves_everything():
-    pres = gr_module(weight_restricted_C(P3, 9), 50)
-    moved = pres.shifted(36)
-    assert moved.generators == tuple((s, t + 36) for s, t in pres.generators)
-    assert moved.relations[0][0] == (1, 17 + 36)
-    assert moved.t_max == 86
-    back = realize(moved, 60)
-    base = realize(pres, 24)
-    assert back.dims == {(s, t + 36): d for (s, t), d in base.dims.items()}
-
-
 # -- block and projective-dimension memos -------------------------------------------
 
 
@@ -243,6 +234,27 @@ def test_same_basis_with_zero_actions_gets_its_own_gr(poly_work):
     assert projective_dimension(inert).length == 0
     assert projective_dimension(acted).length == 1
     assert len(poly_work.outside) == 2
+
+
+@pytest.mark.parametrize("t_max", [41, 58])
+def test_truncated_block_equals_a_build_at_that_window(poly_work, t_max):
+    # the comparison cuts a held block's Ext down to its window; the cut
+    # must be what a build at that window gives, matrix for matrix
+    c9 = weight_restricted_C(P3, 9)
+    held, _ = poly.resolved_block(c9, 75)
+    assert held.t_max == 75
+    cut = held.truncated(t_max)
+    direct = ext_p_module(c9, t_max)
+    assert cut.t_max == direct.t_max == t_max
+    assert cut.dims == direct.dims
+    assert {j: sorted(a) for j, a in cut.acts.items()} == {
+        j: sorted(a) for j, a in direct.acts.items()
+    }
+    for j, a in direct.acts.items():
+        for bd, mat in a.items():
+            assert np.array_equal(cut.act(j, *bd), mat)
+    with pytest.raises(ValueError, match="exceeds the certified window 75"):
+        held.truncated(76)
 
 
 def test_mutating_a_returned_pd_report_leaves_the_memo_alone(poly_work):
