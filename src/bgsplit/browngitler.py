@@ -137,8 +137,12 @@ class SplitPair:
                 raise ValueError(f"retraction fails to invert the inclusion at degree {d}")
 
 
+@lru_cache(maxsize=None)
 def bp_homology(ctx: PrimeContext, n: int, max_degree: int) -> BPHomology:
-    """Homology of BP<n> through max_degree, with its full Q_0,Q_1,Q_2 action."""
+    """Homology of BP<n> through max_degree, with its full Q_0,Q_1,Q_2 action.
+
+    Memoised per (prime, n, degree), so every caller shares one build.
+    """
     if n < 0:
         raise ValueError("truncation index must be nonnegative")
     monos = enumerate_by_degree(ctx, AlgebraSpec(n), max_degree)

@@ -25,14 +25,10 @@ from .poly import (
     PdReport,
     PModule,
     PolyPresentation,
-    ext_over_P2,
     ext_p_module,
-    free_presentation,
     gr_module,
     p_resolution,
     projective_dimension,
-    realize,
-    residue_field_presentation,
 )
 from .resolution import ResolutionStage, ext_general, minimal_resolution
 
@@ -54,18 +50,14 @@ __all__ = [
     "even_concentration_check",
     "ext_general",
     "ext_koszul",
-    "ext_over_P2",
     "ext_p_module",
     "ext_via_dual",
-    "free_presentation",
     "gr_module",
     "minimal_resolution",
     "obstruction_report",
     "p_resolution",
     "projective_dimension",
     "propiso_check",
-    "realize",
-    "residue_field_presentation",
     "v_injectivity",
     "v_monomials",
 ]

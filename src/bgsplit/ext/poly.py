@@ -6,18 +6,21 @@ P = F_p[v_j : j in qs] with v_j in bidegree (1, 2p^j - 1).  Since every
 v_j strictly raises the internal degree t, all computations can run
 degreewise below a ceiling t_max, and every derived object records the
 window it is exact on.
+
+Each weight block is resolved once: `resolved_block` holds Ext(F_p, C)
+and stages 0..2 of its minimal resolution per block content.  A gr
+presentation is a view of that memo, projective dimension reads its length
+and socle off the view, and the E_2 comparison maps the same stages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ..fplin import (
-    coset_representatives, kernel_array, quotient_projection, rank, reduce_mod_rows, rref_array,
-)
+from ..fplin import coset_representatives, kernel_array, rank, reduce_mod_rows
 from ..monomials import exponent_vectors
 from ..qmodules import QModule, content_key
 from .koszul import BigradedDims, KoszulComplex
@@ -152,49 +155,56 @@ def ext_p_module(module: QModule, t_max: int) -> PModule:
 RelationEntries = tuple[tuple[int, tuple[int, ...], int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyPresentation:
-    """Generators and relations of a bigraded P-module, exact for t <= t_max.
+    """Minimal presentation of a bigraded P-module, exact for t <= t_max.
 
-    Each relation is ((s, t), entries) with entries (gen index, alpha,
-    coefficient): the element sum c * v^alpha * gen vanishes.  Minimality
-    means no entry has alpha = 0 (no unit in the relation matrix).
+    A view of two things: the module itself, known for t <= t_max, and
+    the first stages of its minimal resolution, which may be known past
+    t_max and are read only at t <= t_max.  Generators are stage 0's
+    bidegrees; each relation is ((s, t), entries), stage 1's vector read
+    over stage 0's columns as (gen index, alpha, coefficient): the element
+    sum c * v^alpha * gen vanishes.  Minimality means no entry has
+    alpha = 0 (no unit in the relation matrix).
     """
 
-    p: int
-    var_degrees: tuple[int, ...]
-    generators: tuple[Bidegree, ...]
-    relations: tuple[tuple[Bidegree, RelationEntries], ...]
-    t_max: int
+    module: PModule
+    stages: list[PStage]
 
-    def relation_strings(self) -> list[str]:
-        out = []
-        for _, entries in self.relations:
-            terms = []
-            for g, alpha, c in entries:
-                mono = "*".join(
-                    f"v{j}" if a == 1 else f"v{j}^{a}" for j, a in enumerate(alpha) if a
-                )
-                coeff = "" if c == 1 else f"{c}*"
-                terms.append(f"{coeff}{mono}*g{g}")
-            out.append(" + ".join(terms))
-        return out
+    @property
+    def p(self) -> int:
+        return self.module.p
 
+    @property
+    def var_degrees(self) -> tuple[int, ...]:
+        return self.module.var_degrees
 
-def free_presentation(
-    p: int, var_degrees: tuple[int, ...], generators: tuple[Bidegree, ...], t_max: int
-) -> PolyPresentation:
-    return PolyPresentation(p, tuple(var_degrees), tuple(generators), (), t_max)
+    @property
+    def t_max(self) -> int:
+        return self.module.t_max
 
+    @property
+    def generators(self) -> tuple[Bidegree, ...]:
+        # stages list generators in ascending (t, s), so the kept ones are a
+        # prefix and the relations' generator indices stay valid
+        if not self.stages:
+            return ()
+        return tuple(bd for bd in self.stages[0].gen_bidegrees if bd[1] <= self.t_max)
 
-def residue_field_presentation(p: int, var_degrees: tuple[int, ...], t_max: int) -> PolyPresentation:
-    """One generator at (0, 0) with every v_j acting by zero."""
-    nv = len(var_degrees)
-    rels = []
-    for j, dv in enumerate(var_degrees):
-        alpha = tuple(1 if h == j else 0 for h in range(nv))
-        rels.append(((1, dv), ((0, alpha, 1),)))
-    return PolyPresentation(p, tuple(var_degrees), ((0, 0),), tuple(rels), t_max)
+    @property
+    def relations(self) -> tuple[tuple[Bidegree, RelationEntries], ...]:
+        if len(self.stages) < 2:
+            return ()
+        cover, syzygies = self.stages[:2]
+        return tuple(
+            (bd, tuple(
+                (g, alpha, int(vector[pos]))
+                for pos, (g, alpha) in enumerate(cover.columns[bd])
+                if vector[pos]
+            ))
+            for bd, vector in zip(syzygies.gen_bidegrees, syzygies.gen_vectors)
+            if bd[1] <= self.t_max
+        )
 
 
 # -- free covers and kernels -----------------------------------------------------
@@ -283,13 +293,14 @@ def _cover_and_kernels(target: PModule, reps, columns):
     return kernels
 
 
-# -- gr and realization ----------------------------------------------------------
+# -- gr presentations ------------------------------------------------------------
 # One memo per block content, so equal weight blocks (C_k depends only on
 # floor(k/p)) share one entry: Ext(F_p, module) and its minimal resolution
 # through stage 2, at the largest window asked for so far.  gr presentations
-# read the first two stages; the E_2 comparison resolves a source block over
-# all three and maps into a target block's Ext.  Both at t depend only on Ext
-# in degrees <= t, so a smaller window is served by truncation.
+# and projective dimension read it as a view; the E_2 comparison resolves a
+# source block over all three stages and maps into a target block's Ext.
+# All of these at t depend only on Ext in degrees <= t, so a smaller window
+# is served by truncation.
 
 
 _BLOCKS: dict[tuple, tuple[PModule, list[PStage]]] = {}
@@ -317,84 +328,11 @@ def gr_module(module: QModule, t_max: int) -> PolyPresentation:
     are minimal generators of the free cover's kernel, both exact for
     t <= t_max, which may not exceed the module's certified degree.
 
-    Generators are stage 0 of the block's memoised resolution; relations
-    are stage 1's generator vectors read over stage 0's columns as
-    (gen, alpha, coefficient) entries.
+    A view of the block memo: the Ext cut to the window and the
+    resolution as held.
     """
-    _, stages = resolved_block(module, t_max)
-    # generators and relations are listed in ascending (t, s), so the kept
-    # generators are a prefix and the relations' generator indices stay valid
-    generators = tuple(bd for bd in stages[0].gen_bidegrees if bd[1] <= t_max) if stages else ()
-    relations = []
-    if len(stages) > 1:
-        cover, syzygies = stages[:2]
-        for bd, vector in zip(syzygies.gen_bidegrees, syzygies.gen_vectors):
-            if bd[1] > t_max:
-                continue
-            entries = tuple(
-                (g, alpha, int(vector[pos]))
-                for pos, (g, alpha) in enumerate(cover.columns[bd])
-                if vector[pos]
-            )
-            relations.append((bd, entries))
-    var_degrees = tuple(module.ctx.q_degree(i) for i in module.qs)
-    return PolyPresentation(module.ctx.p, var_degrees, generators, tuple(relations), t_max)
-
-
-def realize(pres: PolyPresentation) -> PModule:
-    """The presented module, built degreewise: free basis modulo relations.
-
-    Exact for t <= pres.t_max: relations only propagate upward in t, so
-    no relation above the window can reach below it.
-    """
-    p = pres.p
-    columns = _free_columns(pres.generators, pres.var_degrees, pres.t_max)
-    col_index = _column_index(columns)
-    rel_rows: dict[Bidegree, list[np.ndarray]] = {}
-    for bd, entries in pres.relations:
-        if bd[1] > pres.t_max:
-            continue
-        row = np.zeros(len(columns[bd]), dtype=np.int64)
-        for g, alpha, c in entries:
-            row[col_index[bd][(g, alpha)]] = c % p
-        rel_rows.setdefault(bd, []).append(row)
-
-    spans: dict[Bidegree, tuple[np.ndarray, tuple[int, ...]]] = {}
-    for bd in sorted(columns, key=lambda b: (b[1], b[0])):
-        s, t = bd
-        rows = list(rel_rows.get(bd, []))
-        for j, dv in enumerate(pres.var_degrees):
-            src = (s - 1, t - dv)
-            if src in spans:
-                rows.extend(_relabel(spans[src][0], columns[src], col_index[bd], j))
-        if rows:
-            red, piv = rref_array(np.stack(rows), p)
-            if piv:
-                spans[bd] = (red[: len(piv)], tuple(piv))
-
-    dims: dict[Bidegree, int] = {}
-    keeps: dict[Bidegree, list[int]] = {}
-    projs: dict[Bidegree, np.ndarray] = {}
-    for bd, cols in columns.items():
-        rows, piv = spans.get(bd, ((), ()))
-        keeps[bd], projs[bd] = quotient_projection(rows, piv, len(cols), p)
-        dims[bd] = len(keeps[bd])
-
-    acts: dict[int, dict[Bidegree, np.ndarray]] = {j: {} for j in range(len(pres.var_degrees))}
-    for bd, cols in columns.items():
-        s, t = bd
-        for j, dv in enumerate(pres.var_degrees):
-            dst = (s + 1, t + dv)
-            if dst not in columns or not dims[bd] or not dims.get(dst):
-                continue
-            mat = np.zeros((dims[dst], dims[bd]), dtype=np.int64)
-            for c, pos in enumerate(keeps[bd]):
-                g, alpha = cols[pos]
-                beta = tuple(a + 1 if h == j else a for h, a in enumerate(alpha))
-                mat[:, c] = projs[dst][:, col_index[dst][(g, beta)]]
-            if mat.size:
-                acts[j][bd] = mat
-    return PModule(p, pres.var_degrees, dims, acts, pres.t_max)
+    ext, stages = resolved_block(module, t_max)
+    return PolyPresentation(ext.truncated(t_max), stages)
 
 
 # -- minimal resolutions and Ext -------------------------------------------------
@@ -588,23 +526,14 @@ def ext_from_resolution(
     return BigradedDims(dims, u_max, t_hi, t_lo, note)
 
 
-def ext_over_P2(
-    a: PolyPresentation, b: PolyPresentation, u_max: int, t_max: int
-) -> BigradedDims:
-    """Ext^{u,t} over the polynomial algebra, from a truncated minimal
-    resolution of the realization of a, mapped into the realization of b."""
-    if a.p != b.p or a.var_degrees != b.var_degrees:
-        raise ValueError("presentations live over different polynomial algebras")
-    A = realize(a)
-    B = realize(b)
-    stages = p_resolution(A, u_max + 1)
-    return ext_from_resolution(stages, A.t_max, B, u_max, t_max)
-
-
 @dataclass
 class PdReport:
     """Observed length of the truncated minimal resolution plus depth witness.
 
+    length is the last stage of the presentation's resolution with a
+    generator in the window.  gr presentations hold stages 0..2 (as deep
+    as the E_2 comparison reads), so their length reads 2 for any
+    projective dimension >= 2; the gate below needs only length <= 1.
     passed is the paper's claim for gr C-bar_k: projective dimension at
     most 1 (length <= 1) and depth >= 1 (empty socle).
     """
@@ -620,36 +549,32 @@ class PdReport:
         return self.length <= 1 and self.socle_empty
 
 
-_PD: dict[PolyPresentation, PdReport] = {}
+def projective_dimension(pres: PolyPresentation) -> PdReport:
+    """Resolution length inside the window and socle emptiness.
 
-
-def projective_dimension(a: PolyPresentation) -> PdReport:
-    """Resolution length inside the window, up to 4, and socle emptiness.
-
-    The socle (elements killed by every v_j) is certified only where all
-    the v-targets stay inside the window, t <= t_max - max(var degrees);
-    an empty socle witnesses depth >= 1.  Reports are memoised per
-    presentation; each call gets its own copy.
+    Both are read off the presentation, with nothing resolved again.  The
+    resolution is degreewise, so its generators at t <= t_max are those of
+    the module cut at t_max.  The socle (elements killed by every v_j) is
+    certified only where all the v-targets stay inside the window,
+    t <= t_max - max(var degrees); an empty socle witnesses depth >= 1.
     """
-    report = _PD.get(a)
-    if report is None:
-        A = realize(a)
-        stages = p_resolution(A, 4)
-        socle_t_max = A.t_max - max(a.var_degrees)
-        socle: list[Bidegree] = []
-        for s, t in A.bidegrees():
-            if t > socle_t_max or not A.dim(s, t):
-                continue
-            stacked = np.concatenate(
-                [A.act(j, s, t) for j in range(len(a.var_degrees))], axis=0
-            )
-            if rank(stacked, A.p) < stacked.shape[1]:
-                socle.append((s, t))
-        report = _PD[a] = PdReport(
-            length=max(len(stages) - 1, 0),
-            socle_empty=not socle,
-            socle_bidegrees=tuple(socle),
-            t_max=A.t_max,
-            socle_t_max=socle_t_max,
-        )
-    return replace(report)
+    m = pres.module
+    length = max(
+        (u for u, st in enumerate(pres.stages) if any(t <= m.t_max for _, t in st.gen_bidegrees)),
+        default=0,
+    )
+    socle_t_max = m.t_max - max(m.var_degrees)
+    socle: list[Bidegree] = []
+    for s, t in m.bidegrees():
+        if t > socle_t_max:
+            continue
+        stacked = np.concatenate([m.act(j, s, t) for j in range(len(m.var_degrees))], axis=0)
+        if rank(stacked, m.p) < stacked.shape[1]:
+            socle.append((s, t))
+    return PdReport(
+        length=length,
+        socle_empty=not socle,
+        socle_bidegrees=tuple(socle),
+        t_max=m.t_max,
+        socle_t_max=socle_t_max,
+    )

@@ -200,8 +200,9 @@ def margolis_bp2(ctx: PrimeContext, i: int, max_degree: int) -> MargolisBP2Repor
 
     Q_0 leaves the polynomial algebra on the first two xi's, Q_1 keeps
     xi_1 polynomial and truncates the rest at height p, and Q_2 truncates
-    everything at height p^2.  The ambient module is built with one
-    Q-drop of headroom so the image at max_degree is fully visible, then
+    everything at height p^2.  The ambient module is built through
+    max_degree + |Q_2|, the largest drop, so the image at max_degree is
+    fully visible for every i and the three i share one build; then
     the computed homology is compared degreewise with the closed form:
     equal dimensions, every closed-form monomial a cycle, and the set
     independent modulo boundaries.  Both counts are ranks, so no class
@@ -211,7 +212,7 @@ def margolis_bp2(ctx: PrimeContext, i: int, max_degree: int) -> MargolisBP2Repor
     size.
     """
     forms = _closed_form(ctx, i, max_degree)
-    module = bp_homology(ctx, 2, max_degree + ctx.q_degree(i)).module
+    module = bp_homology(ctx, 2, max_degree + ctx.q_degree(2)).module
     p = ctx.p
     di = module.drop(i)
     rank_at = _action_rank(module, i)

@@ -5,10 +5,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from bgsplit import cli, margolis
 from bgsplit.cli import main
+from bgsplit.ext.poly import projective_dimension
 from bgsplit.monomials import PrimeContext
 from bgsplit.qmodules import direct_sum, trivial_module
+from p2_oracles import fp_v2_presentation, resolved, residue_field_presentation
 
 GOLDEN_P3_K0 = Path(__file__).parent / "data" / "verify_p3_k0.json"
 GOLDEN_P3_DEFAULT = Path(__file__).parent / "data" / "verify_p3_default.json"
@@ -194,6 +198,30 @@ def test_w_margolis_counts_without_representatives(monkeypatch):
     entry = cli._check_w_margolis(PrimeContext(3), cli.RunConfig())
     assert entry["passed"]
     assert "W1(1) -> (31, -1)" in entry["detail"]
+
+
+@pytest.mark.parametrize(
+    "spec, u_max",
+    [
+        # F_p[v_2]: length 2 with an empty socle, so only the length bound fails
+        (fp_v2_presentation, 4),
+        # the residue field held through stage 1: length 1 with its socle at
+        # (0, 0), so only the socle bound fails
+        (residue_field_presentation, 1),
+    ],
+    ids=["length", "socle"],
+)
+def test_pd_bound_catches_a_doctored_presentation(capsys, monkeypatch, spec, u_max):
+    pres = resolved(spec(3, (1, 5, 17), 60), u_max)
+    report = projective_dimension(pres)
+    assert (report.length <= 1) != report.socle_empty
+    monkeypatch.setattr(cli, "gr_module", lambda module, t_max: pres)
+    code, payload = run_json(capsys, ["verify-splitting", "--k-max", "0"])
+    assert code == 1
+    assert not payload["passed"]
+    bad = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in bad] == ["pd-bound"]
+    assert bad[0]["detail"] == "length or socle bound fails for k in [0]"
 
 
 def test_output_file_lands_under_env_dir(capsys, tmp_path, monkeypatch):

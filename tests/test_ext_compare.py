@@ -219,10 +219,9 @@ def test_comparison_does_not_depend_on_cache_history(poly_work):
 
 def test_comparison_resolves_only_block_builds(poly_work):
     # the source block's resolution is the one its gr presentation came
-    # from, and the target is the block's own Ext: nothing is realized
+    # from, and the target is the block's own Ext: nothing is resolved twice
     for m in (0, 9):
         assert propiso_check(P3, 9, m).passed
     assert poly_work.blocks
     assert len(poly_work.resolved) == len(poly_work.blocks)
     assert not poly_work.outside
-    assert not poly_work.realized

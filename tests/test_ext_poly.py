@@ -1,25 +1,25 @@
-"""gr presentations, realization, P(2)-resolutions, Ext over P(2), pd."""
+"""gr presentations, P(2)-resolutions, Ext over P(2), pd; realization as an oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from bgsplit import cli
 from bgsplit.browngitler import bp_homology, weight_restricted_C
 from bgsplit.ext import poly
-from bgsplit.ext.poly import (
-    PolyPresentation,
-    ext_over_P2,
-    ext_p_module,
-    free_presentation,
-    gr_module,
-    p_resolution,
-    projective_dimension,
-    realize,
-    residue_field_presentation,
-)
+from bgsplit.ext.poly import ext_p_module, gr_module, p_resolution, projective_dimension
 from bgsplit.monomials import PrimeContext
 from bgsplit.qmodules import QModule
+from p2_oracles import (
+    ext_over_P2,
+    fields,
+    fp_v2_presentation,
+    free_presentation,
+    realize,
+    resolved,
+    residue_field_presentation,
+)
 
 P3 = PrimeContext(3)
 VARS = (1, 5, 17)
@@ -33,7 +33,6 @@ def test_gr_c9_presentation():
     (bidegree, entries), = pres.relations
     assert bidegree == (1, 17)
     assert entries == ((0, (0, 0, 1), 1), (3, (0, 1, 0), 1), (4, (1, 0, 0), 1))
-    assert pres.relation_strings() == ["v2*g0 + v1*g3 + v0*g4"]
 
 
 def test_gr_small_blocks_are_free():
@@ -133,9 +132,9 @@ def test_ext_u_line_vanishes_above_projective_dimension():
 
 
 def test_projective_dimension_oracles():
-    assert projective_dimension(residue_field_presentation(3, VARS, 60)).length == 3
+    assert projective_dimension(resolved(residue_field_presentation(3, VARS, 60))).length == 3
     free = free_presentation(3, VARS, ((0, 0), (2, 10)), 60)
-    report = projective_dimension(free)
+    report = projective_dimension(resolved(free))
     assert report.length == 0
     assert report.socle_empty
 
@@ -148,21 +147,14 @@ def test_projective_dimension_oracles():
 def test_projective_dimension_gate_rejects_length_two():
     # F_p[v_2] = P(2)/(v_0, v_1): two Koszul relation stages, and v_2 acts
     # freely, so the socle is empty and only the length bound can fail
-    pres = PolyPresentation(
-        3,
-        VARS,
-        ((0, 0),),
-        (((1, 1), ((0, (1, 0, 0), 1),)), ((1, 5), ((0, (0, 1, 0), 1),))),
-        60,
-    )
-    report = projective_dimension(pres)
+    report = projective_dimension(resolved(fp_v2_presentation(3, VARS, 60)))
     assert report.length == 2
     assert report.socle_empty
     assert not report.passed
 
 
 def test_residue_field_socle_is_the_generator():
-    report = projective_dimension(residue_field_presentation(3, VARS, 60))
+    report = projective_dimension(resolved(residue_field_presentation(3, VARS, 60)))
     assert not report.socle_empty
     assert report.socle_bidegrees == ((0, 0),)
     assert not report.passed
@@ -187,19 +179,24 @@ def test_redundant_cover_generator_trips_the_unit_check(monkeypatch):
         p_resolution(module, 2)
 
 
-@pytest.mark.parametrize("p, k", [(3, 9), (3, 18), (3, 27), (5, 25)])
+@pytest.mark.parametrize("p, k", [(3, 0), (3, 3), (3, 9), (3, 18), (3, 27), (5, 25)])
 def test_re_resolving_a_realized_gr_gives_its_presentation(p, k):
-    # the gr presentation and a fresh resolution of the module it presents
-    # must agree: same generators, relations in the same bidegrees, pd <= 1
+    # the pipeline reads gr and pd off the block memo; realizing the
+    # presentation and resolving it afresh through stage 4 must agree: same
+    # generators, relations in the same bidegrees, the same pd report
     ck = weight_restricted_C(PrimeContext(p), k)
     pres = gr_module(ck, ck.max_degree() + 8 * p)
-    stages = p_resolution(realize(pres), 4)
-    assert stages[0].gen_bidegrees == pres.generators
-    assert stages[1].gen_bidegrees == tuple(bd for bd, _ in pres.relations)
-    assert len(stages) <= 2
+    fresh = resolved(pres)
+    assert fresh.generators == pres.generators
+    assert [bd for bd, _ in fresh.relations] == [bd for bd, _ in pres.relations]
+    read, again = projective_dimension(pres), projective_dimension(fresh)
+    assert (read.length, read.socle_bidegrees, read.t_max, read.socle_t_max) == (
+        again.length, again.socle_bidegrees, again.t_max, again.socle_t_max
+    )
+    assert again.length <= 1
 
 
-# -- block and projective-dimension memos -------------------------------------------
+# -- the block memo ----------------------------------------------------------------
 
 
 def test_equal_blocks_share_one_gr_and_one_resolution(poly_work):
@@ -209,7 +206,7 @@ def test_equal_blocks_share_one_gr_and_one_resolution(poly_work):
         ck = weight_restricted_C(P3, k)
         reports.append(projective_dimension(gr_module(ck, ck.max_degree() + 24)))
     assert len(poly_work.blocks) == 1
-    assert len(poly_work.outside) == 1
+    assert not poly_work.outside
     assert reports[0] == reports[1] == reports[2]
     assert reports[0].passed
 
@@ -230,10 +227,10 @@ def test_same_basis_with_zero_actions_gets_its_own_gr(poly_work):
     assert len(poly_work.blocks) == 2
     assert acted.relations and not inert.relations
     poly._BLOCKS.clear()
-    assert inert == gr_module(zero, 41)
+    assert fields(inert) == fields(gr_module(zero, 41))
     assert projective_dimension(inert).length == 0
     assert projective_dimension(acted).length == 1
-    assert len(poly_work.outside) == 2
+    assert not poly_work.outside
 
 
 @pytest.mark.parametrize("t_max", [41, 58])
@@ -257,16 +254,14 @@ def test_truncated_block_equals_a_build_at_that_window(poly_work, t_max):
         held.truncated(76)
 
 
-def test_mutating_a_returned_pd_report_leaves_the_memo_alone(poly_work):
-    pres = gr_module(weight_restricted_C(P3, 9), 41)
-    first = projective_dimension(pres)
-    expected = (first.length, first.socle_empty, first.socle_bidegrees, first.t_max)
-    first.length = 7
-    first.socle_empty = False
-    first.socle_bidegrees = ((9, 9),)
-    again = projective_dimension(pres)
-    assert (again.length, again.socle_empty, again.socle_bidegrees, again.t_max) == expected
-    assert len(poly_work.outside) == 1
+def test_pd_bound_resolves_nothing_outside_the_block_memo(poly_work):
+    # pd-bound over k <= 9: one build per distinct content (C_k depends
+    # only on floor(k/3)), and no resolution beyond those builds
+    entry = cli._check_pd_bound(P3, cli.RunConfig(), 9)
+    assert entry["passed"]
+    assert len(poly_work.blocks) == 4
+    assert len(poly_work.resolved) == 4
+    assert not poly_work.outside
 
 
 @pytest.mark.parametrize(
@@ -284,4 +279,7 @@ def test_truncated_gr_equals_a_cold_build(poly_work, p, k):
     for t in windows:
         poly._BLOCKS.clear()
         cold.append(gr_module(ck, t))
-    assert warm == cold
+    assert [fields(pres) for pres in warm] == [fields(pres) for pres in cold]
+    assert [projective_dimension(pres) for pres in warm] == [
+        projective_dimension(pres) for pres in cold
+    ]
