@@ -312,10 +312,11 @@ def theta_report(ctx: PrimeContext, i: int, k: int) -> tuple[QModuleMap, ThetaRe
             bijective = False
             failures.append(f"non-square block at degree {d}")
         else:
-            # columns have a single unit entry by construction, so the
-            # block is a bijection exactly when the hit rows are distinct
-            hit_rows = sorted(int(np.nonzero(mat[:, c])[0][0]) for c in range(mat.shape[1]))
-            if hit_rows != list(range(mat.shape[0])):
+            # a bijection on basis monomials has n nonzero entries, one in
+            # each row and each column
+            rows, cols = np.nonzero(mat)
+            n = mat.shape[0]
+            if not (len(rows) == n == len(set(rows.tolist())) == len(set(cols.tolist()))):
                 bijective = False
                 failures.append(f"block at degree {d} is not a bijection on basis monomials")
     eq = verify_map(f)

@@ -63,7 +63,6 @@ class RunConfig:
     t_max: int | None = None
     fmt: str = "text"
     output: str | None = None
-    inject_fault: bool = False
 
     def validate(self) -> None:
         if self.p >= MAX_PRIME:
@@ -89,7 +88,7 @@ class RunConfig:
 
 
 def _write_report(text: str, output: str | None) -> None:
-    print(text, end="" if text.endswith("\n") else "\n")
+    print(text, end="")
     if output is None:
         return
     base = os.environ.get(OUTPUT_DIR_VAR)
@@ -100,11 +99,15 @@ def _write_report(text: str, output: str | None) -> None:
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text if text.endswith("\n") else text + "\n")
+        fh.write(text)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(cfg: RunConfig, payload: dict, tsv_lines: list[str], text_lines: list[str]) -> None:
+    if cfg.fmt == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        text = "\n".join(tsv_lines if cfg.fmt == "tsv" else text_lines) + "\n"
+    _write_report(text, cfg.output)
 
 
 # -- basis -------------------------------------------------------------------
@@ -133,21 +136,14 @@ def cmd_basis(cfg: RunConfig, i: int) -> int:
         "rows": rows,
         "row_count": len(rows),
     }
-    if cfg.fmt == "json":
-        text = _json_text(payload)
-    elif cfg.fmt == "tsv":
-        lines = ["monomial\tdegree\tweight\tlength"]
-        lines += [f"{r['monomial']}\t{r['degree']}\t{r['weight']}\t{r['length']}" for r in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        head = f"basis of A//E({i}) at p = {cfg.p} through degree {cfg.max_degree}: {len(rows)} monomials"
-        lines = [head]
-        lines += [
-            f"  {r['monomial']:<24} degree {r['degree']:>4}  weight {r['weight']:>4}  length {r['length']}"
-            for r in rows
-        ]
-        text = "\n".join(lines) + "\n"
-    _write_report(text, cfg.output)
+    tsv = ["monomial\tdegree\tweight\tlength"]
+    tsv += [f"{r['monomial']}\t{r['degree']}\t{r['weight']}\t{r['length']}" for r in rows]
+    text = [f"basis of A//E({i}) at p = {cfg.p} through degree {cfg.max_degree}: {len(rows)} monomials"]
+    text += [
+        f"  {r['monomial']:<24} degree {r['degree']:>4}  weight {r['weight']:>4}  length {r['length']}"
+        for r in rows
+    ]
+    _emit(cfg, payload, tsv, text)
     return 0
 
 
@@ -224,25 +220,16 @@ def cmd_theta(cfg: RunConfig, i: int, k: int) -> int:
         "failures": list(report.failures),
         "passed": report.passed,
     }
-    if cfg.fmt == "json":
-        text = _json_text(payload)
-    elif cfg.fmt == "tsv":
-        lines = ["source\tdegree\timage\timage_degree"]
-        lines += [f"{r['source']}\t{r['degree']}\t{r['image']}\t{r['image_degree']}" for r in images]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [
-            f"theta_{k} at p = {cfg.p}: Sigma^{ctx.q * k} B_{i}({k}) -> weight-{ctx.p * k} block, "
-            f"{theta_map.source.total_dim} basis elements"
-        ]
-        lines += [
-            f"  {r['source']:<20} |deg {r['degree']:>4}| -> {r['image']}" for r in images
-        ]
-        for name, ok in payload["checks"].items():
-            lines.append(f"  [{'PASS' if ok else 'FAIL'}] {name}")
-        lines.append("all checks pass" if report.passed else "THETA CHECKS FAILED")
-        text = "\n".join(lines) + "\n"
-    _write_report(text, cfg.output)
+    tsv = ["source\tdegree\timage\timage_degree"]
+    tsv += [f"{r['source']}\t{r['degree']}\t{r['image']}\t{r['image_degree']}" for r in images]
+    text = [
+        f"theta_{k} at p = {cfg.p}: Sigma^{ctx.q * k} B_{i}({k}) -> weight-{ctx.p * k} block, "
+        f"{theta_map.source.total_dim} basis elements"
+    ]
+    text += [f"  {r['source']:<20} |deg {r['degree']:>4}| -> {r['image']}" for r in images]
+    text += [f"  [{'PASS' if ok else 'FAIL'}] {name}" for name, ok in payload["checks"].items()]
+    text.append("all checks pass" if report.passed else "THETA CHECKS FAILED")
+    _emit(cfg, payload, tsv, text)
     return 0 if report.passed else 1
 
 
@@ -253,59 +240,26 @@ def _entry(name: str, passed: bool, certified: str, detail: str) -> dict:
     return {"name": name, "passed": passed, "certified": certified, "detail": detail}
 
 
-def _fault_actions(module: QModule):
-    """Deep-copied actions with one entry flipped so a Q square fails.
-
-    The flip lands where the next action down is nonzero, which makes the
-    doctored square provably nonzero; returns None when no such slot exists.
-    """
-    for i in module.qs:
-        di = module.drop(i)
-        for d in sorted(module.degrees(), reverse=True):
-            prev = module.act(i, d - di)
-            if module.dim(d) == 0 or not prev.any():
-                continue
-            r = int(np.flatnonzero(prev.any(axis=0))[0])
-            actions = {
-                j: {e: mat.copy() for e, mat in acts.items()}
-                for j, acts in module.actions.items()
-            }
-            mat = actions[i].setdefault(
-                d, np.zeros((module.dim(d - di), module.dim(d)), dtype=np.int64)
-            )
-            mat[r, 0] = (mat[r, 0] + 1) % module.ctx.p
-            return actions, (i, d)
-    return None
-
-
 def _check_q_structure(ctx: PrimeContext, cfg: RunConfig) -> dict:
     depth = cfg.max_degree
     h = bp_homology(ctx, 2, depth).module
-    QModule(ctx, h.qs, h.basis, h.actions, truncated_above=h.truncated_above)
-    # every module in the pipeline window has degree support in two
-    # residues mod q, so no single flip there can reach a Q square; the
-    # dual-tensor witness mixes parities and keeps the falsifier honest
+    # every module in the pipeline window has degree support in two residues
+    # mod q, so no single wrong entry there can reach a Q square; the
+    # dual-tensor witness mixes parities, so one flipped entry breaks a relation
     ck = weight_restricted_C(ctx, ctx.p * ctx.p)
     witness = tensor(dual_module(ck), suspend(ck, ctx.q * ctx.p * ctx.p))
     certified = f"t <= {depth}"
-    actions = witness.actions
-    note = ""
-    if cfg.inject_fault:
-        got = _fault_actions(witness)
-        if got is None:
-            raise ConfigError("the fault hook found no composable Q action to doctor")
-        actions, (qi, qd) = got
-        note = f" (fault injected into Q_{qi} entering degree {qd})"
     try:
-        QModule(ctx, witness.qs, witness.basis, actions, truncated_above=None)
+        QModule(ctx, h.qs, h.basis, h.actions, truncated_above=h.truncated_above)
+        QModule(ctx, witness.qs, witness.basis, witness.actions, truncated_above=None)
     except ValueError as err:
-        return _entry("q-structure", False, certified, f"{err}{note}")
+        return _entry("q-structure", False, certified, str(err))
     return _entry(
         "q-structure",
         True,
         certified,
         f"Q squares and anticommutators revalidated on H through degree {depth} "
-        f"and on a {witness.total_dim}-dimensional dual-tensor witness{note}",
+        f"and on a {witness.total_dim}-dimensional dual-tensor witness",
     )
 
 
@@ -523,7 +477,6 @@ def cmd_verify_splitting(cfg: RunConfig) -> int:
             "k_max": cfg.k_max,
             "s_max": cfg.s_max,
             "t_max": cfg.t_window,
-            "inject_fault": cfg.inject_fault,
         },
         "certified": {
             "degree_window": depth,
@@ -536,29 +489,24 @@ def cmd_verify_splitting(cfg: RunConfig) -> int:
     }
     if cfg.p < 5:
         payload["note"] = HYPOTHESIS_NOTE
-    if cfg.fmt == "json":
-        text = _json_text(payload)
-    elif cfg.fmt == "tsv":
-        lines = ["check\tpassed\tcertified\tdetail"]
-        lines += [
-            f"{c['name']}\t{str(c['passed']).lower()}\t{c['certified']}\t{c['detail']}"
-            for c in checks
-        ]
-        lines.append(f"conclusion\t{str(passed).lower()}\t\t{conclusion}")
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [
-            f"splitting verification at p = {cfg.p}, degree window {depth}, "
-            f"k <= {cfg.k_max} (version {__version__})"
-        ]
-        if cfg.p < 5:
-            lines.append(f"note: {HYPOTHESIS_NOTE}")
-        for c in checks:
-            mark = "PASS" if c["passed"] else "FAIL"
-            lines.append(f"  [{mark}] {c['name']:<20} {c['certified']:<26} {c['detail']}")
-        lines.append(conclusion)
-        text = "\n".join(lines) + "\n"
-    _write_report(text, cfg.output)
+    tsv = ["check\tpassed\tcertified\tdetail"]
+    tsv += [
+        f"{c['name']}\t{str(c['passed']).lower()}\t{c['certified']}\t{c['detail']}"
+        for c in checks
+    ]
+    tsv.append(f"conclusion\t{str(passed).lower()}\t\t{conclusion}")
+    text = [
+        f"splitting verification at p = {cfg.p}, degree window {depth}, "
+        f"k <= {cfg.k_max} (version {__version__})"
+    ]
+    if cfg.p < 5:
+        text.append(f"note: {HYPOTHESIS_NOTE}")
+    text += [
+        f"  [{'PASS' if c['passed'] else 'FAIL'}] {c['name']:<20} {c['certified']:<26} {c['detail']}"
+        for c in checks
+    ]
+    text.append(conclusion)
+    _emit(cfg, payload, tsv, text)
     return 0 if passed else 1
 
 
@@ -600,11 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--k-max", type=int, default=9)
     verify.add_argument("--s-max", type=int, default=6)
     verify.add_argument("--t-max", type=int, default=None)
-    verify.add_argument(
-        "--inject-fault",
-        action="store_true",
-        help="test hook: flip one Q action entry and require the pipeline to notice",
-    )
     return parser
 
 
@@ -625,7 +568,6 @@ def main(argv: list[str] | None = None) -> int:
             t_max=args.t_max,
             fmt=args.format,
             output=args.output,
-            inject_fault=args.inject_fault,
         )
         return cmd_verify_splitting(cfg)
     except ConfigError as err:
