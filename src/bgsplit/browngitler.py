@@ -137,17 +137,82 @@ class SplitPair:
                 raise ValueError(f"retraction fails to invert the inclusion at degree {d}")
 
 
-@lru_cache(maxsize=None)
+# (ctx, n) -> {degree: H_*BP<n> through it}; the largest is grown for a larger degree
+_BP: dict[tuple[PrimeContext, int], dict[int, BPHomology]] = {}
+
+
 def bp_homology(ctx: PrimeContext, n: int, max_degree: int) -> BPHomology:
     """Homology of BP<n> through max_degree, with its full Q_0,Q_1,Q_2 action.
 
-    Memoised per (prime, n, degree), so every caller shares one build.
+    The degree enumeration is a prefix of the one at any larger bound and
+    every Q_i lowers degree, so H through D is the degree <= D part of H
+    through any D' >= D, with the same matrices.  So one module per
+    (prime, n) is grown by degree, the way `brown_gitler` grows by weight:
+    a smaller degree is cut from the largest build, a larger one adds only
+    the new degrees' columns (`_extend`), and both pass through the checked
+    QModule constructor.  A degree asked for again returns the same object.
     """
     if n < 0:
         raise ValueError("truncation index must be nonnegative")
-    monos = enumerate_by_degree(ctx, AlgebraSpec(n), max_degree)
-    module = module_from_monomials(ctx, AlgebraSpec(n), monos, FULL_QS, truncated_above=max_degree)
-    return BPHomology(ctx, n, max_degree, module)
+    built = _BP.setdefault((ctx, n), {})
+    got = built.get(max_degree)
+    if got is None:
+        top = max(built, default=-1)
+        if max_degree < top:
+            module = _degree_prefix(built[top].module, max_degree)
+        else:
+            spec = AlgebraSpec(n)
+            new: dict[int, list[Monomial]] = {}
+            # enumerated in canonical order, so each degree's group is too
+            for m in enumerate_by_degree(ctx, spec, max_degree):
+                d = mono_degree(ctx, m)
+                if d > top:
+                    new.setdefault(d, []).append(m)
+            old = built[top].module if top >= 0 else None
+            module = _extend(ctx, spec, FULL_QS, old, new, max_degree)
+        got = built[max_degree] = BPHomology(ctx, n, max_degree, module)
+    return got
+
+
+def _degree_prefix(module: QModule, top: int) -> QModule:
+    """The degree <= top part of a module whose Q_i all lower degree, truncated there."""
+    basis = {d: labels for d, labels in module.basis.items() if d <= top}
+    actions = {j: {d: mat for d, mat in acts.items() if d <= top} for j, acts in module.actions.items()}
+    return QModule(module.ctx, module.qs, basis, actions, truncated_above=top)
+
+
+def _extend(
+    ctx: PrimeContext,
+    spec: AlgebraSpec,
+    qs: tuple[int, ...],
+    old: QModule | None,
+    new: dict[int, list[Monomial]],
+    truncated_above: int | None = None,
+) -> QModule:
+    """The span of old's basis and the monomials `new`, each appended to its degree.
+
+    No Q_j takes an old monomial to a new one, so the old columns keep
+    their matrices, padded below with zero rows; only the new columns are
+    computed, and their images, which may reach old rows, pass the closure
+    check against the whole span.
+    """
+    base = {} if old is None else old.basis
+    basis = {d: base.get(d, ()) + tuple(new.get(d, ())) for d in sorted(base.keys() | new.keys())}
+    index = {m: j for labels in basis.values() for j, m in enumerate(labels)}
+    actions: dict[int, dict[int, np.ndarray]] = {j: {} for j in qs}
+    for j in qs:
+        dj = ctx.q_degree(j)
+        for d, labels in basis.items():
+            rows = len(basis.get(d - dj, ()))
+            mat = np.zeros((rows, len(labels)), dtype=np.int64)
+            past = old.actions[j].get(d) if old is not None else None
+            if past is not None:
+                mat[: past.shape[0], : past.shape[1]] = past
+            if d in new:
+                mat[:, len(base.get(d, ())) :] = action_columns(ctx, spec, j, new[d], index, rows)
+            if mat.size:
+                actions[j][d] = mat
+    return QModule(ctx, qs, basis, actions, truncated_above)
 
 
 def _qs_through(top: int) -> tuple[int, ...]:
@@ -187,34 +252,15 @@ def _grow(
 ) -> tuple[int, QModule]:
     """B_i(k) from B_i(K), K < k, enumerating and acting on weights K+1..k only.
 
-    The new monomials sort after the old ones of their degree.  Q_j never
-    raises weight, so the old columns keep their matrices, padded below
-    with zero rows; only the new columns are computed, and their images,
-    which may reach old rows, pass the closure check against the whole span.
+    The new monomials sort after the old ones of their degree, and Q_j
+    never raises weight, so `_extend` keeps the old columns.
     """
     spec = AlgebraSpec(i)
-    qs = _qs_through(i + 1)
     start, old = (-1, None) if held is None else held
     new = monomials_by_degree(
         ctx, (m for w in range(start + 1, k + 1) for m in enumerate_by_weight(ctx, spec, w))
     )
-    base = {} if old is None else old.basis
-    basis = {d: base.get(d, ()) + tuple(new.get(d, ())) for d in sorted(base.keys() | new.keys())}
-    index = {m: j for labels in basis.values() for j, m in enumerate(labels)}
-    actions: dict[int, dict[int, np.ndarray]] = {j: {} for j in qs}
-    for j in qs:
-        dj = ctx.q_degree(j)
-        for d, labels in basis.items():
-            rows = len(basis.get(d - dj, ()))
-            mat = np.zeros((rows, len(labels)), dtype=np.int64)
-            past = old.actions[j].get(d) if old is not None else None
-            if past is not None:
-                mat[: past.shape[0], : past.shape[1]] = past
-            if d in new:
-                mat[:, len(base.get(d, ())) :] = action_columns(ctx, spec, j, new[d], index, rows)
-            if mat.size:
-                actions[j][d] = mat
-    return k, QModule(ctx, qs, basis, actions)
+    return k, _extend(ctx, spec, _qs_through(i + 1), old, new)
 
 
 def _weight_prefix(module: QModule, k: int) -> QModule:
@@ -245,16 +291,14 @@ def weight_block(ctx: PrimeContext, i: int, j: int) -> WeightBlock:
     return WeightBlock(ctx, i, j, module)
 
 
-def _shift_indices(m: Monomial) -> Monomial:
-    return Monomial.make({a + 1: e for a, e in m.xi}, tuple(b + 1 for b in m.tau))
-
-
 def theta(ctx: PrimeContext, i: int, k: int) -> QModuleMap:
     """The weight-raising map Sigma^{qk} B_i(k) -> M_{i+1}(pk).
 
-    Every basis monomial x goes to shift(x) * xi_1^(k - weight(x)).  The
-    pad exponent makes both gradings work out, and the map checks itself:
-    a violation of degree(image) = degree(x) + qk or weight(image) = pk
+    Every basis monomial x goes to shift(x) * xi_1^(k - weight(x)), built
+    from x's exponent tuples: the shift moves every xi index to 2 or more,
+    so the pad stays a separate leading factor.  The pad exponent makes both
+    gradings work out, and the map checks itself: a negative pad, or a
+    violation of degree(image) = degree(x) + qk or weight(image) = pk,
     aborts immediately.
     """
     bg = brown_gitler(ctx, i, k)
@@ -265,8 +309,13 @@ def theta(ctx: PrimeContext, i: int, k: int) -> QModuleMap:
         mat = np.zeros((target.module.dim(d), source.dim(d)), dtype=np.int64)
         for col, x in enumerate(source.basis[d]):
             pad = k - mono_weight(ctx, x)
-            image = _shift_indices(x).times(Monomial.make({1: pad} if pad else {}))
-            assert image is not None
+            if pad < 0:
+                raise ArithmeticError(
+                    f"theta pad on {format_monomial(x)} is negative: weight "
+                    f"{mono_weight(ctx, x)} exceeds {k}"
+                )
+            shifted = tuple((a + 1, e) for a, e in x.xi)
+            image = Monomial(((1, pad),) + shifted if pad else shifted, tuple(b + 1 for b in x.tau))
             if mono_degree(ctx, image) != mono_degree(ctx, x) + ctx.q * k:
                 raise ArithmeticError(
                     f"theta image degree mismatch on {format_monomial(x)}: "
@@ -298,6 +347,21 @@ class ThetaReport:
         return self.bijective and self.equivariant and self.degrees_match
 
 
+def _basis_images(mat: np.ndarray) -> np.ndarray | None:
+    """The row each column hits, if the block is a bijection on basis monomials, else None.
+
+    A bijection of a square block has n nonzero entries, one in each row
+    and each column.
+    """
+    n = mat.shape[0]
+    rows, cols = np.nonzero(mat)
+    if not (mat.shape[1] == n == len(rows) == len(set(rows.tolist())) == len(set(cols.tolist()))):
+        return None
+    images = np.empty(n, dtype=np.int64)
+    images[cols] = rows
+    return images
+
+
 def theta_report(ctx: PrimeContext, i: int, k: int) -> tuple[QModuleMap, ThetaReport]:
     """theta plus its verification: blockwise bijectivity and Q-commutation."""
     f = theta(ctx, i, k)
@@ -311,14 +375,9 @@ def theta_report(ctx: PrimeContext, i: int, k: int) -> tuple[QModuleMap, ThetaRe
         if mat.shape[0] != mat.shape[1]:
             bijective = False
             failures.append(f"non-square block at degree {d}")
-        else:
-            # a bijection on basis monomials has n nonzero entries, one in
-            # each row and each column
-            rows, cols = np.nonzero(mat)
-            n = mat.shape[0]
-            if not (len(rows) == n == len(set(rows.tolist())) == len(set(cols.tolist()))):
-                bijective = False
-                failures.append(f"block at degree {d} is not a bijection on basis monomials")
+        elif _basis_images(mat) is None:
+            bijective = False
+            failures.append(f"block at degree {d} is not a bijection on basis monomials")
     eq = verify_map(f)
     if not eq.passed:
         failures.extend(f"Q-commutation fails: {q} at degree {d}" for q, d in eq.failures[:5])
@@ -351,7 +410,10 @@ def assemble_bp_splitting(ctx: PrimeContext, n: int, max_degree: int) -> Assembl
     degree at least qw/p (xi_1 powers realize the minimum), so everything
     of degree <= max_degree has weight <= p*max_degree/q and lands in one
     of these blocks.  The comparison is exact: each basis monomial of the
-    target must be hit by exactly one theta image.
+    target must be hit by exactly one theta image, read through the same
+    bijection gate as `theta_report`, so a block that is no bijection fails
+    the coverage instead of being read.  B_{n-1}(k_max) is built first, so
+    every smaller block is a slice of it.
     """
     if n not in (1, 2):
         raise ValueError("assembly is defined for BP<1> and BP<2>")
@@ -364,6 +426,7 @@ def assemble_bp_splitting(ctx: PrimeContext, n: int, max_degree: int) -> Assembl
     seen: set[Monomial] = set()
     coverage_exact = True
     k_max = max_degree // ctx.q
+    brown_gitler(ctx, n - 1, k_max)
     for k in range(k_max + 1):
         f, rep = theta_report(ctx, n - 1, k)
         reports.append(rep)
@@ -371,9 +434,12 @@ def assemble_bp_splitting(ctx: PrimeContext, n: int, max_degree: int) -> Assembl
             if d > max_degree:
                 continue
             block_counts[d] += f.source.dim(d)
-            for col in range(f.source.dim(d)):
-                rows = np.nonzero(f.mat(d)[:, col])[0]
-                image = f.target.basis[d][int(rows[0])]
+            images = _basis_images(f.mat(d))
+            if images is None:
+                coverage_exact = False
+                continue
+            for row in images.tolist():
+                image = f.target.basis[d][row]
                 if image in seen:
                     coverage_exact = False
                 seen.add(image)

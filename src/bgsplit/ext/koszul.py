@@ -8,9 +8,15 @@ cochain m (x) v^alpha at s = |alpha| and t = deg(m) + sum alpha_i d_i
 with d_i = 2p^i - 1, so v_i sits at (1, d_i) and d preserves t.
 
 Dimensions come from ranks, dim Ext^{s,t} = dim C^{s,t} - rank d^{s,t} -
-rank d^{s-1,t}, with each rank taken once per complex by `fplin.rank`,
-which builds no echelon form; v-injectivity likewise compares the rank
-of each v_i-multiplication with the dimension of its source.  Class
+rank d^{s-1,t}, and no rank builds an echelon form.  A chart
+(`ext_koszul`) takes its whole window at once: `KoszulComplex.chart`
+tabulates the chain blocks by index arithmetic, emits the differentials'
+entries, never a dense differential, and ranks every differential of a
+t-slab with one `fplin.ranks` call.  `ext_p_module` and v-injectivity
+read their windows one bidegree at a time through `KoszulComplex.dim`,
+which ranks each differential once per complex by `fplin.rank`;
+v-injectivity likewise compares the rank of each v_i-multiplication
+with the dimension of its source.  Class
 representatives are built only by `KoszulComplex.homology`, for
 `v_mult`, which reduces the chain images of all representatives at once;
 it is one call to `fplin.homology_basis`, the primitive Margolis
@@ -23,8 +29,9 @@ Charts and v-injectivity reports are memoised by module content
 use): `ext_koszul` and `v_injectivity` compute each (module, window) once
 per process, so two equal modules built apart, such as the same
 `restrict_qs` pair asked for by two checks or the blocks C_k with one
-floor(k/p), share one result.  The complex itself is dropped after each
-computation.
+floor(k/p), share one result, and a chart window inside one already
+computed for the same content is cut from it.  The complex itself is
+dropped after each computation.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..fplin import homology_basis, rank, reduce_mod_rows
+from ..fplin import homology_basis, rank, ranks, reduce_mod_rows
 from ..monomials import exponent_vectors
 from ..qmodules import QModule, content_key, restrict_qs
 
@@ -55,6 +62,46 @@ def v_monomials_by_degree(
         vdeg = sum(a * d for a, d in zip(alpha, drops))
         buckets.setdefault(vdeg, []).append(alpha)
     return {vdeg: tuple(alphas) for vdeg, alphas in buckets.items()}
+
+
+@lru_cache(maxsize=None)
+def _v_exponents(
+    qs: tuple[int, ...], drops: tuple[int, ...], s: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The v-degrees of v_monomials(qs, s), ascending, and the exponents as rows in that order.
+
+    The sort is stable, so alphas of one v-degree stay in lex order.
+    """
+    alphas = np.array(v_monomials(qs, s), dtype=np.int64).reshape(-1, len(qs))
+    vdeg = alphas @ np.array(drops, dtype=np.int64)
+    order = np.argsort(vdeg, kind="stable")
+    return vdeg[order], alphas[order]
+
+
+def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[j] .. starts[j] + counts[j] - 1, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _nonzeros(module: QModule, i: int) -> tuple[np.ndarray, ...]:
+    """The nonzero entries of every Q_i matrix, concatenated in degree order.
+
+    Returns (entries per degree of module.degrees(), the start of each
+    degree's entries, rows, columns, values), so a degree's entries are
+    one slice.
+    """
+    none = np.zeros((0, 0), dtype=np.int64)
+    mats = [module.actions[i].get(d, none) for d in module.degrees()]
+    at = [np.nonzero(mat) for mat in mats]
+    count = np.array([r.size for r, _ in at], dtype=np.int64)
+    rows, cols = (np.concatenate([x[k] for x in at]) for k in (0, 1))
+    return count, np.cumsum(count) - count, rows, cols, np.concatenate([m[x] for m, x in zip(mats, at)])
+
+
+# t-width of one pass of `KoszulComplex.chart`: bounds the entries held at
+# once; at 64 the structure checks' peak RSS rose by about 0.1 MB over 32
+_SLAB = 32
 
 
 @dataclass
@@ -222,6 +269,96 @@ class KoszulComplex:
             return 0
         return n - self._rank(s, t) - self._rank(s - 1, t)
 
+    # -- a whole window at once ----------------------------------------------
+
+    def chart(self, s_max: int, t_min: int, t_max: int) -> dict[tuple[int, int], int]:
+        """The nonzero dim Ext^{s,t} for s <= s_max and t_min <= t <= t_max, t-major.
+
+        d preserves t, so the window is taken in independent t-slabs of
+        width _SLAB, and each slab's differentials d^{s,t}, s <= s_max, are
+        ranked together by one `fplin.ranks` call on their entries.  No
+        dense differential is built and nothing is memoised on the complex.
+        """
+        dims: dict[tuple[int, int], int] = {}
+        if not self.module.basis:
+            return dims
+        actions = [_nonzeros(self.module, i) for i in self.qs]
+        for t0 in range(t_min, t_max + 1, _SLAB):
+            dims.update(self._slab(s_max, t0, min(t0 + _SLAB - 1, t_max), actions))
+        return dims
+
+    def _slab(
+        self, s_max: int, t0: int, t1: int, actions: list[tuple[np.ndarray, ...]]
+    ) -> dict[tuple[int, int], int]:
+        """`chart` on t0 <= t <= t1, with `_nonzeros` of each operator of qs.
+
+        Blocks v^alpha (x) M_d are tabulated by index arithmetic over the
+        v-degrees of each s and the module's degrees, then put in (s, t,
+        lex alpha) order by one sort of a combined key, so each bidegree
+        keeps the block order of `chain_blocks`.  Every (i, module degree)
+        whose Q_i matrix is nonzero sends each source block at that degree
+        to its block alpha + e_i one s higher, found by `np.searchsorted`
+        on the key, and contributes the matrix's entries at the two blocks'
+        offsets.  A block needs v-degree >= s, since every drop is >= 1, so
+        s stops at t1 - min degree.
+        """
+        nt = t1 - t0 + 1
+        degs = np.array(self.module.degrees(), dtype=np.int64)
+        levels = min(s_max + 1, t1 - int(degs[0])) + 1
+        if levels <= 0:
+            return {}
+        # alpha as digits in base `levels`, which every exponent is below:
+        # the code orders alphas of one length lex, and alpha + e_ix adds place[ix]
+        place = levels ** np.arange(len(self.qs) - 1, -1, -1, dtype=np.int64)
+        span = levels ** len(self.qs)
+        bids, keys, ds = [], [], []
+        for s in range(levels):
+            vdeg, alphas = _v_exponents(self.qs, self.drops, s)
+            lo = np.searchsorted(vdeg, t0 - degs, "left")
+            counts = np.searchsorted(vdeg, t1 - degs, "right") - lo
+            at = _ragged(lo, counts)
+            d = np.repeat(np.arange(degs.size), counts)
+            # the bidegree s * nt + t - t0, and (s, t, alpha) as one integer
+            bids.append(s * nt - t0 + vdeg[at] + degs[d])
+            keys.append(bids[-1] * span + alphas[at] @ place)
+            ds.append(d)
+        # one sort puts the blocks in (s, t, lex alpha) order, and a target
+        # block is found by searching for its key
+        key = np.concatenate(keys)
+        order = np.argsort(key, kind="stable")
+        key, bid, D = key[order], np.concatenate(bids)[order], np.concatenate(ds)[order]
+        del bids, keys, ds
+        width = np.array([self.module.dim(d) for d in degs], dtype=np.int64)[D]
+        chain = np.bincount(np.repeat(bid, width), minlength=levels * nt)
+        offset = np.cumsum(width) - width - (np.cumsum(chain) - chain)[bid]
+
+        src = np.flatnonzero(bid < (min(s_max, levels - 2) + 1) * nt)
+        parts: list[tuple[np.ndarray, ...]] = []
+        for ix, (count, start, qr, qc, qv) in enumerate(actions):
+            k = count[D[src]]
+            b, k = src[k > 0], k[k > 0]
+            target = np.searchsorted(key, key[b] + nt * span + place[ix])
+            at = _ragged(start[D[b]], k)
+            parts.append(
+                (
+                    np.repeat(bid[b], k),
+                    np.repeat(offset[target], k) + qr[at],
+                    np.repeat(offset[b], k) + qc[at],
+                    qv[at],
+                )
+            )
+        none = np.zeros(0, dtype=np.int64)
+        entries = [np.concatenate(x) for x in zip(*parts, (none,) * 4)]
+        del parts
+        # d^{s,t} maps C^{s,t} to C^{s+1,t}; the top level has no sources, so
+        # its targets, one level up, are not tabulated
+        shapes = np.stack([np.append(chain[nt:], np.zeros(nt, dtype=np.int64)), chain], axis=1)
+        rk = ranks(*entries, shapes, self.p).reshape(levels, nt)
+        top = min(s_max, levels - 1) + 1
+        ext = (chain.reshape(levels, nt) - rk - np.vstack([np.zeros((1, nt), dtype=np.int64), rk[:-1]]))[:top]
+        t_ix, s_ix = np.nonzero(ext.T)
+        return {(int(s), t0 + int(t)): int(ext[s, t]) for t, s in zip(t_ix, s_ix)}
+
     def v_mult(self, s: int, t: int, i: int) -> np.ndarray:
         """Induced map on classes (s,t) -> (s+1, t+d_i), columns = sources.
 
@@ -242,7 +379,8 @@ class KoszulComplex:
         return coords.T
 
 
-_CHARTS: dict[tuple, dict[tuple[int, int], int]] = {}
+# content key -> every chart computed for it: (s_max, t_min, t_max, dims)
+_CHARTS: dict[tuple, list[tuple[int, int, int, dict[tuple[int, int], int]]]] = {}
 
 
 def ext_koszul(
@@ -252,7 +390,10 @@ def ext_koszul(
 
     Truncated modules certify only t_max <= truncation, since the s = 0
     and s = 1 columns read the module at degree t itself.  Charts are
-    memoised by module content and window; each call gets its own copy.
+    memoised by module content: a window inside one already computed for
+    the same content is cut from it, since dim Ext^{s,t} does not depend
+    on the window, and any other window is computed whole by
+    `KoszulComplex.chart`.  Each call gets its own copy.
     """
     top = module.truncated_above
     if top is not None and t_max > top:
@@ -260,17 +401,13 @@ def ext_koszul(
             f"t_max {t_max} exceeds the certified degree {top} of the truncated module"
         )
     lo = (module.min_degree() if module.basis else 0) if t_min is None else t_min
-    key = (content_key(module), s_max, t_max, lo)
-    dims = _CHARTS.get(key)
-    if dims is None:
-        complex_ = KoszulComplex(module)
-        dims = {}
-        for t in range(lo, t_max + 1):
-            for s in range(s_max + 1):
-                d = complex_.dim(s, t)
-                if d:
-                    dims[(s, t)] = d
-        _CHARTS[key] = dims
+    held = _CHARTS.setdefault(content_key(module), [])
+    for h_s, h_lo, h_t, dims in held:
+        if s_max <= h_s and h_lo <= lo and t_max <= h_t:
+            cut = {(s, t): d for (s, t), d in dims.items() if s <= s_max and lo <= t <= t_max}
+            return BigradedDims(cut, s_max, t_max, lo)
+    dims = KoszulComplex(module).chart(s_max, lo, t_max)
+    held.append((s_max, lo, t_max, dims))
     return BigradedDims(dict(dims), s_max, t_max, lo)
 
 

@@ -6,11 +6,13 @@ nonzero entry in scan order, so identical inputs give identical outputs
 across runs and platforms.  All functions are pure; inputs are never
 mutated.
 
-Callers that need only a dimension ask `rank`, which builds no echelon
-form.  It peels singleton columns and rows in vectorised passes
-(structured Gaussian elimination, LaMacchia-Odlyzko) and hands the core
-left over to `rref_array`.  It returns only an integer, so the order in
-which it takes pivots cannot show in any output.
+Callers that need only a dimension ask `ranks`, which builds no echelon
+form: it takes a whole batch of sparse matrices as entries tagged with a
+matrix id, peels singleton columns and rows of every matrix at once
+(structured Gaussian elimination, LaMacchia-Odlyzko) and hands each
+core left over to `rref_array`.  `rank` is a batch of one dense matrix.
+Both return only integers, so the order in which pivots are taken
+cannot show in any output.
 
 Primes stay below `MAX_PRIME` = 2^16 (the CLI rejects larger ones), so
 a product of two residues is below 2^32 and a matrix product of residues
@@ -26,6 +28,7 @@ import numpy as np
 
 __all__ = [
     "MAX_PRIME",
+    "ranks",
     "rank",
     "rref_array",
     "reduce_mod_rows",
@@ -87,33 +90,95 @@ def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def rank(a: np.ndarray, p: int) -> int:
-    """Rank of `a` mod p.
+def ranks(
+    block: np.ndarray,
+    row: np.ndarray,
+    col: np.ndarray,
+    val: np.ndarray,
+    shapes: np.ndarray,
+    p: int,
+) -> np.ndarray:
+    """Rank mod p of every matrix in a batch given by its entries.
 
-    A column with a single nonzero entry is a pivot whose row can be
-    deleted with no fill-in, and singleton columns that hit the same row
-    give that row's one pivot.  So each pass adds the number of distinct
-    rows the singleton columns hit, deletes those rows, and deletes the
-    singleton and zero columns; then it transposes, so passes alternate
-    between columns and rows.  They stop when a column pass and a row
-    pass in a row find no singleton, and `rref_array` eliminates the core
-    that is left.  The passes read only the nonzero pattern and the
-    indices of the surviving rows and columns; the entries are copied
-    once, for the core.
+    Entry e is val[e] at (row[e], col[e]) of matrix block[e], matrix b has
+    shape shapes[b], and no two entries share a position; values need not
+    be reduced.  The rows, and the columns, of the whole batch are
+    numbered matrix by matrix and peeled together by `_peel`.
     """
-    t = np.asarray(a, dtype=np.int64)
-    nz = np.mod(t, p) != 0
-    rows, cols = np.arange(t.shape[0]), np.arange(t.shape[1])
-    r = idle = 0
-    while nz.size and idle < 2:
-        counts = np.count_nonzero(nz, axis=0)
-        hit = nz[:, counts == 1].any(axis=1)
-        found = int(np.count_nonzero(hit))
-        r += found
-        idle = 0 if found else idle + 1
-        nz = nz[~hit][:, counts > 1].T
-        rows, cols, t = cols[counts > 1], rows[~hit], t.T
-    return r + len(rref_array(t[np.ix_(rows, cols)], p)[1]) if nz.size else r
+    shapes = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
+    val = np.mod(np.asarray(val, dtype=np.int64), p)
+    keep = val != 0
+    block = np.asarray(block, dtype=np.int64)[keep]
+    starts = np.cumsum(shapes, axis=0) - shapes
+    owner = np.arange(len(shapes))
+    return _peel(
+        np.asarray(row, dtype=np.int64)[keep] + starts[block, 0],
+        np.asarray(col, dtype=np.int64)[keep] + starts[block, 1],
+        val[keep],
+        np.repeat(owner, shapes[:, 0]),
+        np.repeat(owner, shapes[:, 1]),
+        len(shapes),
+        p,
+    )
+
+
+def rank(a: np.ndarray, p: int) -> int:
+    """Rank of `a` mod p: `_peel` on a batch of one."""
+    a = np.mod(np.asarray(a, dtype=np.int64), p)
+    rows, cols = np.nonzero(a)
+    owner = np.zeros(max(a.shape), dtype=np.int64)
+    return int(_peel(rows, cols, a[rows, cols], owner[: a.shape[0]], owner[: a.shape[1]], 1, p)[0])
+
+
+def _peel(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    val: np.ndarray,
+    row_of: np.ndarray,
+    col_of: np.ndarray,
+    n: int,
+    p: int,
+) -> np.ndarray:
+    """Ranks of a batch of n matrices whose nonzero entries sit at (rows, cols).
+
+    Rows and columns are numbered across the batch, and row_of and col_of
+    give the matrix of each.  A column with a single nonzero entry is a
+    pivot whose row can be deleted with no fill-in, and singleton columns
+    that hit the same row give that row's one pivot.  So each pass counts
+    the entries of every column of the batch with one `bincount`, adds to
+    each matrix the number of distinct rows its singleton columns hit, and
+    deletes those rows, which empties the singleton columns; then rows and
+    columns swap roles, so passes alternate between columns and rows
+    (structured Gaussian elimination, LaMacchia-Odlyzko).  They stop when
+    a column pass and a row pass in a row find no singleton, and
+    `rref_array` eliminates each core left, the only dense matrices built.
+    """
+    out = np.zeros(n, dtype=np.int64)
+    idle = 0
+    while val.size and idle < 2:
+        single = np.bincount(cols, minlength=col_of.size)[cols] == 1
+        hit = np.zeros(row_of.size, dtype=bool)
+        hit[rows[single]] = True
+        out += np.bincount(row_of[hit], minlength=n)
+        idle = 0 if single.any() else idle + 1
+        keep = ~hit[rows]
+        rows, cols, val = cols[keep], rows[keep], val[keep]
+        row_of, col_of = col_of, row_of
+    if val.size:
+        owner = row_of[rows]
+        for b in np.flatnonzero(np.bincount(owner, minlength=n)):
+            mine = owner == b
+            out[b] += len(rref_array(_compressed(rows[mine], cols[mine], val[mine]), p)[1])
+    return out
+
+
+def _compressed(rows: np.ndarray, cols: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """The dense matrix of some entries, with its empty rows and columns left out."""
+    r = np.cumsum(np.bincount(rows - rows.min()) > 0) - 1
+    c = np.cumsum(np.bincount(cols - cols.min()) > 0) - 1
+    dense = np.zeros((r[-1] + 1, c[-1] + 1), dtype=np.int64)
+    dense[r[rows - rows.min()], c[cols - cols.min()]] = val
+    return dense
 
 
 def reduce_mod_rows(v: np.ndarray, rref_rows: np.ndarray, pivots: tuple[int, ...], p: int) -> np.ndarray:

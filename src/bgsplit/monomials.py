@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from itertools import count, takewhile
 from math import gcd
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fplin import is_prime
 
@@ -88,14 +88,14 @@ class AlgebraSpec:
         return self.i + 1
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """A product of xi and tau generators in normal form.
 
     `xi` maps generator index a >= 1 to a positive exponent, stored as a
     sorted tuple of (index, exponent) pairs.  `tau` is the strictly
     increasing tuple of exterior indices; repeating one kills the monomial,
-    so no Monomial ever holds a repeat.
+    so no Monomial ever holds a repeat.  A named tuple, so hashing and
+    equality run in C; code that builds one directly keeps the normal form.
     """
 
     xi: tuple[tuple[int, int], ...]
@@ -151,14 +151,22 @@ UNIT = Monomial((), ())
 
 
 def degree(ctx: PrimeContext, m: Monomial) -> int:
-    d = sum(e * ctx.xi_degree(a) for a, e in m.xi)
-    d += sum(ctx.tau_degree(b) for b in m.tau)
+    p = ctx.p
+    d = 0
+    for a, e in m.xi:
+        d += 2 * e * (p**a - 1)
+    for b in m.tau:
+        d += 2 * p**b - 1
     return d
 
 
 def weight(ctx: PrimeContext, m: Monomial) -> int:
-    w = sum(e * ctx.p**a for a, e in m.xi)
-    w += sum(ctx.p**b for b in m.tau)
+    p = ctx.p
+    w = 0
+    for a, e in m.xi:
+        w += e * p**a
+    for b in m.tau:
+        w += p**b
     return w
 
 

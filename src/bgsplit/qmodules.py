@@ -32,10 +32,8 @@ from .monomials import (
     AlgebraSpec,
     Monomial,
     PrimeContext,
-    degree as mono_degree,
     format_monomial,
     sort_key,
-    weight as mono_weight,
 )
 
 __all__ = [
@@ -70,22 +68,30 @@ def q_action_on_monomial(
 
     Returns (coefficient, monomial) pairs with coefficients in (0, p);
     degree drops by 2p^i - 1, weight is preserved, length drops by one.
+    Removing different tau factors leaves different tau sets, so the terms
+    are distinct and each coefficient is the sign of its factor's position.
     """
     if i < 0:
         raise ValueError("Q index must be nonnegative")
-    terms: dict[Monomial, int] = {}
+    terms = []
     for pos, b in enumerate(m.tau):
         if b < spec.min_tau:
             raise ValueError(f"tau{b} does not live in this algebra")
         if i > b:
             continue
-        xi = dict(m.xi)
-        if b - i >= 1:
-            xi[b - i] = xi.get(b - i, 0) + ctx.p**i
-        rest = Monomial.make(xi, tuple(t for t in m.tau if t != b))
-        sign = -1 if pos % 2 else 1
-        terms[rest] = (terms.get(rest, 0) + sign) % ctx.p
-    return [(c, mono) for mono, c in terms.items() if c]
+        xi = m.xi if b == i else _raise_xi(m.xi, b - i, ctx.p**i)
+        terms.append((ctx.p - 1 if pos % 2 else 1, Monomial(xi, m.tau[:pos] + m.tau[pos + 1 :])))
+    return terms
+
+
+def _raise_xi(xi: tuple[tuple[int, int], ...], a: int, e: int) -> tuple[tuple[int, int], ...]:
+    """The sorted (index, exponent) pairs of xi times xi_a^e."""
+    for j, (c, f) in enumerate(xi):
+        if c == a:
+            return xi[:j] + ((a, f + e),) + xi[j + 1 :]
+        if c > a:
+            return xi[:j] + ((a, e),) + xi[j:]
+    return xi + ((a, e),)
 
 
 class QModule:
@@ -289,8 +295,8 @@ def module_from_monomials(
 def monomials_by_degree(ctx: PrimeContext, monomials: Iterable[Monomial]) -> dict[int, list[Monomial]]:
     """Distinct monomials grouped by degree, ascending, each group in canonical order."""
     by_degree: dict[int, list[Monomial]] = {}
-    for m in sorted(set(monomials), key=lambda m: sort_key(ctx, m)):
-        by_degree.setdefault(mono_degree(ctx, m), []).append(m)
+    for key, m in sorted((sort_key(ctx, m), m) for m in set(monomials)):
+        by_degree.setdefault(key[0], []).append(m)
     return by_degree
 
 

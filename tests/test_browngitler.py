@@ -27,6 +27,7 @@ from bgsplit.monomials import (
     AlgebraSpec,
     Monomial,
     PrimeContext,
+    enumerate_by_degree,
     enumerate_by_weight,
     format_monomial,
     parse_monomial,
@@ -125,11 +126,30 @@ def test_growing_brown_gitler_runs_the_closure_check(monkeypatch):
 
 def test_assembly_holds_one_brown_gitler_module(monkeypatch):
     monkeypatch.setattr(browngitler, "_HELD", {})
+    grown = []
+    grow = browngitler._grow
+    monkeypatch.setattr(browngitler, "_grow", lambda ctx, i, k, held: grown.append(k) or grow(ctx, i, k, held))
     assemble_bp_splitting(P3, 2, 60)
+    # B_1(k_max) is built first and every theta block is a slice of it
+    assert grown == [60 // P3.q]
     assert list(browngitler._HELD) == [(P3, 1)]
     assert browngitler._HELD[(P3, 1)][0] == 60 // P3.q
     weight_restricted_C.__wrapped__(P3, 3)
     assert list(browngitler._HELD) == [(P3, 1)]
+
+
+@pytest.mark.parametrize("order", [(220, 237), (237, 220)], ids=["grown", "cut"])
+def test_held_bp_homology_equals_cold_builds(monkeypatch, order):
+    monkeypatch.setattr(browngitler, "_BP", {})
+    spec = AlgebraSpec(2)
+    for top in order:
+        cold = module_from_monomials(
+            P3, spec, enumerate_by_degree(P3, spec, top), (0, 1, 2), truncated_above=top
+        )
+        got = bp_homology(P3, 2, top)
+        assert (got.max_degree, got.module.truncated_above) == (top, top)
+        _assert_same_module(got.module, cold)
+        assert bp_homology(P3, 2, top) is got
 
 
 # -- theta -----------------------------------------------------------------

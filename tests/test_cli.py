@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bgsplit
 from bgsplit import browngitler, cli, margolis
 from bgsplit.cli import main
 from bgsplit.ext import compare
@@ -267,22 +271,42 @@ def test_theta_assembly_catches_a_short_homology(capsys, monkeypatch):
     assert _only_failure(capsys, "theta-assembly") == "coverage first fails at degree 24"
 
 
-def test_theta_blocks_catches_a_lost_monomial(capsys, monkeypatch):
-    # theta_3 sends its top basis element to zero; theta-assembly builds theta
-    # too, so theta is doctored only inside this check
-    real = cli.theta_report
-    theta = browngitler.theta
+def _lossy_theta_3(theta):
+    """theta, except that theta_3 sends its top basis element to zero."""
 
-    def lossy(*args):
-        f = theta(*args)
+    def lossy(ctx, i, k):
+        f = theta(ctx, i, k)
+        if k != 3:
+            return f
         mats = {d: f.mat(d).copy() for d in f.source.degrees()}
         mats[f.source.max_degree()][:, -1] = 0
         return QModuleMap(f.source, f.target, mats, f.shift)
 
+    return lossy
+
+
+def test_theta_assembly_catches_a_lost_monomial(capsys, monkeypatch):
+    # the coverage reads each block through the bijection gate, so a column
+    # with no image fails the check instead of raising out of main;
+    # theta-blocks builds theta too, so theta is doctored only inside this check
+    real = cli.assemble_bp_splitting
+
+    def assemble(ctx, n, max_degree):
+        with monkeypatch.context() as m:
+            m.setattr(browngitler, "theta", _lossy_theta_3(browngitler.theta))
+            return real(ctx, n, max_degree)
+
+    monkeypatch.setattr(cli, "assemble_bp_splitting", assemble)
+    assert _only_failure(capsys, "theta-assembly") == "a block-level theta check failed"
+
+
+def test_theta_blocks_catches_a_lost_monomial(capsys, monkeypatch):
+    # theta-assembly builds theta too, so theta is doctored only inside this check
+    real = cli.theta_report
+
     def report(ctx, i, k):
         with monkeypatch.context() as m:
-            if k == 3:
-                m.setattr(browngitler, "theta", lossy)
+            m.setattr(browngitler, "theta", _lossy_theta_3(browngitler.theta))
             return real(ctx, i, k)
 
     monkeypatch.setattr(cli, "theta_report", report)
@@ -445,6 +469,22 @@ def test_output_file_lands_under_env_dir(capsys, tmp_path, monkeypatch):
     assert code == 0
     on_disk = json.loads((tmp_path / "basis.json").read_text())
     assert on_disk == json.loads(capsys.readouterr().out)
+
+
+def test_verify_splitting_leaves_numpy_ma_unimported():
+    # the window charts and every rank avoid np.unique, whose first call
+    # imports numpy.ma, about 9 ms and 1.7 MB of RSS per invocation
+    code = (
+        "import contextlib, io, sys\n"
+        "from bgsplit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify-splitting', '--k-max', '0', '--format', 'json'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bgsplit.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "False"]
 
 
 def test_benchmark_window_report_is_byte_identical(capsys):

@@ -133,6 +133,50 @@ def test_dims_build_each_differential_once(monkeypatch):
     assert len(built) == len(ranked)
 
 
+def _lazy_chart(module, s_max, t_min, t_max):
+    """Nonzero dims from a fresh complex, one bidegree at a time, in t-major order."""
+    kc = KoszulComplex(module)
+    dims = {}
+    for t in range(t_min, t_max + 1):
+        for s in range(s_max + 1):
+            if kc.dim(s, t):
+                dims[(s, t)] = kc.dim(s, t)
+    return dims
+
+
+def _cbar_pair(pair):
+    return restrict_qs(length_splitting(P3, 220).reduced_part, pair)
+
+
+def _dual_tensor():
+    # the e2-comparison route: negative degrees, and s up to the width of the window
+    c9 = weight_restricted_C(P3, 9)
+    return tensor(dual_module(c9), weight_restricted_C(P3, 3))
+
+
+@pytest.mark.parametrize(
+    "make, s_max, t_max",
+    [
+        (lambda: _cbar_pair((0, 1)), 6, 220),
+        (lambda: _cbar_pair((0, 2)), 6, 220),
+        (lambda: _cbar_pair((1, 2)), 6, 220),
+        (lambda: weight_restricted_C(P3, 9), 6, 60),
+        (lambda: weight_restricted_C(P3, 27), 6, 120),
+        (lambda: weight_restricted_C(P5, 25), 6, 200),
+        (_dual_tensor, 80, 40),
+    ],
+    ids=["cbar-Q0Q1", "cbar-Q0Q2", "cbar-Q1Q2", "C9", "C27", "p5-C25", "dual-C9-C3"],
+)
+def test_window_chart_equals_the_per_bidegree_dims(make, s_max, t_max):
+    module = make()
+    t_min = module.min_degree()
+    chart = KoszulComplex(module).chart(s_max, t_min, t_max)
+    lazy = _lazy_chart(module, s_max, t_min, t_max)
+    assert chart
+    assert chart == lazy
+    assert list(chart) == list(lazy)
+
+
 def _brute_force_blocks(kc, s, t):
     blocks = []
     for alpha in v_monomials(kc.qs, s):
@@ -404,6 +448,18 @@ def test_mutating_a_returned_chart_leaves_the_memo_alone(complex_count):
     again = ext_koszul(c9, 4, 30)
     assert again.dims == expected
     assert len(complex_count) == 1
+
+
+def test_a_window_inside_a_held_chart_is_cut_from_it(complex_count):
+    c9 = weight_restricted_C(P3, 9)
+    ext_koszul(c9, 6, 60)
+    inner = ext_koszul(c9, 4, 30, t_min=10)
+    assert len(complex_count) == 1
+    assert (inner.s_max, inner.t_min, inner.t_max) == (4, 10, 30)
+    assert inner.dims == _lazy_chart(c9, 4, 10, 30)
+    # one bound outside the held chart is a miss
+    ext_koszul(c9, 7, 30)
+    assert len(complex_count) == 2
 
 
 def _direct_v_injectivity(module, i, s_max, t_max):

@@ -18,6 +18,7 @@ from bgsplit.fplin import (
     kernel_array,
     quotient_projection,
     rank,
+    ranks,
     reduce_mod_rows,
     rref_array,
     solve_columns,
@@ -189,6 +190,37 @@ def test_rank_matches_echelon_pivots(pm):
     p, a = pm
     assert rank(a, p) == _rank(a, p)
     assert rank(a.T, p) == rank(a, p)
+
+
+@st.composite
+def sparse_fp_batches(draw):
+    """Up to five sparse matrices, some empty or all zero, with unreduced entries."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    shapes = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=5))
+    mats = []
+    for rows, cols in shapes:
+        a = np.zeros((rows, cols), dtype=np.int64)
+        if rows and cols:
+            # multiples of p are stored entries that vanish mod p
+            cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), st.integers(-3 * p, 3 * p))
+            for i, j, v in draw(st.lists(cells, max_size=rows * cols // 3 + 2)):
+                a[i, j] = v
+        mats.append(a)
+    return p, mats, draw(st.randoms())
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_fp_batches())
+@example((5, [], None))
+@example((3, [np.zeros((0, 4), dtype=np.int64), np.zeros((3, 3), dtype=np.int64), _m([[3, 1], [0, 1]])], None))
+def test_batched_ranks_match_echelon_pivots(batch):
+    p, mats, rng = batch
+    entries = [(b, i, j, a[i, j]) for b, a in enumerate(mats) for i, j in zip(*np.nonzero(a))]
+    if rng is not None:
+        rng.shuffle(entries)
+    block, row, col, val = (np.array([e[k] for e in entries], dtype=np.int64) for k in range(4))
+    got = ranks(block, row, col, val, [a.shape for a in mats], p)
+    assert got.tolist() == [_rank(a, p) for a in mats]
 
 
 @st.composite
