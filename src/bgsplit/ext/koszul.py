@@ -8,21 +8,20 @@ cochain m (x) v^alpha at s = |alpha| and t = deg(m) + sum alpha_i d_i
 with d_i = 2p^i - 1, so v_i sits at (1, d_i) and d preserves t.
 
 Dimensions come from ranks, dim Ext^{s,t} = dim C^{s,t} - rank d^{s,t} -
-rank d^{s-1,t}, and no rank builds an echelon form.  A chart
-(`ext_koszul`) takes its whole window at once: `KoszulComplex.chart`
-tabulates the chain blocks by index arithmetic, emits the differentials'
-entries, never a dense differential, and ranks every differential of a
-t-slab with one `fplin.ranks` call.  `ext_p_module` and v-injectivity
-read their windows one bidegree at a time through `KoszulComplex.dim`,
-which ranks each differential once per complex by `fplin.rank`;
-v-injectivity likewise compares the rank of each v_i-multiplication
-with the dimension of its source.  Class
+rank d^{s-1,t}, and only `KoszulComplex.chart` computes them: it takes a
+whole window at once, tabulates the chain blocks by index arithmetic,
+emits the differentials' entries, never a dense differential, and ranks
+every differential of a t-slab with one `fplin.ranks` call.  Charts
+(`ext_koszul`), `ext_p_module` and v-injectivity all read their
+dimensions from it; v-injectivity then compares the rank of each
+v_i-multiplication with the dimension of its source.  Class
 representatives are built only by `KoszulComplex.homology`, for
 `v_mult`, which reduces the chain images of all representatives at once;
 it is one call to `fplin.homology_basis`, the primitive Margolis
-homology uses too.
-Differentials are built where they are read and not kept: a rank keeps
-only its integer, `homology` only its bases.
+homology uses too.  The chain blocks it eliminates over are read from
+`_v_exponents`, the v-monomial table the chart tabulates from.
+Differentials are built where they are read and not kept: `homology`
+keeps only its bases.
 
 Charts and v-injectivity reports are memoised by module content
 (`qmodules.content_key`, the same identity the gr and comparison caches
@@ -46,22 +45,9 @@ from ..monomials import exponent_vectors
 from ..qmodules import QModule, content_key, restrict_qs
 
 
-@lru_cache(maxsize=None)
 def v_monomials(qs: tuple[int, ...], s: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples over qs with |alpha| = s, in lexicographic order."""
     return tuple(exponent_vectors((1,) * len(qs), s, exact=True))
-
-
-@lru_cache(maxsize=None)
-def v_monomials_by_degree(
-    qs: tuple[int, ...], drops: tuple[int, ...], s: int
-) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """v_monomials(qs, s) bucketed by v-degree sum alpha_i d_i, lex order kept."""
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-    for alpha in v_monomials(qs, s):
-        vdeg = sum(a * d for a, d in zip(alpha, drops))
-        buckets.setdefault(vdeg, []).append(alpha)
-    return {vdeg: tuple(alphas) for vdeg, alphas in buckets.items()}
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +128,8 @@ class KoszulComplex:
         self.qs = module.qs
         self.p = module.ctx.p
         self.drops = tuple(module.ctx.q_degree(i) for i in self.qs)
+        self._degrees = np.array(module.degrees(), dtype=np.int64)
         self._chains: dict[tuple[int, int], tuple[tuple, int]] = {}
-        self._ranks: dict[tuple[int, int], int] = {}
         self._homology: dict[tuple[int, int], tuple] = {}
 
     # -- chain level ---------------------------------------------------------
@@ -152,8 +138,8 @@ class KoszulComplex:
         """(alpha, module degree, block dim) per nonempty block of C^{s,t}, in lex order.
 
         Blocks v^alpha (x) M_d with M_d = 0 add no columns, so they are left
-        out.  The walk pairs the v-degree buckets of s with the module's
-        degrees from whichever side has fewer entries, and sorts.
+        out.  Each module degree d finds its alphas, those of v-degree
+        t - d, in the `_v_exponents` table that `chart` reads too.
         """
         return self._chain(s, t)[0]
 
@@ -166,22 +152,21 @@ class KoszulComplex:
         cached = self._chains.get(key)
         if cached is not None:
             return cached
-        buckets = v_monomials_by_degree(self.qs, self.drops, s)
-        basis = self.module.basis
-        if len(buckets) < len(basis):
-            found = (
-                (alpha, t - vdeg, len(basis[t - vdeg]))
-                for vdeg, alphas in buckets.items()
-                if t - vdeg in basis
-                for alpha in alphas
+        vdeg, alphas = _v_exponents(self.qs, self.drops, s)
+        want = t - self._degrees
+        spans = zip(
+            self.module.degrees(),
+            vdeg.searchsorted(want, "left").tolist(),
+            vdeg.searchsorted(want, "right").tolist(),
+        )
+        blocks = tuple(
+            sorted(
+                (tuple(alpha), d, self.module.dim(d))
+                for d, lo, hi in spans
+                if lo < hi
+                for alpha in alphas[lo:hi].tolist()
             )
-        else:
-            found = (
-                (alpha, d, len(labels))
-                for d, labels in basis.items()
-                for alpha in buckets.get(t - d, ())
-            )
-        blocks = tuple(sorted(found))
+        )
         cached = self._chains[key] = (blocks, sum(dim for _, _, dim in blocks))
         return cached
 
@@ -245,30 +230,6 @@ class KoszulComplex:
             )
         return cached
 
-    def _rank(self, s: int, t: int) -> int:
-        """Rank of d: C^{s,t} -> C^{s+1,t}, eliminated once per (s, t)."""
-        key = (s, t)
-        cached = self._ranks.get(key)
-        if cached is not None:
-            return cached
-        if self.chain_dim(s, t) == 0 or self.chain_dim(s + 1, t) == 0:
-            cached = 0
-        else:
-            cached = rank(self.differential(s, t), self.p)
-        self._ranks[key] = cached
-        return cached
-
-    def dim(self, s: int, t: int) -> int:
-        """dim Ext^{s,t} = dim C^{s,t} - rank d^{s,t} - rank d^{s-1,t}.
-
-        The count equals the size of the homology basis because d^2 = 0;
-        it builds no representatives, which only `homology` does.
-        """
-        n = self.chain_dim(s, t)
-        if n == 0:
-            return 0
-        return n - self._rank(s, t) - self._rank(s - 1, t)
-
     # -- a whole window at once ----------------------------------------------
 
     def chart(self, s_max: int, t_min: int, t_max: int) -> dict[tuple[int, int], int]:
@@ -303,7 +264,7 @@ class KoszulComplex:
         s stops at t1 - min degree.
         """
         nt = t1 - t0 + 1
-        degs = np.array(self.module.degrees(), dtype=np.int64)
+        degs = self._degrees
         levels = min(s_max + 1, t1 - int(degs[0])) + 1
         if levels <= 0:
             return {}
@@ -367,10 +328,9 @@ class KoszulComplex:
         """
         reps = self.homology(s, t)[0]
         target = (s + 1, t + self.module.ctx.q_degree(i))
-        n = self.dim(*target)
-        if reps.shape[0] == 0 or n == 0:
-            return np.zeros((n, reps.shape[0]), dtype=np.int64)
         treps, trep_piv, borders, border_piv = self.homology(*target)
+        if reps.shape[0] == 0 or treps.shape[0] == 0:
+            return np.zeros((treps.shape[0], reps.shape[0]), dtype=np.int64)
         images = (reps @ self.v_mult_chain(s, t, i).T) % self.p
         reduced = reduce_mod_rows(images, borders, border_piv, self.p)
         coords = reduced[:, list(trep_piv)]
@@ -444,24 +404,24 @@ def even_concentration_check(
 class BocksteinE1:
     """E_1 page of the v_i-Bockstein spectral sequence.
 
-    dims[(s, t, r)] is the dimension of Ext^{s,t} over the remaining
-    operators tensor v_i^r.  When that Ext is concentrated in even t - s
-    no differential can be nonzero, since each page's differential flips
-    the parity of the total t - s; collapse records that.
+    The page is Ext over the remaining operators tensor F_p[v_i]; dims[(s,
+    t)] is the dimension of that pair Ext^{s,t}, which the column of each
+    power v_i^r repeats, shifted by r times the bidegree of v_i.  When it
+    is concentrated in even t - s no differential can be nonzero, since
+    each page's differential flips the parity of the total t - s; collapse
+    records that.
     """
 
     i: int
     pair: tuple[int, ...]
-    dims: dict[tuple[int, int, int], int]
+    dims: dict[tuple[int, int], int]
     collapse: bool
 
-    def dim(self, s: int, t: int, r: int) -> int:
-        return self.dims.get((s, t, r), 0)
+    def dim(self, s: int, t: int) -> int:
+        return self.dims.get((s, t), 0)
 
 
-def bockstein_e1(
-    module: QModule, i: int, s_max: int, t_max: int, r_max: int = 2
-) -> BocksteinE1:
+def bockstein_e1(module: QModule, i: int, s_max: int, t_max: int) -> BocksteinE1:
     if i not in module.qs:
         raise KeyError(f"Q_{i} is not defined on this module")
     pair = tuple(x for x in module.qs if x != i)
@@ -470,12 +430,7 @@ def bockstein_e1(
     rest = restrict_qs(module, pair)
     ext = ext_koszul(rest, s_max, t_max)
     collapse = all((t - s) % 2 == 0 for (s, t) in ext.dims)
-    dims = {
-        (s, t, r): d
-        for (s, t), d in ext.dims.items()
-        for r in range(r_max + 1)
-    }
-    return BocksteinE1(i, pair, dims, collapse)
+    return BocksteinE1(i, pair, ext.dims, collapse)
 
 
 @dataclass
@@ -514,17 +469,13 @@ def v_injectivity(module: QModule, i: int, s_max: int, t_max: int) -> VInjectivi
     reports = _V_INJECTIVITY.get(key)
     if reports is None:
         complex_ = KoszulComplex(module)
-        checked = 0
+        dims = complex_.chart(s_max, lo, t_max)
         kernel_at: dict[int, list[tuple[int, int]]] = {j: [] for j in ops}
-        for t in range(lo, t_max + 1):
-            for s in range(s_max + 1):
-                n = complex_.dim(s, t)
-                if n == 0:
-                    continue
-                checked += n
-                for j in ops:
-                    if rank(complex_.v_mult(s, t, j), module.ctx.p) < n:
-                        kernel_at[j].append((s, t))
+        for (s, t), n in dims.items():
+            for j in ops:
+                if rank(complex_.v_mult(s, t, j), module.ctx.p) < n:
+                    kernel_at[j].append((s, t))
+        checked = sum(dims.values())
         reports = _V_INJECTIVITY[key] = {j: (checked, tuple(kernel_at[j])) for j in ops}
     checked, kernel_at = reports[i]
     return VInjectivityReport(

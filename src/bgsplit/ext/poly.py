@@ -132,21 +132,17 @@ def ext_p_module(module: QModule, t_max: int) -> PModule:
     kc = KoszulComplex(module)
     if not kc.drops:
         raise ValueError("the module must carry at least one operator")
-    min_drop = min(kc.drops)
+    # a block at (s, t) needs t >= t0 + s * min drop, so this rectangle
+    # holds every class with t <= t_max
     t0 = module.min_degree()
-    dims: dict[Bidegree, int] = {}
-    for t in range(t0, t_max + 1):
-        for s in range((t - t0) // min_drop + 1):
-            n = kc.dim(s, t)
-            if n:
-                dims[(s, t)] = n
+    dims = kc.chart((t_max - t0) // min(kc.drops), t0, t_max)
+    # the chart holds every target with t <= t_max, so a v_j-multiplication
+    # is built only where both ends carry classes
     acts: dict[int, dict[Bidegree, np.ndarray]] = {j: {} for j in range(len(kc.qs))}
     for s, t in dims:
         for j, i in enumerate(kc.qs):
-            if t + kc.drops[j] <= t_max:
-                mat = kc.v_mult(s, t, i)
-                if mat.size:
-                    acts[j][(s, t)] = mat
+            if (s + 1, t + kc.drops[j]) in dims:
+                acts[j][(s, t)] = kc.v_mult(s, t, i)
     return PModule(kc.p, kc.drops, dims, acts, t_max)
 
 

@@ -487,6 +487,26 @@ def test_verify_splitting_leaves_numpy_ma_unimported():
     assert out.stdout.split() == ["0", "False"]
 
 
+def test_v_injectivity_stops_at_the_chart_for_a_huge_s_max(capsys):
+    # C^{s,t} = 0 once s exceeds t - min degree, so an --s-max far past the
+    # window must cost no more than one that reaches its edge
+    env = dict(os.environ, PYTHONPATH=str(Path(bgsplit.__file__).resolve().parents[1]))
+    argv = ["verify-splitting", "--max-degree", "12", "--k-max", "0", "--format", "json"]
+    out = subprocess.run(
+        [sys.executable, "-m", "bgsplit.cli", *argv, "--s-max", "100000"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert main(argv + ["--s-max", "12"]) == 0
+    small = json.loads(capsys.readouterr().out)
+
+    def detail(report):
+        return next(c["detail"] for c in report["checks"] if c["name"] == "v-injectivity")
+
+    assert detail(json.loads(out.stdout)) == detail(small)
+    assert "72 classes" in detail(small)
+
+
 def test_benchmark_window_report_is_byte_identical(capsys):
     # the verify-p3-k0 benchmark window; a refactor must leave its report unchanged
     argv = ["verify-splitting", "--p", "3", "--max-degree", "60", "--k-max", "0", "--s-max", "6"]

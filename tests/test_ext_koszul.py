@@ -84,16 +84,22 @@ RANK_ROUTE_MODULES = [
 ]
 
 
+def _classes(kc, s, t):
+    """dim Ext^{s,t} as the size of a homology basis, by dense elimination."""
+    return kc.homology(s, t)[0].shape[0] if kc.chain_dim(s, t) else 0
+
+
 @pytest.mark.parametrize("make", RANK_ROUTE_MODULES)
 def test_dim_from_ranks_matches_homology_basis(make):
     module = make()
     kc = KoszulComplex(module)
     lo = module.min_degree()
+    chart = kc.chart(6, lo, lo + 60)
     classes = 0
     for t in range(lo, lo + 61):
         for s in range(7):
-            d = kc.dim(s, t)
-            assert d == kc.homology(s, t)[0].shape[0], (s, t)
+            d = _classes(kc, s, t)
+            assert chart.get((s, t), 0) == d, (s, t)
             classes += d
     assert classes
 
@@ -105,42 +111,22 @@ def test_dim_euler_characteristic_matches_chains(make):
     module = make()
     kc = KoszulComplex(module)
     lo = module.min_degree()
+    chart = kc.chart(40 // min(kc.drops) + 1, lo, lo + 40)
     for t in range(lo, lo + 41):
         s_top = (t - lo) // min(kc.drops) + 1
-        ext = sum((-1) ** s * kc.dim(s, t) for s in range(s_top + 1))
+        ext = sum((-1) ** s * chart.get((s, t), 0) for s in range(s_top + 1))
         chains = sum((-1) ** s * kc.chain_dim(s, t) for s in range(s_top + 1))
         assert ext == chains, t
 
 
-def test_dims_build_each_differential_once(monkeypatch):
-    # differentials are not kept, so only the rank memo stops d^{s,t}
-    # from being built again for dim(s + 1, t)
-    built = []
-    differential = KoszulComplex.differential
-
-    def counting(self, s, t):
-        built.append((s, t))
-        return differential(self, s, t)
-
-    monkeypatch.setattr(KoszulComplex, "differential", counting)
-    c9 = weight_restricted_C(P3, 9)
-    kc = KoszulComplex(c9)
-    window = [(s, t) for t in range(c9.min_degree(), 61) for s in range(7)]
-    for s, t in window:
-        kc.dim(s, t)
-    ranked = [(s, t) for s, t in window if kc.chain_dim(s, t) and kc.chain_dim(s + 1, t)]
-    assert ranked
-    assert len(built) == len(ranked)
-
-
 def _lazy_chart(module, s_max, t_min, t_max):
-    """Nonzero dims from a fresh complex, one bidegree at a time, in t-major order."""
+    """Nonzero homology-basis counts of a fresh complex, one bidegree at a time, t-major."""
     kc = KoszulComplex(module)
     dims = {}
     for t in range(t_min, t_max + 1):
         for s in range(s_max + 1):
-            if kc.dim(s, t):
-                dims[(s, t)] = kc.dim(s, t)
+            if _classes(kc, s, t):
+                dims[(s, t)] = _classes(kc, s, t)
     return dims
 
 
@@ -208,22 +194,6 @@ def test_chain_blocks_match_brute_force(module):
     assert nonempty
 
 
-@pytest.mark.parametrize(
-    "module, walks_buckets",
-    # H_*BP<2> through 120 has more degrees than any s <= 6 has v-degrees;
-    # the unit has one degree and never more than its v-degrees
-    [(bp_homology(P3, 2, 120).module, True), (trivial_module(P3, FULL), False)],
-    ids=["many-degrees", "one-degree"],
-)
-def test_chain_blocks_walk_the_smaller_side(module, walks_buckets):
-    kc = KoszulComplex(module)
-    for s in range(7):
-        buckets = koszul.v_monomials_by_degree(kc.qs, kc.drops, s)
-        assert (len(buckets) < len(module.basis)) is walks_buckets, s
-        for t in range(module.min_degree() - 2, 130):
-            assert list(kc.chain_blocks(s, t)) == _brute_force_blocks(kc, s, t), (s, t)
-
-
 def test_v_multiplication_commutes_with_the_differential():
     for module in (weight_restricted_C(P3, 9), restrict_qs(weight_restricted_C(P3, 9), (1, 2))):
         kc = KoszulComplex(module)
@@ -234,6 +204,22 @@ def test_v_multiplication_commutes_with_the_differential():
                     rhs = kc.v_mult_chain(s + 1, t, i) @ kc.differential(s, t)
                     assert lhs.shape == rhs.shape
                     assert not ((lhs - rhs) % 3).any(), (i, s, t)
+
+
+def test_p_module_dims_match_homology_bases():
+    # ext_p_module reads one rectangular chart, s <= (t_max - min degree)
+    # // smallest drop, which must hold every class with t <= t_max
+    c9 = weight_restricted_C(P3, 9)
+    ext = ext_p_module(c9, 41)
+    kc = KoszulComplex(c9)
+    lo = c9.min_degree()
+    direct = {
+        (s, t): _classes(kc, s, t)
+        for t in range(lo, 42)
+        for s in range((t - lo) // min(kc.drops) + 2)
+    }
+    assert ext.dims
+    assert ext.dims == {key: d for key, d in direct.items() if d}
 
 
 def test_v_mult_rejects_images_that_are_not_cycles(monkeypatch):
@@ -304,21 +290,13 @@ def test_even_concentration_violations_are_listed():
 def test_bockstein_collapse_on_blocks():
     c9 = weight_restricted_C(P3, 9)
     for i in FULL:
-        page = bockstein_e1(c9, i, 6, 40, r_max=2)
+        page = bockstein_e1(c9, i, 6, 40)
         assert page.collapse
         assert page.pair == tuple(x for x in FULL if x != i)
-        assert all((t - s) % 2 == 0 for s, t, _ in page.dims)
-
-
-def test_bockstein_page_repeats_per_power():
-    # the v_i^r factor is implicit, so every power column carries the
-    # same pair-Ext dimensions
-    c9 = weight_restricted_C(P3, 9)
-    page = bockstein_e1(c9, 0, 4, 30, r_max=3)
-    base = {(s, t): d for (s, t, r), d in page.dims.items() if r == 0}
-    assert base
-    for r in (1, 2, 3):
-        assert {(s, t): d for (s, t, rr), d in page.dims.items() if rr == r} == base
+        # the page holds the pair chart once; each power of v_i repeats it
+        assert page.dims == ext_koszul(restrict_qs(c9, page.pair), 6, 40).dims
+        assert page.dims
+        assert all((t - s) % 2 == 0 for s, t in page.dims)
 
 
 def test_v_injectivity_on_small_blocks():
@@ -435,7 +413,7 @@ def test_same_basis_with_zero_actions_gets_its_own_chart(complex_count):
     assert len(complex_count) == 2
     assert inert.dims != acted.dims
     kc = KoszulComplex(zero)
-    direct = {(s, t): kc.dim(s, t) for t in range(61) for s in range(7)}
+    direct = {(s, t): _classes(kc, s, t) for t in range(61) for s in range(7)}
     assert inert.dims == {key: d for key, d in direct.items() if d}
 
 
@@ -468,7 +446,7 @@ def _direct_v_injectivity(module, i, s_max, t_max):
     checked, kernel_at = 0, []
     for t in range(module.min_degree(), t_max + 1):
         for s in range(s_max + 1):
-            n = kc.dim(s, t)
+            n = _classes(kc, s, t)
             if n:
                 checked += n
                 if len(rref_array(kc.v_mult(s, t, i), module.ctx.p)[1]) < n:
