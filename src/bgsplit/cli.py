@@ -370,9 +370,9 @@ def _check_bockstein(ctx: PrimeContext, cfg: RunConfig, cbar) -> dict:
     reports = [bockstein_e1(cbar, i, cfg.s_max, t_hi) for i in (0, 1, 2)]
     bad = [r.i for r in reports if not r.collapse]
     detail = (
-        "E_1 over each pair is even-concentrated, so every page repeats it"
+        "dim Ext equals the E_1 count at every (s, t) for each i, so every page repeats E_1"
         if not bad
-        else f"nonzero differentials possible for i in {bad}"
+        else f"Ext differs from the E_1 count for i in {bad}"
     )
     return _entry("bockstein-collapse", not bad, f"s <= {cfg.s_max}, t <= {t_hi}", detail)
 

@@ -12,25 +12,22 @@ rank d^{s-1,t}, and only `KoszulComplex.chart` computes them: it takes a
 whole window at once, tabulates the chain blocks by index arithmetic,
 emits the differentials' entries, never a dense differential, and ranks
 every differential of a t-slab with one `fplin.ranks` call.  Charts
-(`ext_koszul`), `ext_p_module` and v-injectivity all read their
-dimensions from it; v-injectivity then compares the rank of each
-v_i-multiplication with the dimension of its source.  Class
-representatives are built only by `KoszulComplex.homology`, for
-`v_mult`, which reduces the chain images of all representatives at once;
-it is one call to `fplin.homology_basis`, the primitive Margolis
-homology uses too.  The chain blocks it eliminates over are read from
-`_v_exponents`, the v-monomial table the chart tabulates from.
-Differentials are built where they are read and not kept: `homology`
-keeps only its bases.
+(`ext_koszul`) and `ext_p_module` read their dimensions from it.
+v-injectivity and Bockstein collapse read charts alone: v_i is injective
+on cochains with cokernel the complex of M over the other operators, so
+a long exact sequence counts the kernel of v_i on Ext (`_v_kernels`).
+Class representatives are built only by `KoszulComplex.homology`, for
+the `v_mult` of `ext_p_module`, which reduces the chain images of all
+representatives at once; it is one call to `fplin.homology_basis`, the
+primitive Margolis homology uses too.  Differentials are built where
+they are read and not kept: `homology` keeps only its bases.
 
-Charts and v-injectivity reports are memoised by module content
+Charts are the one Koszul memo, keyed by module content
 (`qmodules.content_key`, the same identity the gr and comparison caches
-use): `ext_koszul` and `v_injectivity` compute each (module, window) once
-per process, so two equal modules built apart, such as the same
-`restrict_qs` pair asked for by two checks or the blocks C_k with one
-floor(k/p), share one result, and a chart window inside one already
-computed for the same content is cut from it.  The complex itself is
-dropped after each computation.
+use): `ext_koszul` computes each (module, window) once per process, so
+equal modules built apart, such as the same `restrict_qs` pair asked for
+by two checks or the blocks C_k with one floor(k/p), share one chart, and
+a window inside a held chart of the same content is cut from it.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..fplin import homology_basis, rank, ranks, reduce_mod_rows
+from ..fplin import homology_basis, ranks, reduce_mod_rows
 from ..monomials import exponent_vectors
 from ..qmodules import QModule, content_key, restrict_qs
 
@@ -58,7 +55,8 @@ def _v_exponents(
 
     The sort is stable, so alphas of one v-degree stay in lex order.
     """
-    alphas = np.array(v_monomials(qs, s), dtype=np.int64).reshape(-1, len(qs))
+    monos = v_monomials(qs, s)
+    alphas = np.array(monos, dtype=np.int64).reshape(len(monos), len(qs))
     vdeg = alphas @ np.array(drops, dtype=np.int64)
     order = np.argsort(vdeg, kind="stable")
     return vdeg[order], alphas[order]
@@ -85,9 +83,10 @@ def _nonzeros(module: QModule, i: int) -> tuple[np.ndarray, ...]:
     return count, np.cumsum(count) - count, rows, cols, np.concatenate([m[x] for m, x in zip(mats, at)])
 
 
-# t-width of one pass of `KoszulComplex.chart`: bounds the entries held at
-# once; at 64 the structure checks' peak RSS rose by about 0.1 MB over 32
-_SLAB = 32
+# the most chain columns one pass of `KoszulComplex.chart` holds, which bounds
+# the entries it ranks at once: C-bar's three-operator chart has 35,667 in
+# t = 192..220, and one pass over them cost 2.7 MB of peak RSS
+_COLUMNS = 8192
 
 
 @dataclass
@@ -102,10 +101,6 @@ class BigradedDims:
 
     def dim(self, s: int, t: int) -> int:
         return self.dims.get((s, t), 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.dims.values())
 
     def chart_rows(self) -> list[tuple[int, int, int]]:
         return [(s, t, d) for (s, t), d in sorted(self.dims.items())]
@@ -129,6 +124,7 @@ class KoszulComplex:
         self.p = module.ctx.p
         self.drops = tuple(module.ctx.q_degree(i) for i in self.qs)
         self._degrees = np.array(module.degrees(), dtype=np.int64)
+        self._dims = np.array([module.dim(d) for d in module.degrees()], dtype=np.int64)
         self._chains: dict[tuple[int, int], tuple[tuple, int]] = {}
         self._homology: dict[tuple[int, int], tuple] = {}
 
@@ -170,22 +166,22 @@ class KoszulComplex:
         cached = self._chains[key] = (blocks, sum(dim for _, _, dim in blocks))
         return cached
 
+    def _offsets(self, s: int, t: int) -> tuple[dict[tuple[int, ...], int], int]:
+        """The first row of each block of C^{s,t}, keyed by its alpha, and dim C^{s,t}."""
+        blocks = self.chain_blocks(s, t)
+        starts = np.cumsum([0] + [dim for _, _, dim in blocks]).tolist()
+        return dict(zip([alpha for alpha, _, _ in blocks], starts)), starts[-1]
+
     def differential(self, s: int, t: int) -> np.ndarray:
         """Matrix of d = sum Q_i (x) v_i from C^{s,t} to C^{s+1,t}.
 
         The v's commute and the Q's square to zero and anticommute, so no
         extra signs are needed for d^2 = 0.  Built on each call, not kept.
         """
-        src = self.chain_blocks(s, t)
-        dst = self.chain_blocks(s + 1, t)
-        offsets = {}
-        total = 0
-        for alpha, _, dim in dst:
-            offsets[alpha] = total
-            total += dim
-        mat = np.zeros((total, self.chain_dim(s, t)), dtype=np.int64)
+        offsets, rows = self._offsets(s + 1, t)
+        mat = np.zeros((rows, self.chain_dim(s, t)), dtype=np.int64)
         col = 0
-        for alpha, d, dim in src:
+        for alpha, d, dim in self.chain_blocks(s, t):
             for ix, i in enumerate(self.qs):
                 beta = alpha[:ix] + (alpha[ix] + 1,) + alpha[ix + 1 :]
                 row = offsets.get(beta)
@@ -199,16 +195,10 @@ class KoszulComplex:
     def v_mult_chain(self, s: int, t: int, i: int) -> np.ndarray:
         """Chain-level multiplication by v_i: C^{s,t} -> C^{s+1,t+d_i}."""
         ix = self.qs.index(i)
-        src = self.chain_blocks(s, t)
-        dst = self.chain_blocks(s + 1, t + self.drops[ix])
-        offsets = {}
-        total = 0
-        for alpha, _, dim in dst:
-            offsets[alpha] = total
-            total += dim
-        mat = np.zeros((total, self.chain_dim(s, t)), dtype=np.int64)
+        offsets, rows = self._offsets(s + 1, t + self.drops[ix])
+        mat = np.zeros((rows, self.chain_dim(s, t)), dtype=np.int64)
         col = 0
-        for alpha, _, dim in src:
+        for alpha, _, dim in self.chain_blocks(s, t):
             beta = alpha[:ix] + (alpha[ix] + 1,) + alpha[ix + 1 :]
             row = offsets[beta]
             mat[row : row + dim, col : col + dim] = np.eye(dim, dtype=np.int64)
@@ -235,18 +225,15 @@ class KoszulComplex:
     def chart(self, s_max: int, t_min: int, t_max: int) -> dict[tuple[int, int], int]:
         """The nonzero dim Ext^{s,t} for s <= s_max and t_min <= t <= t_max, t-major.
 
-        d preserves t, so the window is taken in independent t-slabs of
-        width _SLAB, and each slab's differentials d^{s,t}, s <= s_max, are
-        ranked together by one `fplin.ranks` call on their entries.  No
-        dense differential is built and nothing is memoised on the complex.
+        d preserves t, so the window is taken in independent t-slabs, halved
+        until each has at most _COLUMNS chain columns, and each slab's
+        differentials d^{s,t}, s <= s_max, are ranked together by one
+        `fplin.ranks` call on their entries.  No dense differential is built
+        and nothing is memoised on the complex.
         """
-        dims: dict[tuple[int, int], int] = {}
         if not self.module.basis:
-            return dims
-        actions = [_nonzeros(self.module, i) for i in self.qs]
-        for t0 in range(t_min, t_max + 1, _SLAB):
-            dims.update(self._slab(s_max, t0, min(t0 + _SLAB - 1, t_max), actions))
-        return dims
+            return {}
+        return self._slab(s_max, t_min, t_max, [_nonzeros(self.module, i) for i in self.qs])
 
     def _slab(
         self, s_max: int, t0: int, t1: int, actions: list[tuple[np.ndarray, ...]]
@@ -261,22 +248,28 @@ class KoszulComplex:
         to its block alpha + e_i one s higher, found by `np.searchsorted`
         on the key, and contributes the matrix's entries at the two blocks'
         offsets.  A block needs v-degree >= s, since every drop is >= 1, so
-        s stops at t1 - min degree.
+        s stops at t1 - min degree.  A slab with more than _COLUMNS chain
+        columns, counted before any block is tabulated, is halved.
         """
-        nt = t1 - t0 + 1
         degs = self._degrees
         levels = min(s_max + 1, t1 - int(degs[0])) + 1
         if levels <= 0:
             return {}
+        runs = []
+        for s in range(levels):
+            vdeg, alphas = _v_exponents(self.qs, self.drops, s)
+            lo = np.searchsorted(vdeg, t0 - degs, "left")
+            runs.append((vdeg, alphas, lo, np.searchsorted(vdeg, t1 - degs, "right") - lo))
+        if t1 > t0 and sum(int(c @ self._dims) for *_, c in runs) > _COLUMNS:
+            mid = (t0 + t1) // 2
+            return self._slab(s_max, t0, mid, actions) | self._slab(s_max, mid + 1, t1, actions)
+        nt = t1 - t0 + 1
         # alpha as digits in base `levels`, which every exponent is below:
         # the code orders alphas of one length lex, and alpha + e_ix adds place[ix]
         place = levels ** np.arange(len(self.qs) - 1, -1, -1, dtype=np.int64)
         span = levels ** len(self.qs)
         bids, keys, ds = [], [], []
-        for s in range(levels):
-            vdeg, alphas = _v_exponents(self.qs, self.drops, s)
-            lo = np.searchsorted(vdeg, t0 - degs, "left")
-            counts = np.searchsorted(vdeg, t1 - degs, "right") - lo
+        for s, (vdeg, alphas, lo, counts) in enumerate(runs):
             at = _ragged(lo, counts)
             d = np.repeat(np.arange(degs.size), counts)
             # the bidegree s * nt + t - t0, and (s, t, alpha) as one integer
@@ -289,9 +282,10 @@ class KoszulComplex:
         order = np.argsort(key, kind="stable")
         key, bid, D = key[order], np.concatenate(bids)[order], np.concatenate(ds)[order]
         del bids, keys, ds
-        width = np.array([self.module.dim(d) for d in degs], dtype=np.int64)[D]
+        width = self._dims[D]
         chain = np.bincount(np.repeat(bid, width), minlength=levels * nt)
-        offset = np.cumsum(width) - width - (np.cumsum(chain) - chain)[bid]
+        # the batch numbers columns from level 0 and rows from level 1
+        pos, lead = np.cumsum(width) - width, chain[:nt].sum()
 
         src = np.flatnonzero(bid < (min(s_max, levels - 2) + 1) * nt)
         parts: list[tuple[np.ndarray, ...]] = []
@@ -301,15 +295,10 @@ class KoszulComplex:
             target = np.searchsorted(key, key[b] + nt * span + place[ix])
             at = _ragged(start[D[b]], k)
             parts.append(
-                (
-                    np.repeat(bid[b], k),
-                    np.repeat(offset[target], k) + qr[at],
-                    np.repeat(offset[b], k) + qc[at],
-                    qv[at],
-                )
+                (np.repeat(pos[target] - lead, k) + qr[at], np.repeat(pos[b], k) + qc[at], qv[at])
             )
         none = np.zeros(0, dtype=np.int64)
-        entries = [np.concatenate(x) for x in zip(*parts, (none,) * 4)]
+        entries = [np.concatenate(x) for x in zip(*parts, (none,) * 3)]
         del parts
         # d^{s,t} maps C^{s,t} to C^{s+1,t}; the top level has no sources, so
         # its targets, one level up, are not tabulated
@@ -400,16 +389,39 @@ def even_concentration_check(
     )
 
 
+def _v_kernels(
+    module: QModule, ext: dict[tuple[int, int], int], i: int, s_max: int, t_max: int
+) -> dict[tuple[int, int], int]:
+    """The nonzero dim ker(v_i on Ext^{s,t}), s <= s_max and t <= t_max, t-major.
+
+    ext is the module's chart through t_max + d_i.  With H' the Ext over the
+    other operators, 0 -> C^{s-1,t} -> C^{s,t+d_i} -> C'^{s,t+d_i} -> 0 gives
+    ker^{s,t} = dim H'^{s,t+d_i} - dim H^{s,t+d_i} + dim H^{s-1,t} - ker^{s-1,t},
+    counted wherever a term can be nonzero, so inexact charts show a kernel.
+    """
+    drop, lo = module.drop(i), (module.min_degree() if module.basis else 0)
+    pair = restrict_qs(module, tuple(j for j in module.qs if j != i))
+    rest = ext_koszul(pair, s_max, t_max + drop).dims
+    kernels: dict[tuple[int, int], int] = {}
+    for t in range(lo, t_max + 1):
+        below = 0  # ker^{-1,t}; C^{s,t+d_i} = 0 once s > t + d_i - lo
+        for s in range(min(s_max, t + drop - lo) + 1):
+            up = (s, t + drop)
+            below = rest.get(up, 0) - ext.get(up, 0) + ext.get((s - 1, t), 0) - below
+            if below:
+                kernels[(s, t)] = below
+    return kernels
+
+
 @dataclass
 class BocksteinE1:
     """E_1 page of the v_i-Bockstein spectral sequence.
 
     The page is Ext over the remaining operators tensor F_p[v_i]; dims[(s,
     t)] is the dimension of that pair Ext^{s,t}, which the column of each
-    power v_i^r repeats, shifted by r times the bidegree of v_i.  When it
-    is concentrated in even t - s no differential can be nonzero, since
-    each page's differential flips the parity of the total t - s; collapse
-    records that.
+    power v_i^r repeats, shifted by r times the bidegree of v_i.  collapse
+    records the Cartan-Eilenberg count through t_max: dim Ext^{s,t} = sum_r
+    dim Ext_pair^{s-r, t-r d_i}, that is, `_v_kernels` finds no kernel.
     """
 
     i: int
@@ -427,10 +439,10 @@ def bockstein_e1(module: QModule, i: int, s_max: int, t_max: int) -> BocksteinE1
     pair = tuple(x for x in module.qs if x != i)
     if not pair:
         raise ValueError("the Bockstein direction must leave at least one operator")
-    rest = restrict_qs(module, pair)
-    ext = ext_koszul(rest, s_max, t_max)
-    collapse = all((t - s) % 2 == 0 for (s, t) in ext.dims)
-    return BocksteinE1(i, pair, ext.dims, collapse)
+    ext = ext_koszul(module, s_max, t_max).dims
+    kernels = _v_kernels(module, ext, i, s_max, t_max - module.drop(i))
+    dims = ext_koszul(restrict_qs(module, pair), s_max, t_max).dims
+    return BocksteinE1(i, pair, dims, not kernels)
 
 
 @dataclass
@@ -442,46 +454,30 @@ class VInjectivityReport:
     window: tuple[int, int, int]
 
 
-_V_INJECTIVITY: dict[tuple, dict[int, tuple[int, tuple[tuple[int, int], ...]]]] = {}
-
-
 def v_injectivity(module: QModule, i: int, s_max: int, t_max: int) -> VInjectivityReport:
     """Check v_i-multiplication has zero kernel on classes in the window.
 
     Sources run over s <= s_max and t <= t_max; targets live one v_i
-    bidegree higher, so a truncated module must certify t_max + d_i.
-    Reports are memoised by module content and window: the first call
-    builds one complex and checks every operator whose targets the module
-    certifies, so later calls for any i are lookups.
+    bidegree higher, so a truncated module must certify t_max + d_i.  Every
+    operator shares the module's chart through t_max plus the largest drop
+    it certifies, and reads its own pair chart.
     """
     if i not in module.qs:
         raise KeyError(f"Q_{i} is not defined on this module")
     top = module.truncated_above
-    ops = [j for j in module.qs if top is None or t_max + module.ctx.q_degree(j) <= top]
-    if i not in ops:
-        drop = module.ctx.q_degree(i)
+    drop = module.drop(i)
+    if top is not None and t_max + drop > top:
         raise ValueError(
             f"targets reach t = {t_max + drop}, beyond the certified degree {top}; "
             f"lower t_max to {top - drop}"
         )
-    lo = module.min_degree() if module.basis else 0
-    key = (content_key(module), s_max, t_max)
-    reports = _V_INJECTIVITY.get(key)
-    if reports is None:
-        complex_ = KoszulComplex(module)
-        dims = complex_.chart(s_max, lo, t_max)
-        kernel_at: dict[int, list[tuple[int, int]]] = {j: [] for j in ops}
-        for (s, t), n in dims.items():
-            for j in ops:
-                if rank(complex_.v_mult(s, t, j), module.ctx.p) < n:
-                    kernel_at[j].append((s, t))
-        checked = sum(dims.values())
-        reports = _V_INJECTIVITY[key] = {j: (checked, tuple(kernel_at[j])) for j in ops}
-    checked, kernel_at = reports[i]
+    reach = max(d for d in map(module.drop, module.qs) if top is None or t_max + d <= top)
+    ext = ext_koszul(module, s_max, t_max + reach).dims
+    kernel_at = list(_v_kernels(module, ext, i, s_max, t_max))
     return VInjectivityReport(
         i=i,
         passed=not kernel_at,
-        checked_classes=checked,
-        kernel_at=list(kernel_at),
-        window=(s_max, lo, t_max),
+        checked_classes=sum(n for (_, t), n in ext.items() if t <= t_max),
+        kernel_at=kernel_at,
+        window=(s_max, module.min_degree() if module.basis else 0, t_max),
     )

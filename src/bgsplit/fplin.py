@@ -7,8 +7,9 @@ across runs and platforms.  All functions are pure; inputs are never
 mutated.
 
 Callers that need only a dimension ask `ranks`, which builds no echelon
-form: it takes a whole batch of sparse matrices as entries tagged with a
-matrix id, peels singleton columns and rows of every matrix at once
+form: it takes a whole batch of sparse matrices as entries whose rows
+and columns are numbered across the batch, peels singleton columns and
+rows of every matrix at once
 (structured Gaussian elimination, LaMacchia-Odlyzko) and hands each
 core left over to `rref_array`.  `rank` is a batch of one dense matrix.
 Both return only integers, so the order in which pivots are taken
@@ -90,30 +91,21 @@ def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def ranks(
-    block: np.ndarray,
-    row: np.ndarray,
-    col: np.ndarray,
-    val: np.ndarray,
-    shapes: np.ndarray,
-    p: int,
-) -> np.ndarray:
+def ranks(row: np.ndarray, col: np.ndarray, val: np.ndarray, shapes: np.ndarray, p: int) -> np.ndarray:
     """Rank mod p of every matrix in a batch given by its entries.
 
-    Entry e is val[e] at (row[e], col[e]) of matrix block[e], matrix b has
-    shape shapes[b], and no two entries share a position; values need not
-    be reduced.  The rows, and the columns, of the whole batch are
-    numbered matrix by matrix and peeled together by `_peel`.
+    The rows, and the columns, of the batch are numbered matrix by matrix,
+    in the order and with the shapes of shapes.  Entry e is val[e] at
+    (row[e], col[e]), no two entries share a position, and values need not
+    be reduced.  The whole batch is peeled together by `_peel`.
     """
     shapes = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
     val = np.mod(np.asarray(val, dtype=np.int64), p)
     keep = val != 0
-    block = np.asarray(block, dtype=np.int64)[keep]
-    starts = np.cumsum(shapes, axis=0) - shapes
     owner = np.arange(len(shapes))
     return _peel(
-        np.asarray(row, dtype=np.int64)[keep] + starts[block, 0],
-        np.asarray(col, dtype=np.int64)[keep] + starts[block, 1],
+        np.asarray(row, dtype=np.int64)[keep],
+        np.asarray(col, dtype=np.int64)[keep],
         val[keep],
         np.repeat(owner, shapes[:, 0]),
         np.repeat(owner, shapes[:, 1]),

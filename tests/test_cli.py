@@ -17,13 +17,14 @@ import pytest
 import bgsplit
 from bgsplit import browngitler, cli, margolis
 from bgsplit.cli import main
-from bgsplit.ext import compare
+from bgsplit.ext import compare, koszul
 from bgsplit.ext.poly import projective_dimension
 from bgsplit.monomials import PrimeContext
 from bgsplit.qmodules import (
     QModule,
     QModuleMap,
     _shift_grading,
+    content_key,
     direct_sum,
     free_module,
     trivial_module,
@@ -378,13 +379,21 @@ def test_even_concentration_catches_odd_classes(capsys, monkeypatch):
     assert detail == "odd classes at [(0, 1, 1), (0, 1, 1), (0, 1, 1), (0, 5, 1)]"
 
 
-def test_bockstein_collapse_catches_odd_classes(capsys, monkeypatch):
-    real = cli.bockstein_e1
-    monkeypatch.setattr(
-        cli, "bockstein_e1", lambda cbar, *args: real(_shift_grading(cbar, 1), *args)
-    )
+def test_bockstein_collapse_catches_an_extra_class(capsys, monkeypatch):
+    # one more class in the three-operator chart of C-bar, at the top of the
+    # window; the pair charts, and so the E_1 pages, stay even and unchanged
+    cbar = content_key(browngitler.length_splitting(PrimeContext(3), 24).reduced_part)
+    real = koszul.ext_koszul
+
+    def doctored(module, *args, **kwargs):
+        ext = real(module, *args, **kwargs)
+        if content_key(module) == cbar:
+            ext.dims[(0, 24)] = ext.dim(0, 24) + 1
+        return ext
+
+    monkeypatch.setattr(koszul, "ext_koszul", doctored)
     detail = _only_failure(capsys, "bockstein-collapse")
-    assert detail == "nonzero differentials possible for i in [0, 1, 2]"
+    assert detail == "Ext differs from the E_1 count for i in [0, 1, 2]"
 
 
 def test_v_injectivity_catches_a_kernel(capsys, monkeypatch):

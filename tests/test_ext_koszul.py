@@ -163,6 +163,18 @@ def test_window_chart_equals_the_per_bidegree_dims(make, s_max, t_max):
     assert list(chart) == list(lazy)
 
 
+def test_halved_slabs_give_the_same_chart(monkeypatch):
+    # the three-operator C-bar chart through 220 has slabs far past the bound
+    cbar = length_splitting(P3, 220).reduced_part
+    whole = KoszulComplex(cbar).chart(6, 0, 220)
+    for bound in (10**9, 64):
+        monkeypatch.setattr(koszul, "_COLUMNS", bound)
+        chart = KoszulComplex(cbar).chart(6, 0, 220)
+        assert chart == whole
+        assert list(chart) == list(whole)
+    assert whole
+
+
 def _brute_force_blocks(kc, s, t):
     blocks = []
     for alpha in v_monomials(kc.qs, s):
@@ -299,6 +311,13 @@ def test_bockstein_collapse_on_blocks():
         assert all((t - s) % 2 == 0 for s, t in page.dims)
 
 
+def test_bockstein_collapse_fails_where_v_i_kills_a_class():
+    # the free module's one class, at s = 0, is killed by every v_i, so Ext
+    # is smaller than each E_1 count
+    free = free_module(P3, FULL)
+    assert [bockstein_e1(free, i, 4, 40).collapse for i in FULL] == [False] * 3
+
+
 def test_v_injectivity_on_small_blocks():
     for k in (0, 3, 9):
         block = weight_restricted_C(P3, k)
@@ -373,18 +392,17 @@ def test_chart_rows_deterministic():
 
 @pytest.fixture
 def complex_count(monkeypatch):
-    """Empty the chart and v-injectivity memos and count the complexes built."""
-    built = []
+    """Empty the chart memo and record (qs, s_max, t_min, t_max) of each chart computed."""
+    charts = []
 
     class Counting(koszul.KoszulComplex):
-        def __init__(self, module):
-            built.append(module)
-            super().__init__(module)
+        def chart(self, s_max, t_min, t_max):
+            charts.append((self.qs, s_max, t_min, t_max))
+            return super().chart(s_max, t_min, t_max)
 
     monkeypatch.setattr(koszul, "_CHARTS", {})
-    monkeypatch.setattr(koszul, "_V_INJECTIVITY", {})
     monkeypatch.setattr(koszul, "KoszulComplex", Counting)
-    return built
+    return charts
 
 
 def test_equal_modules_built_apart_share_one_chart(complex_count):
@@ -401,13 +419,7 @@ def test_same_basis_with_zero_actions_gets_its_own_chart(complex_count):
     cbar = restrict_qs(length_splitting(P3, 60).reduced_part, (0, 1))
     # zero matrices of the same shapes and the same truncation, so only the
     # matrix entries tell the two modules apart
-    zero = QModule(
-        P3,
-        cbar.qs,
-        cbar.basis,
-        {i: {d: np.zeros_like(mat) for d, mat in cbar.actions[i].items()} for i in cbar.qs},
-        cbar.truncated_above,
-    )
+    zero = _zero_actions(cbar)
     acted = ext_koszul(cbar, 6, 60)
     inert = ext_koszul(zero, 6, 60)
     assert len(complex_count) == 2
@@ -441,7 +453,7 @@ def test_a_window_inside_a_held_chart_is_cut_from_it(complex_count):
 
 
 def _direct_v_injectivity(module, i, s_max, t_max):
-    """(checked classes, kernel bidegrees) from a fresh complex, no memo."""
+    """(checked classes, kernel bidegrees) from class representatives and `v_mult`, no memo."""
     kc = KoszulComplex(module)
     checked, kernel_at = 0, []
     for t in range(module.min_degree(), t_max + 1):
@@ -454,30 +466,80 @@ def _direct_v_injectivity(module, i, s_max, t_max):
     return checked, kernel_at
 
 
+def _zero_actions(module):
+    """The module with every operator matrix replaced by zeros of its shape."""
+    actions = {i: {d: np.zeros_like(mat) for d, mat in module.actions[i].items()} for i in module.qs}
+    return QModule(module.ctx, module.qs, module.basis, actions, module.truncated_above)
+
+
+COUNT_ROUTE_MODULES = [
+    *(
+        pytest.param(lambda k=k: weight_restricted_C(P3, k), 6, 40, id=f"C{k}")
+        for k in (0, 3, 6, 9, 12, 27)
+    ),
+    pytest.param(lambda: free_module(P3, FULL), 3, 40, id="free"),
+    pytest.param(lambda: _zero_actions(free_module(P3, FULL)), 3, 40, id="zero-action"),
+    pytest.param(lambda: bp_homology(P3, 2, 40).module, 4, 23, id="bp2-t40"),
+    pytest.param(lambda: _cbar_pair((0, 1)), 6, 60, id="cbar-Q0Q1"),
+    pytest.param(lambda: restrict_qs(weight_restricted_C(P3, 9), (1,)), 4, 30, id="C9-Q1"),
+]
+
+
+@pytest.mark.parametrize("make, s_max, t_max", COUNT_ROUTE_MODULES)
+def test_v_injectivity_counts_equal_the_representatives(make, s_max, t_max):
+    module = make()
+    for i in module.qs:
+        report = v_injectivity(module, i, s_max, t_max)
+        direct = _direct_v_injectivity(module, i, s_max, t_max)
+        assert (report.checked_classes, report.kernel_at) == direct
+        assert report.passed == (not direct[1])
+
+
+def test_v_injectivity_reads_no_class_representatives(complex_count, monkeypatch):
+    calls = []
+    for name in ("homology", "v_mult"):
+        monkeypatch.setattr(KoszulComplex, name, lambda self, *args, name=name: calls.append(name))
+    c9 = weight_restricted_C(P3, 9)
+    assert all(v_injectivity(c9, i, 6, 40).passed for i in FULL)
+    assert calls == []
+    assert len(complex_count) == 4
+
+
+def test_v_injectivity_on_a_single_operator():
+    # over E(Q_1) alone the cokernel of v_1 has no operators: its Ext is M at s = 0
+    single = restrict_qs(weight_restricted_C(P3, 9), (1,))
+    report = v_injectivity(single, 1, 4, 30)
+    assert (report.checked_classes, report.kernel_at) == (19, [(0, 12)])
+
+
+def test_ext_over_no_operators_is_the_module_at_s_zero():
+    bare = restrict_qs(weight_restricted_C(P3, 9), ())
+    ext = ext_koszul(bare, 3, 30)
+    assert ext.dims == {(0, d): bare.dim(d) for d in bare.degrees() if d <= 30}
+    assert ext.dims
+
+
 def test_equal_blocks_share_one_v_injectivity_complex(complex_count):
-    # C_k depends only on floor(k/p), so C_0, C_1 and C_2 have one content
+    # C_k depends only on floor(k/p), so C_0, C_1 and C_2 have one content:
+    # one module chart through 40 + d_2, and one pair chart per operator
     reports = [
         v_injectivity(weight_restricted_C(P3, k), i, 6, 40) for k in (0, 1, 2) for i in FULL
     ]
-    assert len(complex_count) == 1
+    assert complex_count == [
+        (FULL, 6, 0, 57), ((1, 2), 6, 0, 41), ((0, 2), 6, 0, 45), ((0, 1), 6, 0, 57)
+    ]
     assert all(r.passed and r.checked_classes == reports[0].checked_classes for r in reports)
     assert [r.i for r in reports] == [0, 1, 2] * 3
 
 
 def test_same_basis_with_zero_actions_gets_its_own_v_injectivity(complex_count):
-    free = free_module(P3, FULL)
     # zero matrices of the same shapes: only the matrix entries differ, and
     # with no action every v_i acts freely on Ext
-    zero = QModule(
-        P3,
-        free.qs,
-        free.basis,
-        {i: {d: np.zeros_like(mat) for d, mat in free.actions[i].items()} for i in free.qs},
-        free.truncated_above,
-    )
+    free = free_module(P3, FULL)
+    zero = _zero_actions(free)
     acted = v_injectivity(free, 0, 3, 40)
     inert = v_injectivity(zero, 0, 3, 40)
-    assert len(complex_count) == 2
+    assert [qs for qs, *_ in complex_count] == [FULL, (1, 2), FULL, (1, 2)]
     assert not acted.passed and inert.passed
     assert (inert.checked_classes, inert.kernel_at) == _direct_v_injectivity(zero, 0, 3, 40)
     assert (acted.checked_classes, acted.kernel_at) == _direct_v_injectivity(free, 0, 3, 40)
@@ -492,13 +554,14 @@ def test_mutating_a_returned_kernel_leaves_the_v_injectivity_memo_alone(complex_
     again = v_injectivity(free, 0, 3, 40)
     assert again.kernel_at == expected
     assert not again.passed
-    assert len(complex_count) == 1
+    assert len(complex_count) == 2
 
 
 @pytest.mark.parametrize("order", [(2, 0, 1), (0, 1, 2)])
 def test_v_injectivity_memo_keeps_the_truncation_gate(complex_count, order):
     # t_max + d_0 = 31 and t_max + d_1 = 35 stay within the truncation at 40,
-    # t_max + d_2 = 47 does not, so only v_2 must be refused
+    # t_max + d_2 = 47 does not, so only v_2 must be refused, and the module
+    # chart reaches 35 whichever operator comes first
     bounded = bp_homology(P3, 2, 40).module
     reports = {}
     for i in order:
@@ -507,6 +570,6 @@ def test_v_injectivity_memo_keeps_the_truncation_gate(complex_count, order):
                 v_injectivity(bounded, i, 4, 30)
         else:
             reports[i] = v_injectivity(bounded, i, 4, 30)
-    assert len(complex_count) == 1
+    assert sorted(complex_count) == [(FULL, 4, 0, 35), ((0, 2), 4, 0, 35), ((1, 2), 4, 0, 31)]
     for i, rep in reports.items():
         assert (rep.checked_classes, rep.kernel_at) == _direct_v_injectivity(bounded, i, 4, 30)

@@ -215,11 +215,18 @@ def sparse_fp_batches(draw):
 @example((3, [np.zeros((0, 4), dtype=np.int64), np.zeros((3, 3), dtype=np.int64), _m([[3, 1], [0, 1]])], None))
 def test_batched_ranks_match_echelon_pivots(batch):
     p, mats, rng = batch
-    entries = [(b, i, j, a[i, j]) for b, a in enumerate(mats) for i, j in zip(*np.nonzero(a))]
+    # rows, and columns, numbered across the batch, matrix by matrix
+    shapes = np.array([a.shape for a in mats], dtype=np.int64).reshape(-1, 2)
+    first = np.cumsum(shapes, axis=0) - shapes
+    entries = [
+        (first[b, 0] + i, first[b, 1] + j, a[i, j])
+        for b, a in enumerate(mats)
+        for i, j in zip(*np.nonzero(a))
+    ]
     if rng is not None:
         rng.shuffle(entries)
-    block, row, col, val = (np.array([e[k] for e in entries], dtype=np.int64) for k in range(4))
-    got = ranks(block, row, col, val, [a.shape for a in mats], p)
+    row, col, val = (np.array([e[k] for e in entries], dtype=np.int64) for k in range(3))
+    got = ranks(row, col, val, shapes, p)
     assert got.tolist() == [_rank(a, p) for a in mats]
 
 
