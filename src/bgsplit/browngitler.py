@@ -159,7 +159,9 @@ def bp_homology(ctx: PrimeContext, n: int, max_degree: int) -> BPHomology:
     if got is None:
         top = max(built, default=-1)
         if max_degree < top:
-            module = _degree_prefix(built[top].module, max_degree)
+            held = built[top].module
+            cut = {d: len(labels) for d, labels in held.basis.items() if d <= max_degree}
+            module = _prefix(held, cut, max_degree)
         else:
             spec = AlgebraSpec(n)
             new: dict[int, list[Monomial]] = {}
@@ -172,13 +174,6 @@ def bp_homology(ctx: PrimeContext, n: int, max_degree: int) -> BPHomology:
             module = _extend(ctx, spec, FULL_QS, old, new, max_degree)
         got = built[max_degree] = BPHomology(ctx, n, max_degree, module)
     return got
-
-
-def _degree_prefix(module: QModule, top: int) -> QModule:
-    """The degree <= top part of a module whose Q_i all lower degree, truncated there."""
-    basis = {d: labels for d, labels in module.basis.items() if d <= top}
-    actions = {j: {d: mat for d, mat in acts.items() if d <= top} for j, acts in module.actions.items()}
-    return QModule(module.ctx, module.qs, basis, actions, truncated_above=top)
 
 
 def _extend(
@@ -243,7 +238,8 @@ def brown_gitler(ctx: PrimeContext, i: int, k: int) -> BrownGitlerComodule:
         held = _HELD[(ctx, i)] = _grow(ctx, i, k, held)
     top, module = held
     if k < top:
-        module = _weight_prefix(module, k)
+        cut = {d: bisect_right(b, k, key=lambda m: mono_weight(ctx, m)) for d, b in module.basis.items()}
+        module = _prefix(module, cut)
     return BrownGitlerComodule(ctx, i, k, module)
 
 
@@ -263,13 +259,13 @@ def _grow(
     return k, _extend(ctx, spec, _qs_through(i + 1), old, new)
 
 
-def _weight_prefix(module: QModule, k: int) -> QModule:
-    """The weight <= k part of a held B_i(K): degreewise prefixes and top-left blocks."""
-    ctx = module.ctx
-    cut = {
-        d: bisect_right(labels, k, key=lambda m: mono_weight(ctx, m))
-        for d, labels in module.basis.items()
-    }
+def _prefix(module: QModule, cut: dict[int, int], truncated_above: int | None = None) -> QModule:
+    """The first cut[d] basis elements of each degree d of a held module, with top-left action blocks.
+
+    The kept elements must span a submodule: no Q_j may take one to a
+    dropped element, as when the cut is by degree (every Q_j lowers it) or
+    by weight (no Q_j raises it, and each degree lists weights in order).
+    """
     basis = {d: module.basis[d][:n] for d, n in cut.items() if n}
     actions: dict[int, dict[int, np.ndarray]] = {j: {} for j in module.qs}
     for j in module.qs:
@@ -278,7 +274,7 @@ def _weight_prefix(module: QModule, k: int) -> QModule:
             rows, cols = cut.get(d - dj, 0), cut.get(d, 0)
             if rows and cols:
                 actions[j][d] = mat[:rows, :cols]
-    return QModule(ctx, module.qs, basis, actions)
+    return QModule(module.ctx, module.qs, basis, actions, truncated_above)
 
 
 def weight_block(ctx: PrimeContext, i: int, j: int) -> WeightBlock:

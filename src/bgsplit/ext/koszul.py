@@ -7,20 +7,22 @@ v_i-multiplications are visible at chain level.  Chart coordinates put a
 cochain m (x) v^alpha at s = |alpha| and t = deg(m) + sum alpha_i d_i
 with d_i = 2p^i - 1, so v_i sits at (1, d_i) and d preserves t.
 
-Dimensions come from ranks, dim Ext^{s,t} = dim C^{s,t} - rank d^{s,t} -
-rank d^{s-1,t}, and only `KoszulComplex.chart` computes them: it takes a
-whole window at once, tabulates the chain blocks by index arithmetic,
-emits the differentials' entries, never a dense differential, and ranks
-every differential of a t-slab with one `fplin.ranks` call.  Charts
-(`ext_koszul`) and `ext_p_module` read their dimensions from it.
-v-injectivity and Bockstein collapse read charts alone: v_i is injective
-on cochains with cokernel the complex of M over the other operators, so
-a long exact sequence counts the kernel of v_i on Ext (`_v_kernels`).
-Class representatives are built only by `KoszulComplex.homology`, for
-the `v_mult` of `ext_p_module`, which reduces the chain images of all
-representatives at once; it is one call to `fplin.homology_basis`, the
-primitive Margolis homology uses too.  Differentials are built where
-they are read and not kept: `homology` keeps only its bases.
+A `BlockTable` is the one chain layout: it tabulates every chain block
+of a window by index arithmetic and emits the differentials' entries,
+each differential once.  Dimensions come from ranks, dim Ext^{s,t} =
+dim C^{s,t} - rank d^{s,t} - rank d^{s-1,t}, and a table ranks all its
+differentials with one `fplin.ranks` call.  `KoszulComplex.chart` takes
+a window in t-slabs of bounded size, one table each, and charts
+(`ext_koszul`) read it.  `ext_p_module` takes its whole window as one
+table, reads its dimensions from the same ranks, and asks the table for
+the v-multiplications on classes (`BlockTable.v_maps`).  Only there are
+dense differentials cut from the entries, at the bidegrees a v-map
+reads, for `fplin.homology_basis`, the one homology primitive, which
+Margolis homology uses too; each representative moves to its v_j target
+block by a search on the table's keys.  v-injectivity and Bockstein
+collapse read charts alone: v_i is injective on cochains with cokernel
+the complex of M over the other operators, so a long exact sequence
+counts the kernel of v_i on Ext (`_v_kernels`).
 
 Charts are the one Koszul memo, keyed by module content
 (`qmodules.content_key`, the same identity the gr and comparison caches
@@ -76,7 +78,8 @@ def _nonzeros(module: QModule, i: int) -> tuple[np.ndarray, ...]:
     one slice.
     """
     none = np.zeros((0, 0), dtype=np.int64)
-    mats = [module.actions[i].get(d, none) for d in module.degrees()]
+    # a module with no degrees gets one empty matrix, so the concatenations have a part
+    mats = [module.actions[i].get(d, none) for d in module.degrees()] or [none]
     at = [np.nonzero(mat) for mat in mats]
     count = np.array([r.size for r, _ in at], dtype=np.int64)
     rows, cols = (np.concatenate([x[k] for x in at]) for k in (0, 1))
@@ -102,21 +105,130 @@ class BigradedDims:
     def dim(self, s: int, t: int) -> int:
         return self.dims.get((s, t), 0)
 
-    def chart_rows(self) -> list[tuple[int, int, int]]:
-        return [(s, t, d) for (s, t), d in sorted(self.dims.items())]
 
-    def to_json(self) -> dict:
-        return {
-            "s_max": self.s_max,
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "classes": [{"s": s, "t": t, "dim": d} for s, t, d in self.chart_rows()],
-            "note": self.note,
-        }
+class BlockTable:
+    """The blocks of C^{s,t}, s <= s_max + 1 and t0 <= t <= t1, and the entries of d between them.
+
+    Blocks v^alpha (x) M_d are tabulated by index arithmetic over the
+    v-degrees of each s and the module's degrees, then put in (s, t, lex
+    alpha) order by one sort of a combined key; a bidegree's columns are
+    its blocks in that order.  Every (i, module degree) whose Q_i matrix is
+    nonzero sends each source block at that degree to its block alpha + e_i
+    one s higher, found by `np.searchsorted` on the key, and contributes the
+    matrix's entries at the two blocks' offsets.  Only d^{s,t} with
+    s <= s_max is tabulated.  Rows and columns are numbered across the
+    table, as `fplin.ranks` takes them: columns from level 0, rows from
+    level 1.
+    """
+
+    def __init__(self, kc: KoszulComplex, s_max: int, t0: int, t1: int, runs: list):
+        degs = kc._degrees
+        levels, nt = len(runs), t1 - t0 + 1
+        self.p, self.drops, self.s_max, self.t0, self.nt = kc.p, kc.drops, s_max, t0, nt
+        # alpha as digits in base `levels`, which every exponent is below:
+        # the code orders alphas of one length lex, and alpha + e_ix adds place[ix]
+        self.place = levels ** np.arange(len(kc.qs) - 1, -1, -1, dtype=np.int64)
+        self.span = levels ** len(kc.qs)
+        bids, keys, ds = [], [], []
+        for s, (vdeg, alphas, lo, counts) in enumerate(runs):
+            at = _ragged(lo, counts)
+            d = np.repeat(np.arange(degs.size), counts)
+            # the bidegree s * nt + t - t0, and (s, t, alpha) as one integer
+            bids.append(s * nt - t0 + vdeg[at] + degs[d])
+            keys.append(bids[-1] * self.span + alphas[at] @ self.place)
+            ds.append(d)
+        key = np.concatenate(keys)
+        order = np.argsort(key, kind="stable")
+        self.key, self.bid, D = key[order], np.concatenate(bids)[order], np.concatenate(ds)[order]
+        del bids, keys, ds
+        self.width = kc._dims[D]
+        # dim C^{s,t} per level, with an empty level above the top
+        chain = np.bincount(np.repeat(self.bid, self.width), minlength=(levels + 1) * nt)
+        self.chain = chain.reshape(levels + 1, nt)
+        self.first = (np.cumsum(chain) - chain).reshape(levels + 1, nt)
+        self.pos, self.lead = np.cumsum(self.width) - self.width, chain[:nt].sum()
+
+        src = np.flatnonzero(self.bid < (min(s_max, levels - 2) + 1) * nt)
+        parts: list[tuple[np.ndarray, ...]] = []
+        for ix, (count, start, qr, qc, qv) in enumerate(kc._actions):
+            k = count[D[src]]
+            b, k = src[k > 0], k[k > 0]
+            target = np.searchsorted(self.key, self.key[b] + nt * self.span + self.place[ix])
+            at = _ragged(start[D[b]], k)
+            rows = np.repeat(self.pos[target] - self.lead, k) + qr[at]
+            parts.append((rows, np.repeat(self.pos[b], k) + qc[at], qv[at]))
+        # each operator's entries come in source block order, so the columns
+        # of one bidegree are one run of them
+        self.bounds = np.cumsum([0] + [part[0].size for part in parts]).tolist()
+        none = np.zeros(0, dtype=np.int64)
+        self.rows, self.cols, self.vals = (np.concatenate(x) for x in zip(*parts, (none,) * 3))
+
+    def ext(self) -> dict[tuple[int, int], int]:
+        """The nonzero dim Ext^{s,t}, s <= s_max, t-major, from one `fplin.ranks` call."""
+        shapes = np.stack([self.chain[1:].ravel(), self.chain[:-1].ravel()], axis=1)
+        rk = ranks(self.rows, self.cols, self.vals, shapes, self.p).reshape(-1, self.nt)
+        below = np.vstack([np.zeros((1, self.nt), dtype=np.int64), rk[:-1]])
+        ext = (self.chain[:-1] - rk - below)[: self.s_max + 1]
+        t_ix, s_ix = np.nonzero(ext.T)
+        return {(int(s), self.t0 + int(t)): int(ext[s, t]) for t, s in zip(t_ix, s_ix)}
+
+    def d(self, s: int, t: int) -> np.ndarray:
+        """The dense d^{s,t}: C^{s,t} -> C^{s+1,t}, cut from the entries; C^{-1,t} = 0."""
+        t -= self.t0
+        if s < 0:
+            return np.zeros((self.chain[0, t], 0), dtype=np.int64)
+        c0, r0 = self.first[s, t], self.first[s + 1, t] - self.lead
+        mat = np.zeros((self.chain[s + 1, t], self.chain[s, t]), dtype=np.int64)
+        for lo, hi in zip(self.bounds, self.bounds[1:]):
+            a, z = lo + np.searchsorted(self.cols[lo:hi], (c0, c0 + self.chain[s, t]))
+            mat[self.rows[a:z] - r0, self.cols[a:z] - c0] = self.vals[a:z]
+        return mat
+
+    def v_image(self, rows: np.ndarray, s: int, t: int, j: int) -> np.ndarray:
+        """rows over C^{s,t} times v_{qs[j]}, over C^{s+1,t+d_j}.
+
+        The v's act on the monomial factor alone, so each block moves
+        unchanged to its block alpha + e_j of the same module degree.
+        """
+        b, up = s * self.nt + t - self.t0, (s + 1, t + self.drops[j] - self.t0)
+        lo, hi = np.searchsorted(self.bid, (b, b + 1))
+        target = np.searchsorted(
+            self.key, self.key[lo:hi] + (self.nt + self.drops[j]) * self.span + self.place[j]
+        )
+        out = np.zeros((rows.shape[0], self.chain[up]), dtype=np.int64)
+        out[:, _ragged(self.pos[target] - self.first[up], self.width[lo:hi])] = rows
+        return out
+
+    def v_maps(self, dims: dict[tuple[int, int], int]) -> dict[int, dict[tuple[int, int], np.ndarray]]:
+        """Per j, the matrix of v_{qs[j]} on classes from each (s, t) of dims whose target is in dims.
+
+        Each bidegree read gets one `fplin.homology_basis`, and a reduced
+        image's class coordinates are its entries at the pivots of the
+        target's representatives.
+        """
+        bases: dict[tuple[int, int], tuple] = {}
+
+        def basis(s: int, t: int) -> tuple:
+            if (s, t) not in bases:
+                bases[(s, t)] = homology_basis(self.d(s, t), self.d(s - 1, t), self.p)
+            return bases[(s, t)]
+
+        acts: dict[int, dict[tuple[int, int], np.ndarray]] = {j: {} for j in range(len(self.drops))}
+        for s, t in dims:
+            for j, drop in enumerate(self.drops):
+                if (s + 1, t + drop) in dims:
+                    treps, trep_piv, borders, border_piv = basis(s + 1, t + drop)
+                    images = self.v_image(basis(s, t)[0], s, t, j)
+                    reduced = reduce_mod_rows(images, borders, border_piv, self.p)
+                    coords = reduced[:, list(trep_piv)]
+                    if not np.array_equal((coords @ treps) % self.p, reduced):
+                        raise ValueError("vector is not a cycle at this bidegree")
+                    acts[j][(s, t)] = coords.T
+        return acts
 
 
 class KoszulComplex:
-    """Cochain complex computing Ext_E(F_p, M) with chain-level v-action."""
+    """Cochain complex computing Ext_E(F_p, M), tabulated a window at a time."""
 
     def __init__(self, module: QModule):
         self.module = module
@@ -125,207 +237,48 @@ class KoszulComplex:
         self.drops = tuple(module.ctx.q_degree(i) for i in self.qs)
         self._degrees = np.array(module.degrees(), dtype=np.int64)
         self._dims = np.array([module.dim(d) for d in module.degrees()], dtype=np.int64)
-        self._chains: dict[tuple[int, int], tuple[tuple, int]] = {}
-        self._homology: dict[tuple[int, int], tuple] = {}
+        self._actions = [_nonzeros(module, i) for i in self.qs]
 
-    # -- chain level ---------------------------------------------------------
-
-    def chain_blocks(self, s: int, t: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-        """(alpha, module degree, block dim) per nonempty block of C^{s,t}, in lex order.
-
-        Blocks v^alpha (x) M_d with M_d = 0 add no columns, so they are left
-        out.  Each module degree d finds its alphas, those of v-degree
-        t - d, in the `_v_exponents` table that `chart` reads too.
-        """
-        return self._chain(s, t)[0]
-
-    def chain_dim(self, s: int, t: int) -> int:
-        return self._chain(s, t)[1]
-
-    def _chain(self, s: int, t: int) -> tuple[tuple, int]:
-        """The blocks of C^{s,t} and their total dimension, memoised per (s, t)."""
-        key = (s, t)
-        cached = self._chains.get(key)
-        if cached is not None:
-            return cached
-        vdeg, alphas = _v_exponents(self.qs, self.drops, s)
-        want = t - self._degrees
-        spans = zip(
-            self.module.degrees(),
-            vdeg.searchsorted(want, "left").tolist(),
-            vdeg.searchsorted(want, "right").tolist(),
-        )
-        blocks = tuple(
-            sorted(
-                (tuple(alpha), d, self.module.dim(d))
-                for d, lo, hi in spans
-                if lo < hi
-                for alpha in alphas[lo:hi].tolist()
-            )
-        )
-        cached = self._chains[key] = (blocks, sum(dim for _, _, dim in blocks))
-        return cached
-
-    def _offsets(self, s: int, t: int) -> tuple[dict[tuple[int, ...], int], int]:
-        """The first row of each block of C^{s,t}, keyed by its alpha, and dim C^{s,t}."""
-        blocks = self.chain_blocks(s, t)
-        starts = np.cumsum([0] + [dim for _, _, dim in blocks]).tolist()
-        return dict(zip([alpha for alpha, _, _ in blocks], starts)), starts[-1]
-
-    def differential(self, s: int, t: int) -> np.ndarray:
-        """Matrix of d = sum Q_i (x) v_i from C^{s,t} to C^{s+1,t}.
-
-        The v's commute and the Q's square to zero and anticommute, so no
-        extra signs are needed for d^2 = 0.  Built on each call, not kept.
-        """
-        offsets, rows = self._offsets(s + 1, t)
-        mat = np.zeros((rows, self.chain_dim(s, t)), dtype=np.int64)
-        col = 0
-        for alpha, d, dim in self.chain_blocks(s, t):
-            for ix, i in enumerate(self.qs):
-                beta = alpha[:ix] + (alpha[ix] + 1,) + alpha[ix + 1 :]
-                row = offsets.get(beta)
-                if row is not None:
-                    action = self.module.act(i, d)
-                    mat[row : row + action.shape[0], col : col + dim] += action
-            col += dim
-        mat %= self.p
-        return mat
-
-    def v_mult_chain(self, s: int, t: int, i: int) -> np.ndarray:
-        """Chain-level multiplication by v_i: C^{s,t} -> C^{s+1,t+d_i}."""
-        ix = self.qs.index(i)
-        offsets, rows = self._offsets(s + 1, t + self.drops[ix])
-        mat = np.zeros((rows, self.chain_dim(s, t)), dtype=np.int64)
-        col = 0
-        for alpha, _, dim in self.chain_blocks(s, t):
-            beta = alpha[:ix] + (alpha[ix] + 1,) + alpha[ix + 1 :]
-            row = offsets[beta]
-            mat[row : row + dim, col : col + dim] = np.eye(dim, dtype=np.int64)
-            col += dim
-        return mat
-
-    # -- cohomology ----------------------------------------------------------
-
-    def homology(self, s: int, t: int) -> tuple[np.ndarray, tuple, np.ndarray, tuple]:
-        """(representative rows, their pivots, border rows, border pivots).
-
-        d^{-1,t} is the empty (n x 0) map, so s = 0 has no borders.
-        """
-        key = (s, t)
-        cached = self._homology.get(key)
-        if cached is None:
-            cached = self._homology[key] = homology_basis(
-                self.differential(s, t), self.differential(s - 1, t), self.p
-            )
-        return cached
-
-    # -- a whole window at once ----------------------------------------------
+    def table(self, s_max: int, t0: int, t1: int) -> BlockTable:
+        """The whole window s <= s_max, t0 <= t <= t1 as one `BlockTable`."""
+        return BlockTable(self, s_max, t0, t1, self._runs(s_max, t0, t1))
 
     def chart(self, s_max: int, t_min: int, t_max: int) -> dict[tuple[int, int], int]:
         """The nonzero dim Ext^{s,t} for s <= s_max and t_min <= t <= t_max, t-major.
 
         d preserves t, so the window is taken in independent t-slabs, halved
         until each has at most _COLUMNS chain columns, and each slab's
-        differentials d^{s,t}, s <= s_max, are ranked together by one
-        `fplin.ranks` call on their entries.  No dense differential is built
-        and nothing is memoised on the complex.
+        `BlockTable` ranks its differentials d^{s,t}, s <= s_max, together
+        with one `fplin.ranks` call on their entries.  No dense differential
+        is built and nothing is memoised on the complex.
         """
-        if not self.module.basis:
-            return {}
-        return self._slab(s_max, t_min, t_max, [_nonzeros(self.module, i) for i in self.qs])
+        return self._slab(s_max, t_min, t_max) if t_min <= t_max else {}
 
-    def _slab(
-        self, s_max: int, t0: int, t1: int, actions: list[tuple[np.ndarray, ...]]
-    ) -> dict[tuple[int, int], int]:
-        """`chart` on t0 <= t <= t1, with `_nonzeros` of each operator of qs.
+    def _slab(self, s_max: int, t0: int, t1: int) -> dict[tuple[int, int], int]:
+        """`chart` on t0 <= t <= t1.
 
-        Blocks v^alpha (x) M_d are tabulated by index arithmetic over the
-        v-degrees of each s and the module's degrees, then put in (s, t,
-        lex alpha) order by one sort of a combined key, so each bidegree
-        keeps the block order of `chain_blocks`.  Every (i, module degree)
-        whose Q_i matrix is nonzero sends each source block at that degree
-        to its block alpha + e_i one s higher, found by `np.searchsorted`
-        on the key, and contributes the matrix's entries at the two blocks'
-        offsets.  A block needs v-degree >= s, since every drop is >= 1, so
-        s stops at t1 - min degree.  A slab with more than _COLUMNS chain
-        columns, counted before any block is tabulated, is halved.
+        A slab with more than _COLUMNS chain columns, counted before any
+        block is tabulated, is halved.
+        """
+        runs = self._runs(s_max, t0, t1)
+        if t1 > t0 and sum(int(c @ self._dims) for *_, c in runs) > _COLUMNS:
+            mid = (t0 + t1) // 2
+            return self._slab(s_max, t0, mid) | self._slab(s_max, mid + 1, t1)
+        return BlockTable(self, s_max, t0, t1, runs).ext()
+
+    def _runs(self, s_max: int, t0: int, t1: int) -> list[tuple[np.ndarray, ...]]:
+        """Per level s, `_v_exponents` and each module degree's first alpha and count in the window.
+
+        A block needs v-degree >= s, since every drop is >= 1, so s stops
+        at t1 - min degree; level 0 is kept even when it is empty.
         """
         degs = self._degrees
-        levels = min(s_max + 1, t1 - int(degs[0])) + 1
-        if levels <= 0:
-            return {}
         runs = []
-        for s in range(levels):
+        for s in range(max(min(s_max + 1, t1 - self.module.min_degree()), 0) + 1):
             vdeg, alphas = _v_exponents(self.qs, self.drops, s)
             lo = np.searchsorted(vdeg, t0 - degs, "left")
             runs.append((vdeg, alphas, lo, np.searchsorted(vdeg, t1 - degs, "right") - lo))
-        if t1 > t0 and sum(int(c @ self._dims) for *_, c in runs) > _COLUMNS:
-            mid = (t0 + t1) // 2
-            return self._slab(s_max, t0, mid, actions) | self._slab(s_max, mid + 1, t1, actions)
-        nt = t1 - t0 + 1
-        # alpha as digits in base `levels`, which every exponent is below:
-        # the code orders alphas of one length lex, and alpha + e_ix adds place[ix]
-        place = levels ** np.arange(len(self.qs) - 1, -1, -1, dtype=np.int64)
-        span = levels ** len(self.qs)
-        bids, keys, ds = [], [], []
-        for s, (vdeg, alphas, lo, counts) in enumerate(runs):
-            at = _ragged(lo, counts)
-            d = np.repeat(np.arange(degs.size), counts)
-            # the bidegree s * nt + t - t0, and (s, t, alpha) as one integer
-            bids.append(s * nt - t0 + vdeg[at] + degs[d])
-            keys.append(bids[-1] * span + alphas[at] @ place)
-            ds.append(d)
-        # one sort puts the blocks in (s, t, lex alpha) order, and a target
-        # block is found by searching for its key
-        key = np.concatenate(keys)
-        order = np.argsort(key, kind="stable")
-        key, bid, D = key[order], np.concatenate(bids)[order], np.concatenate(ds)[order]
-        del bids, keys, ds
-        width = self._dims[D]
-        chain = np.bincount(np.repeat(bid, width), minlength=levels * nt)
-        # the batch numbers columns from level 0 and rows from level 1
-        pos, lead = np.cumsum(width) - width, chain[:nt].sum()
-
-        src = np.flatnonzero(bid < (min(s_max, levels - 2) + 1) * nt)
-        parts: list[tuple[np.ndarray, ...]] = []
-        for ix, (count, start, qr, qc, qv) in enumerate(actions):
-            k = count[D[src]]
-            b, k = src[k > 0], k[k > 0]
-            target = np.searchsorted(key, key[b] + nt * span + place[ix])
-            at = _ragged(start[D[b]], k)
-            parts.append(
-                (np.repeat(pos[target] - lead, k) + qr[at], np.repeat(pos[b], k) + qc[at], qv[at])
-            )
-        none = np.zeros(0, dtype=np.int64)
-        entries = [np.concatenate(x) for x in zip(*parts, (none,) * 3)]
-        del parts
-        # d^{s,t} maps C^{s,t} to C^{s+1,t}; the top level has no sources, so
-        # its targets, one level up, are not tabulated
-        shapes = np.stack([np.append(chain[nt:], np.zeros(nt, dtype=np.int64)), chain], axis=1)
-        rk = ranks(*entries, shapes, self.p).reshape(levels, nt)
-        top = min(s_max, levels - 1) + 1
-        ext = (chain.reshape(levels, nt) - rk - np.vstack([np.zeros((1, nt), dtype=np.int64), rk[:-1]]))[:top]
-        t_ix, s_ix = np.nonzero(ext.T)
-        return {(int(s), t0 + int(t)): int(ext[s, t]) for t, s in zip(t_ix, s_ix)}
-
-    def v_mult(self, s: int, t: int, i: int) -> np.ndarray:
-        """Induced map on classes (s,t) -> (s+1, t+d_i), columns = sources.
-
-        A reduced image's class coordinates are its entries at the pivots
-        of the target's representatives.
-        """
-        reps = self.homology(s, t)[0]
-        target = (s + 1, t + self.module.ctx.q_degree(i))
-        treps, trep_piv, borders, border_piv = self.homology(*target)
-        if reps.shape[0] == 0 or treps.shape[0] == 0:
-            return np.zeros((treps.shape[0], reps.shape[0]), dtype=np.int64)
-        images = (reps @ self.v_mult_chain(s, t, i).T) % self.p
-        reduced = reduce_mod_rows(images, borders, border_piv, self.p)
-        coords = reduced[:, list(trep_piv)]
-        if not np.array_equal((coords @ treps) % self.p, reduced):
-            raise ValueError("vector is not a cycle at this bidegree")
-        return coords.T
+        return runs
 
 
 # content key -> every chart computed for it: (s_max, t_min, t_max, dims)
@@ -428,9 +381,6 @@ class BocksteinE1:
     pair: tuple[int, ...]
     dims: dict[tuple[int, int], int]
     collapse: bool
-
-    def dim(self, s: int, t: int) -> int:
-        return self.dims.get((s, t), 0)
 
 
 def bockstein_e1(module: QModule, i: int, s_max: int, t_max: int) -> BocksteinE1:

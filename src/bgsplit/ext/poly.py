@@ -74,10 +74,6 @@ class PModule:
     def bidegrees(self) -> list[Bidegree]:
         return sorted(self.dims, key=lambda bd: (bd[1], bd[0]))
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def min_t(self) -> int:
         return min((t for _, t in self.dims), default=0)
 
@@ -133,17 +129,13 @@ def ext_p_module(module: QModule, t_max: int) -> PModule:
     if not kc.drops:
         raise ValueError("the module must carry at least one operator")
     # a block at (s, t) needs t >= t0 + s * min drop, so this rectangle
-    # holds every class with t <= t_max
+    # holds every class with t <= t_max, and with it every v_j target
     t0 = module.min_degree()
-    dims = kc.chart((t_max - t0) // min(kc.drops), t0, t_max)
-    # the chart holds every target with t <= t_max, so a v_j-multiplication
-    # is built only where both ends carry classes
-    acts: dict[int, dict[Bidegree, np.ndarray]] = {j: {} for j in range(len(kc.qs))}
-    for s, t in dims:
-        for j, i in enumerate(kc.qs):
-            if (s + 1, t + kc.drops[j]) in dims:
-                acts[j][(s, t)] = kc.v_mult(s, t, i)
-    return PModule(kc.p, kc.drops, dims, acts, t_max)
+    if t_max < t0:
+        return PModule(kc.p, kc.drops, {}, {}, t_max)
+    table = kc.table((t_max - t0) // min(kc.drops), t0, t_max)
+    dims = table.ext()
+    return PModule(kc.p, kc.drops, dims, table.v_maps(dims), t_max)
 
 
 # -- presentations ---------------------------------------------------------------
