@@ -53,10 +53,8 @@ from .monomials import (
 from .qmodules import (
     QModule,
     QModuleMap,
-    action_columns,
     compose,
     module_from_monomials,
-    monomials_by_degree,
     quotient,
     restrict_qs,
     submodule_generated,
@@ -137,8 +135,8 @@ class SplitPair:
                 raise ValueError(f"retraction fails to invert the inclusion at degree {d}")
 
 
-# (ctx, n) -> {degree: H_*BP<n> through it}; the largest is grown for a larger degree
-_BP: dict[tuple[PrimeContext, int], dict[int, BPHomology]] = {}
+# (ctx, n) -> H_*BP<n> through the largest degree built so far
+_BP: dict[tuple[PrimeContext, int], BPHomology] = {}
 
 
 def bp_homology(ctx: PrimeContext, n: int, max_degree: int) -> BPHomology:
@@ -147,67 +145,24 @@ def bp_homology(ctx: PrimeContext, n: int, max_degree: int) -> BPHomology:
     The degree enumeration is a prefix of the one at any larger bound and
     every Q_i lowers degree, so H through D is the degree <= D part of H
     through any D' >= D, with the same matrices.  So one module per
-    (prime, n) is grown by degree, the way `brown_gitler` grows by weight:
-    a smaller degree is cut from the largest build, a larger one adds only
-    the new degrees' columns (`_extend`), and both pass through the checked
-    QModule constructor.  A degree asked for again returns the same object.
+    (prime, n) is held, the largest asked for, the way `brown_gitler` holds
+    one per weight: a smaller degree is cut from it, and a larger one grows
+    it by the new degrees only.  Both pass through the checked QModule
+    constructor.
     """
     if n < 0:
         raise ValueError("truncation index must be nonnegative")
-    built = _BP.setdefault((ctx, n), {})
-    got = built.get(max_degree)
-    if got is None:
-        top = max(built, default=-1)
-        if max_degree < top:
-            held = built[top].module
-            cut = {d: len(labels) for d, labels in held.basis.items() if d <= max_degree}
-            module = _prefix(held, cut, max_degree)
-        else:
-            spec = AlgebraSpec(n)
-            new: dict[int, list[Monomial]] = {}
-            # enumerated in canonical order, so each degree's group is too
-            for m in enumerate_by_degree(ctx, spec, max_degree):
-                d = mono_degree(ctx, m)
-                if d > top:
-                    new.setdefault(d, []).append(m)
-            old = built[top].module if top >= 0 else None
-            module = _extend(ctx, spec, FULL_QS, old, new, max_degree)
-        got = built[max_degree] = BPHomology(ctx, n, max_degree, module)
-    return got
-
-
-def _extend(
-    ctx: PrimeContext,
-    spec: AlgebraSpec,
-    qs: tuple[int, ...],
-    old: QModule | None,
-    new: dict[int, list[Monomial]],
-    truncated_above: int | None = None,
-) -> QModule:
-    """The span of old's basis and the monomials `new`, each appended to its degree.
-
-    No Q_j takes an old monomial to a new one, so the old columns keep
-    their matrices, padded below with zero rows; only the new columns are
-    computed, and their images, which may reach old rows, pass the closure
-    check against the whole span.
-    """
-    base = {} if old is None else old.basis
-    basis = {d: base.get(d, ()) + tuple(new.get(d, ())) for d in sorted(base.keys() | new.keys())}
-    index = {m: j for labels in basis.values() for j, m in enumerate(labels)}
-    actions: dict[int, dict[int, np.ndarray]] = {j: {} for j in qs}
-    for j in qs:
-        dj = ctx.q_degree(j)
-        for d, labels in basis.items():
-            rows = len(basis.get(d - dj, ()))
-            mat = np.zeros((rows, len(labels)), dtype=np.int64)
-            past = old.actions[j].get(d) if old is not None else None
-            if past is not None:
-                mat[: past.shape[0], : past.shape[1]] = past
-            if d in new:
-                mat[:, len(base.get(d, ())) :] = action_columns(ctx, spec, j, new[d], index, rows)
-            if mat.size:
-                actions[j][d] = mat
-    return QModule(ctx, qs, basis, actions, truncated_above)
+    held = _BP.get((ctx, n))
+    if held is None or held.max_degree < max_degree:
+        spec = AlgebraSpec(n)
+        top, old = (-1, None) if held is None else (held.max_degree, held.module)
+        new = (m for m in enumerate_by_degree(ctx, spec, max_degree) if mono_degree(ctx, m) > top)
+        module = module_from_monomials(ctx, spec, new, FULL_QS, max_degree, held=old)
+        held = _BP[(ctx, n)] = BPHomology(ctx, n, max_degree, module)
+    if max_degree == held.max_degree:
+        return held
+    cut = {d: len(labels) for d, labels in held.module.basis.items() if d <= max_degree}
+    return BPHomology(ctx, n, max_degree, _prefix(held.module, cut, max_degree))
 
 
 def _qs_through(top: int) -> tuple[int, ...]:
@@ -225,9 +180,9 @@ def brown_gitler(ctx: PrimeContext, i: int, k: int) -> BrownGitlerComodule:
     weight, so B_i(k) is the degreewise prefix of B_i(K) for any K >= k and
     its action matrices are the top-left blocks of B_i(K)'s.  One module
     per (ctx, i) is held: a smaller k is sliced from it, a larger one grows
-    it by the new weights only (`_grow`).  Either way the result has been
-    through the checked QModule constructor and equals the build from
-    scratch over all weights <= k.
+    it by the new weights only.  Either way the result has been through
+    the checked QModule constructor and equals the build from scratch over
+    all weights <= k.
     """
     if i not in (-1, 0, 1, 2):
         raise ValueError("truncation index out of range")
@@ -235,28 +190,15 @@ def brown_gitler(ctx: PrimeContext, i: int, k: int) -> BrownGitlerComodule:
         raise ValueError("weight bound must be nonnegative")
     held = _HELD.get((ctx, i))
     if held is None or held[0] < k:
-        held = _HELD[(ctx, i)] = _grow(ctx, i, k, held)
+        start, old = (-1, None) if held is None else held
+        spec = AlgebraSpec(i)
+        new = (m for w in range(start + 1, k + 1) for m in enumerate_by_weight(ctx, spec, w))
+        held = _HELD[(ctx, i)] = (k, module_from_monomials(ctx, spec, new, _qs_through(i + 1), held=old))
     top, module = held
     if k < top:
         cut = {d: bisect_right(b, k, key=lambda m: mono_weight(ctx, m)) for d, b in module.basis.items()}
         module = _prefix(module, cut)
     return BrownGitlerComodule(ctx, i, k, module)
-
-
-def _grow(
-    ctx: PrimeContext, i: int, k: int, held: tuple[int, QModule] | None
-) -> tuple[int, QModule]:
-    """B_i(k) from B_i(K), K < k, enumerating and acting on weights K+1..k only.
-
-    The new monomials sort after the old ones of their degree, and Q_j
-    never raises weight, so `_extend` keeps the old columns.
-    """
-    spec = AlgebraSpec(i)
-    start, old = (-1, None) if held is None else held
-    new = monomials_by_degree(
-        ctx, (m for w in range(start + 1, k + 1) for m in enumerate_by_weight(ctx, spec, w))
-    )
-    return k, _extend(ctx, spec, _qs_through(i + 1), old, new)
 
 
 def _prefix(module: QModule, cut: dict[int, int], truncated_above: int | None = None) -> QModule:

@@ -253,8 +253,8 @@ def quotient_projection(
     keep = [c for c in range(n) if c not in piv]
     proj = np.zeros((len(keep), n), dtype=np.int64)
     proj[np.arange(len(keep)), keep] = 1
-    for row, c in zip(rows, pivots):
-        proj[:, c] = (-row[keep]) % p
+    if pivots:
+        proj[:, list(pivots)] = (-rows[:, keep].T) % p
     return keep, proj
 
 
@@ -274,9 +274,8 @@ def solve_columns(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
         raise ValueError("right-hand side has wrong height")
     aug = np.concatenate([a, b], axis=1) % p
     red, pivots = rref_array(aug, p)
+    if pivots and pivots[-1] >= cols:
+        return None
     x = np.zeros((cols, b.shape[1]), dtype=np.int64)
-    for r, c in enumerate(pivots):
-        if c >= cols:
-            return None
-        x[c] = red[r, cols:]
+    x[pivots] = red[: len(pivots), cols:]
     return x[:, 0] if single else x

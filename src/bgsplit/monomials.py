@@ -62,12 +62,6 @@ class PrimeContext:
     def q(self) -> int:
         return 2 * (self.p - 1)
 
-    def xi_degree(self, a: int) -> int:
-        return 2 * (self.p**a - 1)
-
-    def tau_degree(self, b: int) -> int:
-        return 2 * self.p**b - 1
-
     def q_degree(self, i: int) -> int:
         """Degree drop of the Milnor primitive Q_i."""
         return 2 * self.p**i - 1

@@ -272,21 +272,36 @@ def module_from_monomials(
     monomials: Iterable[Monomial],
     qs: Sequence[int],
     truncated_above: int | None = None,
+    held: QModule | None = None,
 ) -> QModule:
     """Span of a monomial set, checked to be closed under the chosen Q_i.
 
     Basis order inside each degree follows the canonical monomial order, so
     identical inputs index identically.  A monomial whose Q_i leaves the
     span raises ClosureError naming both offenders.
+
+    Given `held`, a module spanned by monomials over the same qs, the new
+    monomials are appended after held's basis in each degree.  No Q_i may
+    take a held monomial to a new one, as when the new monomials have
+    larger weight or degree; so held's matrices are kept, padded below with
+    zero rows, and only the new columns are computed.  Their images, which
+    may reach held rows, are checked against the whole span.
     """
-    by_degree = monomials_by_degree(ctx, monomials)
-    index = {m: j for ms in by_degree.values() for j, m in enumerate(ms)}
-    basis = {d: tuple(ms) for d, ms in by_degree.items()}
+    new = monomials_by_degree(ctx, monomials)
+    base = {} if held is None else held.basis
+    basis = {d: base.get(d, ()) + tuple(new.get(d, ())) for d in sorted(base.keys() | new.keys())}
+    index = {m: j for labels in basis.values() for j, m in enumerate(labels)}
     actions: dict[int, dict[int, np.ndarray]] = {i: {} for i in qs}
     for i in qs:
         di = ctx.q_degree(i)
-        for d, ms in by_degree.items():
-            mat = action_columns(ctx, spec, i, ms, index, len(by_degree.get(d - di, ())))
+        for d, labels in basis.items():
+            rows = len(basis.get(d - di, ()))
+            mat = np.zeros((rows, len(labels)), dtype=np.int64)
+            past = None if held is None else held.actions[i].get(d)
+            if past is not None:
+                mat[: past.shape[0], : past.shape[1]] = past
+            if d in new:
+                mat[:, len(base.get(d, ())) :] = action_columns(ctx, spec, i, new[d], index, rows)
             if mat.size:
                 actions[i][d] = mat
     return QModule(ctx, qs, basis, actions, truncated_above)
@@ -577,10 +592,7 @@ def quotient(m: QModule, generators: Iterable) -> tuple[QModule, QModuleMap]:
         for d in m.degrees():
             if not basis.get(d) or not basis.get(d - di):
                 continue
-            src = np.zeros((m.dim(d), len(keep[d])), dtype=np.int64)
-            for col, c in enumerate(keep[d]):
-                src[c, col] = 1
-            mat = (proj_mats[d - di] @ m.act(i, d) @ src) % p
+            mat = (proj_mats[d - di] @ m.act(i, d)[:, keep[d]]) % p
             if mat.size:
                 actions[i][d] = mat
     quot = QModule(m.ctx, m.qs, basis, actions, m.truncated_above)

@@ -27,6 +27,7 @@ from bgsplit.monomials import (
     AlgebraSpec,
     Monomial,
     PrimeContext,
+    degree,
     enumerate_by_degree,
     enumerate_by_weight,
     format_monomial,
@@ -124,32 +125,77 @@ def test_growing_brown_gitler_runs_the_closure_check(monkeypatch):
     _assert_same_module(brown_gitler(P3, 1, 9).module, _cold_brown_gitler(P3, 1, 9))
 
 
+def _record_builds(monkeypatch) -> list:
+    """Every module browngitler builds from here on, as (held, result)."""
+    builds = []
+    real = browngitler.module_from_monomials
+
+    def recording(ctx, spec, monomials, qs, truncated_above=None, held=None):
+        out = real(ctx, spec, monomials, qs, truncated_above, held=held)
+        builds.append((held, out))
+        return out
+
+    monkeypatch.setattr(browngitler, "module_from_monomials", recording)
+    return builds
+
+
 def test_assembly_holds_one_brown_gitler_module(monkeypatch):
     monkeypatch.setattr(browngitler, "_HELD", {})
-    grown = []
-    grow = browngitler._grow
-    monkeypatch.setattr(browngitler, "_grow", lambda ctx, i, k, held: grown.append(k) or grow(ctx, i, k, held))
+    monkeypatch.setattr(browngitler, "_BP", {})
+    builds = _record_builds(monkeypatch)
     assemble_bp_splitting(P3, 2, 60)
-    # B_1(k_max) is built first and every theta block is a slice of it
-    assert grown == [60 // P3.q]
+    # B_1(k_max) is built first, from nothing, and every theta block is a
+    # slice of it; the weight blocks and H_*BP<2> are the other builds
     assert list(browngitler._HELD) == [(P3, 1)]
-    assert browngitler._HELD[(P3, 1)][0] == 60 // P3.q
+    k_max, b1 = browngitler._HELD[(P3, 1)]
+    assert k_max == 60 // P3.q
+    assert all(held is None for held, _ in builds)
+    assert sum(out is b1 for _, out in builds) == 1
     weight_restricted_C.__wrapped__(P3, 3)
+    brown_gitler(P3, 1, k_max + 1)
+    # a larger k is one growth step on the held module
+    grown = [(held, out) for held, out in builds if held is not None]
+    assert grown == [(b1, browngitler._HELD[(P3, 1)][1])]
     assert list(browngitler._HELD) == [(P3, 1)]
+
+
+def _cold_bp_homology(top):
+    spec = AlgebraSpec(2)
+    return module_from_monomials(
+        P3, spec, enumerate_by_degree(P3, spec, top), (0, 1, 2), truncated_above=top
+    )
 
 
 @pytest.mark.parametrize("order", [(220, 237), (237, 220)], ids=["grown", "cut"])
 def test_held_bp_homology_equals_cold_builds(monkeypatch, order):
     monkeypatch.setattr(browngitler, "_BP", {})
-    spec = AlgebraSpec(2)
     for top in order:
-        cold = module_from_monomials(
-            P3, spec, enumerate_by_degree(P3, spec, top), (0, 1, 2), truncated_above=top
-        )
         got = bp_homology(P3, 2, top)
         assert (got.max_degree, got.module.truncated_above) == (top, top)
-        _assert_same_module(got.module, cold)
-        assert bp_homology(P3, 2, top) is got
+        _assert_same_module(got.module, _cold_bp_homology(top))
+        # one module per (prime, n), the largest built: a smaller degree is
+        # cut from it afresh, and only the held degree returns the held object
+        held = browngitler._BP[(P3, 2)]
+        assert held.max_degree == max(order[: order.index(top) + 1])
+        assert (bp_homology(P3, 2, top) is got) == (top == held.max_degree)
+        _assert_same_module(bp_homology(P3, 2, top).module, got.module)
+
+
+def test_builder_grows_a_held_brown_gitler_module():
+    spec = AlgebraSpec(1)
+    b4 = _cold_brown_gitler(P3, 1, 4)
+    heavier = [m for w in range(5, 9) for m in enumerate_by_weight(P3, spec, w)]
+    grown = module_from_monomials(P3, spec, heavier, b4.qs, held=b4)
+    _assert_same_module(grown, _cold_brown_gitler(P3, 1, 8))
+
+
+def test_builder_grows_a_held_bp_homology_by_degree():
+    spec = AlgebraSpec(2)
+    h100 = _cold_bp_homology(100)
+    above = [m for m in enumerate_by_degree(P3, spec, 140) if degree(P3, m) > 100]
+    grown = module_from_monomials(P3, spec, above, (0, 1, 2), truncated_above=140, held=h100)
+    assert grown.truncated_above == 140
+    _assert_same_module(grown, _cold_bp_homology(140))
 
 
 # -- theta -----------------------------------------------------------------

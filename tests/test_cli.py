@@ -535,6 +535,15 @@ def test_default_window_text_report_is_byte_identical(capsys):
     assert capsys.readouterr().out == GOLDEN_P3_DEFAULT_TEXT.read_text(encoding="utf-8")
 
 
+def test_default_run_builds_each_block_at_its_widest_window(capsys, poly_work):
+    # the P(2) checks run last, widest windows first; in report order the
+    # block memo regrew to 28 builds
+    assert main(["verify-splitting"]) == 0
+    assert capsys.readouterr().out == GOLDEN_P3_DEFAULT_TEXT.read_text(encoding="utf-8")
+    assert len(poly_work.blocks) == 8
+    assert len({content_key(m) for m in poly_work.blocks}) == 7
+
+
 def test_p5_window_report_is_byte_identical(capsys):
     # p = 5 is the prime the hypothesis needs; this pins today's report there
     argv = ["verify-splitting", "--p", "5", "--max-degree", "100"]

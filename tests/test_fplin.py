@@ -337,6 +337,25 @@ def test_quotient_projection_is_reduction_mod_rows(pm, data):
     assert not ((proj @ rows.T) % p).any()
 
 
+@settings(max_examples=120, deadline=None)
+@given(fp_matrices(), st.data())
+def test_solve_columns_solves_exactly_the_consistent_systems(pm, data):
+    p, a = pm
+    rows, cols = a.shape
+    k = data.draw(st.integers(1, 3))
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=cols * k, max_size=cols * k))
+    b = (a @ np.array(entries, dtype=np.int64).reshape(cols, k)) % p
+    x = solve_columns(a, b, p)
+    assert x is not None and x.shape == (cols, k)
+    assert np.array_equal((a @ x) % p, b)
+    # a right-hand side outside the column space has no solution
+    for c in range(rows):
+        e = np.zeros(rows, dtype=np.int64)
+        e[c] = 1
+        consistent = _rank(np.concatenate([a, e[:, None]], axis=1), p) == _rank(a, p)
+        assert (solve_columns(a, e, p) is not None) == consistent
+
+
 def _reduce_row_by_row(v: np.ndarray, rows: np.ndarray, pivots, p: int) -> np.ndarray:
     """The sequential reference: subtract each echelon row in pivot order."""
     out = v % p
