@@ -33,11 +33,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count
+from itertools import combinations, count
 
 import numpy as np
 
-from .fplin import solve_columns
+from .fplin import rref_array
 from .monomials import (
     AlgebraSpec,
     Monomial,
@@ -54,7 +54,9 @@ from .qmodules import (
     QModule,
     QModuleMap,
     compose,
+    minimal_generators,
     module_from_monomials,
+    q_word,
     quotient,
     restrict_qs,
     submodule_generated,
@@ -395,69 +397,59 @@ def assemble_bp_splitting(ctx: PrimeContext, n: int, max_degree: int) -> Assembl
     return AssemblyReport(n, max_degree, k_max + 1, per_degree, reports, coverage_exact, first_fail)
 
 
-def _solve_retraction(whole: QModule, part: QModule, inclusion: QModuleMap) -> QModuleMap:
-    """Equivariant left inverse of an inclusion of a free summand.
+def _retraction(whole: QModule, part: QModule, inclusion: QModuleMap) -> QModuleMap:
+    """Equivariant left inverse of the inclusion of a free summand, by Frobenius averaging.
 
-    The blocks r_d can be nonzero only in degrees where the summand is,
-    so all of them are solved as one linear system: r o inc = id plus
-    r(Q_i x) = Q_i r(x) for every basis element x one Q-drop above such a
-    degree.  Equivariance elsewhere is automatic because both sides
-    vanish.  Degreewise greedy solving would not work here: a choice high
-    up can strand the socle degrees, while the joint system is solvable
-    whenever the summand really is free.  Free variables are zeroed, so
-    the result is deterministic.
+    E = E(Q_i : i in qs) is a Frobenius algebra, so free E-modules are
+    injective (Margolis, Spectra and the Steenrod Algebra).  Q_I is the
+    ascending word on I, last index acting first, I^c is the complement
+    of I, and Q_{I^c} Q_I = c_I Q_qs with c_I = (-1)^#{(a, b) : a in I^c,
+    b in I, a > b}.  With V the summand's minimal generators and phi any
+    linear map from whole to V that reads the Q_qs v coefficient on the
+    summand and kills its other basis vectors Q_I v,
+
+        r(x) = sum_I c_I Q_I phi(Q_{I^c} x).
+
+    On a generator v, phi kills Q_{I^c} v unless I = {}, so r(v) = v.  In
+    r(Q_k x) the terms with k in I^c vanish, in Q_k r(x) those with k in
+    I; the rest pair off as I = J + {k}, and Q_{I^c} Q_k = e Q_{J^c} with
+    Q_k Q_J = e' Q_I gives c_J = e e' c_I, so paired terms agree.  So r
+    is E-linear and r o inclusion = id.
+
+    phi_e, at each socle degree e, is the top-word rows of a left inverse
+    of B, the columns Q_I v for every word I and generator v at
+    e + drop(I), from one elimination of [B | 1]; B is injective when the
+    summand is free.  Words act on the generators and, from the right, on
+    phi's rows, never on an identity of whole.
     """
-    p = whole.ctx.p
-    ds = [d for d in whole.degrees() if part.dim(d) > 0]
-    offsets: dict[int, int] = {}
-    total = 0
-    for d in ds:
-        offsets[d] = total
-        total += part.dim(d) * whole.dim(d)
-
-    def block(d: int, s: int) -> slice:
-        start = offsets[d] + s * whole.dim(d)
-        return slice(start, start + whole.dim(d))
-
-    rows: list[np.ndarray] = []
-    rhs: list[int] = []
-    for d in ds:
-        inc = inclusion.mat(d)
-        for s in range(part.dim(d)):
-            for t in range(part.dim(d)):
-                row = np.zeros(total, dtype=np.int64)
-                row[block(d, s)] = inc[:, t]
-                rows.append(row)
-                rhs.append(1 if s == t else 0)
-        for i in whole.qs:
-            e = d + whole.drop(i)
-            qm = whole.act(i, e)
-            qs_mat = part.act(i, e)
-            for s in range(part.dim(d)):
-                for x in range(whole.dim(e)):
-                    row = np.zeros(total, dtype=np.int64)
-                    row[block(d, s)] = qm[:, x]
-                    if part.dim(e):
-                        for u in range(part.dim(e)):
-                            row[block(e, u)][x] -= qs_mat[s, u]
-                    if row.any():
-                        rows.append(row % p)
-                        rhs.append(0)
-    if total == 0:
-        mats = {d: np.zeros((0, whole.dim(d)), dtype=np.int64) for d in whole.degrees()}
-        return QModuleMap(whole, part, mats)
-    system = np.stack(rows) if rows else np.zeros((0, total), dtype=np.int64)
-    sol = solve_columns(system, np.array(rhs, dtype=np.int64), p)
-    if sol is None:
-        raise ValueError("retraction system unsolvable; the summand is not split in range")
+    p, qs = whole.ctx.p, whole.qs
+    words = [w for n in range(len(qs) + 1) for w in combinations(qs, n)]
+    drops = {w: sum(whole.drop(i) for i in w) for w in words}
+    gens = {g: rows.T for g, rows in minimal_generators(part).items()}
+    phi: dict[int, np.ndarray] = {}
+    for g in gens:
+        e = g - drops[qs]
+        tops = {w: e + drops[w] for w in words if e + drops[w] in gens}
+        b = inclusion.mat(e) @ np.concatenate([q_word(part, w, t, gens[t]) for w, t in tops.items()], axis=1) % p
+        m, n = b.shape[1], whole.dim(e)
+        red, pivots = rref_array(np.concatenate([b, np.eye(n, dtype=np.int64)], axis=1), p)
+        if pivots[:m] != list(range(m)):
+            raise ValueError(f"the summand is not free in range: its socle at degree {e} is degenerate")
+        phi[g] = red[m - gens[g].shape[1] : m, m:]
     mats = {}
-    for d in whole.degrees():
-        if d in offsets:
-            mats[d] = sol[offsets[d] : offsets[d] + part.dim(d) * whole.dim(d)].reshape(
-                (part.dim(d), whole.dim(d))
-            )
-        else:
-            mats[d] = np.zeros((0, whole.dim(d)), dtype=np.int64)
+    for d in part.degrees():
+        r = np.zeros((part.dim(d), whole.dim(d)), dtype=np.int64)
+        for w in words:
+            g = d + drops[w]
+            if g not in phi:
+                continue
+            rest = tuple(i for i in qs if i not in w)
+            rows, e = phi[g], g - drops[qs]
+            for i in rest:
+                e += whole.drop(i)
+                rows = rows @ whole.act(i, e) % p
+            r += (-1) ** sum(a > b for a in rest for b in w) * (q_word(part, w, g, gens[g]) @ rows)
+        mats[d] = r % p
     return QModuleMap(whole, part, mats)
 
 
@@ -476,7 +468,7 @@ def length_splitting(ctx: PrimeContext, max_degree: int) -> SplitPair:
     gens = [lab for d in H.degrees() for lab in H.basis[d] if mono_length(lab) >= 3]
     free_part, inc = submodule_generated(H, gens)
     reduced, proj = quotient(H, gens)
-    retr = _solve_retraction(H, free_part, inc)
+    retr = _retraction(H, free_part, inc)
     return SplitPair(H, free_part, reduced, inc, proj, retr)
 
 
@@ -514,7 +506,7 @@ def si_ri_splitting(
     gens = [lab for d in Cpair.degrees() for lab in Cpair.basis[d] if mono_length(lab) == 2]
     S, inc = submodule_generated(Cpair, gens)
     R, proj = quotient(Cpair, gens)
-    retr = _solve_retraction(Cpair, S, inc)
+    retr = _retraction(Cpair, S, inc)
     p = ctx.p
     lo, hi = pair
     for d in R.degrees():

@@ -286,17 +286,16 @@ def _check_theta_blocks(ctx: PrimeContext, cfg: RunConfig, kt: int) -> dict:
 
 
 def _split_pair_entry(name: str, pair, depth: int, p: int) -> dict:
-    inc = verify_map(pair.inclusion)
-    proj = verify_map(pair.projection)
+    maps = (pair.inclusion, pair.projection, pair.retraction)
     hi = max(0, depth - (2 * p * p - 1))
     free_ok = freeness_check(pair.free_part, degrees=(0, hi))
-    passed = inc.passed and proj.passed and free_ok
+    passed = all(verify_map(f).passed for f in maps) and free_ok
     detail = (
         f"free dim {pair.free_part.total_dim}, reduced dim "
         f"{pair.reduced_part.total_dim}, retraction solved and equivariant"
     )
     if not passed:
-        detail = "inclusion/projection equivariance or freeness failed"
+        detail = "inclusion/projection/retraction equivariance or freeness failed"
     return _entry(name, passed, f"t <= {depth}", detail)
 
 

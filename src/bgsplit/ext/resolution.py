@@ -14,32 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..fplin import coset_representatives, kernel_array, rank
-from ..qmodules import QModule, QModuleMap, direct_sum, free_module
+from ..qmodules import QModule, QModuleMap, direct_sum, free_module, minimal_generators, q_word
 from .koszul import BigradedDims
-
-
-def _q_set_matrix(module: QModule, start_degree: int, subset: tuple[int, ...]) -> np.ndarray:
-    """Matrix of the composite Q_{i_1}...Q_{i_m}, applied largest index first."""
-    p = module.ctx.p
-    mat = np.eye(module.dim(start_degree), dtype=np.int64)
-    degree = start_degree
-    for i in sorted(subset, reverse=True):
-        mat = module.act(i, degree) @ mat % p
-        degree -= module.drop(i)
-    return mat
-
-
-def _minimal_generators(module: QModule) -> dict[int, np.ndarray]:
-    """Rows spanning M / (sum_i Q_i M) per degree, canonical representatives."""
-    p = module.ctx.p
-    gens: dict[int, np.ndarray] = {}
-    for d in module.degrees():
-        above = [module.act(i, d + module.drop(i)) for i in module.qs]
-        span = np.concatenate([a.T for a in above], axis=0) if above else np.zeros((0, module.dim(d)), dtype=np.int64)
-        reps = coset_representatives(np.eye(module.dim(d), dtype=np.int64), span, p)
-        if reps.shape[0]:
-            gens[d] = reps
-    return gens
 
 
 @dataclass
@@ -56,7 +32,7 @@ def _build_stage(
     target: QModule, gens: dict[int, np.ndarray], label: tuple
 ) -> ResolutionStage:
     """Free module on the given generators with its equivariant cover of target."""
-    ctx, qs, p = target.ctx, target.qs, target.ctx.p
+    ctx, qs = target.ctx, target.qs
     degrees: list[int] = []
     vectors: list[tuple[int, np.ndarray]] = []
     for d in sorted(gens, reverse=True):
@@ -69,10 +45,7 @@ def _build_stage(
     free = direct_sum(blocks) if blocks else QModule(ctx, qs, {}, {})
     mats: dict[int, np.ndarray] = {}
     for d in free.degrees():
-        cols = []
-        for block, (_, subset) in free.basis[d]:
-            gen_degree, vec = vectors[block]
-            cols.append(_q_set_matrix(target, gen_degree, subset) @ vec % p)
+        cols = [q_word(target, subset, *vectors[block]) for block, (_, subset) in free.basis[d]]
         mats[d] = np.stack(cols, axis=1) if cols else np.zeros((target.dim(d), 0), dtype=np.int64)
     return ResolutionStage(free, degrees, vectors, QModuleMap(free, target, mats))
 
@@ -125,7 +98,7 @@ def minimal_resolution(module: QModule, s_max: int) -> list[ResolutionStage]:
         raise ValueError("resolutions need the complete finite module")
     stages: list[ResolutionStage] = []
     target = module
-    gens = _minimal_generators(module)
+    gens = minimal_generators(module)
     for s in range(s_max + 1):
         if not gens:
             break
@@ -170,7 +143,7 @@ def _hom_differential(
             if src[block][1] == 0:
                 continue
             source_degree = t + lower.gen_degrees[block]
-            piece = _q_set_matrix(n, source_degree, subset)
+            piece = q_word(n, subset, source_degree, np.eye(n.dim(source_degree), dtype=np.int64))
             r0, c0 = int(dst_off[g_new]), int(src_off[block])
             mat[r0 : r0 + piece.shape[0], c0 : c0 + piece.shape[1]] += int(coeff) * piece
     return mat % p

@@ -37,7 +37,6 @@ __all__ = [
     "coset_representatives",
     "homology_basis",
     "quotient_projection",
-    "solve_columns",
     "is_prime",
 ]
 
@@ -256,26 +255,3 @@ def quotient_projection(
     if pivots:
         proj[:, list(pivots)] = (-rows[:, keep].T) % p
     return keep, proj
-
-
-def solve_columns(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution X of a @ X = b mod p, or None if inconsistent.
-
-    Free variables are set to zero, so the solution is deterministic.
-    `b` may be a vector or a matrix of stacked right-hand sides.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    single = b.ndim == 1
-    if single:
-        b = b[:, None]
-    rows, cols = a.shape
-    if b.shape[0] != rows:
-        raise ValueError("right-hand side has wrong height")
-    aug = np.concatenate([a, b], axis=1) % p
-    red, pivots = rref_array(aug, p)
-    if pivots and pivots[-1] >= cols:
-        return None
-    x = np.zeros((cols, b.shape[1]), dtype=np.int64)
-    x[pivots] = red[: len(pivots), cols:]
-    return x[:, 0] if single else x

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fplin import quotient_projection, reduce_mod_rows, rref_array
+from .fplin import coset_representatives, quotient_projection, reduce_mod_rows, rref_array
 from .monomials import (
     AlgebraSpec,
     Monomial,
@@ -50,6 +50,8 @@ __all__ = [
     "quotient",
     "submodule_generated",
     "verify_map",
+    "q_word",
+    "minimal_generators",
     "free_module",
     "trivial_module",
     "identity_map",
@@ -264,6 +266,31 @@ def verify_map(f: QModuleMap) -> MapReport:
             if terms and (sum(terms) % p).any():
                 failures.append((f"Q_{i}", d))
     return MapReport(not failures, failures)
+
+
+def q_word(module: QModule, word: Iterable[int], d: int, cols: np.ndarray) -> np.ndarray:
+    """Q_{i_1}...Q_{i_m} (i_1 < ... < i_m) applied to the columns cols at degree d.
+
+    The last index acts first, so the image sits at d minus the word's drops.
+    """
+    p = module.ctx.p
+    for i in sorted(word, reverse=True):
+        cols = module.act(i, d) @ cols % p
+        d -= module.drop(i)
+    return cols
+
+
+def minimal_generators(module: QModule) -> dict[int, np.ndarray]:
+    """Rows spanning M / (sum_i Q_i M) per degree, canonical representatives."""
+    p = module.ctx.p
+    gens: dict[int, np.ndarray] = {}
+    for d in module.degrees():
+        above = [module.act(i, d + module.drop(i)) for i in module.qs]
+        span = np.concatenate([a.T for a in above], axis=0) if above else np.zeros((0, module.dim(d)), dtype=np.int64)
+        reps = coset_representatives(np.eye(module.dim(d), dtype=np.int64), span, p)
+        if reps.shape[0]:
+            gens[d] = reps
+    return gens
 
 
 def module_from_monomials(

@@ -34,7 +34,16 @@ from bgsplit.monomials import (
     parse_monomial,
     weight,
 )
-from bgsplit.qmodules import ClosureError, module_from_monomials, verify_map
+from bgsplit.qmodules import (
+    ClosureError,
+    direct_sum,
+    free_module,
+    module_from_monomials,
+    quotient,
+    submodule_generated,
+    trivial_module,
+    verify_map,
+)
 
 P3 = PrimeContext(3)
 P5 = PrimeContext(5)
@@ -349,6 +358,37 @@ def test_si_ri_splitting_nontrivial_range():
     assert verify_map(split.inclusion).passed
     for d in split.whole.degrees():
         assert split.whole.dim(d) == S.dim(d) + split.reduced_part.dim(d)
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 2), (1, 0, 2), (2, 0, 1)])
+def test_si_ri_splitting_at_p5(perm):
+    # through degree 1550 at p = 5 each S_i is free of dimension 32
+    split = si_ri_splitting(P5, perm, 1550)
+    assert split.free_part.total_dim == 32
+    assert verify_map(split.retraction).passed
+
+
+def test_retraction_splits_a_free_summand_off_the_axes():
+    # v = a + b + c, with a, b free generators and c spanning a trivial
+    # module, generates a free summand whose basis meets no coordinate axis
+    qs = (0, 1, 2)
+    whole = direct_sum([free_module(P3, qs, 23, "a"), free_module(P3, qs, 23, "b"), trivial_module(P3, qs, 23)])
+    v = (23, np.ones(3, dtype=np.int64))
+    part, inc = submodule_generated(whole, [v])
+    assert part.total_dim == 8
+    reduced, proj = quotient(whole, [v])
+    retraction = browngitler._retraction(whole, part, inc)
+    split = browngitler.SplitPair(whole, part, reduced, inc, proj, retraction)
+    assert verify_map(split.retraction).passed
+
+
+def test_retraction_rejects_a_summand_that_is_not_free():
+    # Q_0 g spans E(Q_0, Q_1, Q_2)/(Q_0) inside the free module on g
+    free = free_module(P3, (0, 1, 2), 23)
+    q0g = (22, free.act(0, 23)[:, 0])
+    part, inc = submodule_generated(free, [q0g])
+    with pytest.raises(ValueError, match="not free"):
+        browngitler._retraction(free, part, inc)
 
 
 def test_si_ri_other_permutations_trivial_range():

@@ -324,7 +324,7 @@ def test_length_splitting_catches_a_non_equivariant_projection(capsys, monkeypat
 
     monkeypatch.setattr(cli, "length_splitting", split)
     detail = _only_failure(capsys, "length-splitting", K0_WINDOW)
-    assert detail == "inclusion/projection equivariance or freeness failed"
+    assert detail == "inclusion/projection/retraction equivariance or freeness failed"
 
 
 def test_si_ri_catches_a_non_equivariant_projection(capsys, monkeypatch):
@@ -338,6 +338,46 @@ def test_si_ri_catches_a_non_equivariant_projection(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "si_ri_splitting", split)
     assert _only_failure(capsys, "si-ri-splittings", K0_WINDOW) == "failed for ['s1']"
+
+
+def _off_summand_retraction(pair):
+    """The retraction r plus f (x) w, which still inverts the inclusion but is not equivariant.
+
+    w is a row of the projection, which vanishes on the free part, so
+    r o inc = id survives and `SplitPair` accepts the copy.  f is a free
+    basis vector in the same degree d with some Q_i f nonzero, so Q_i
+    sees the added (Q_i f) (x) w at d, while nothing is added below d.
+    """
+    free, r = pair.free_part, pair.retraction
+    for d in free.degrees():
+        moved = [j for i in free.qs for j in np.flatnonzero(free.act(i, d).any(axis=0))]
+        if moved and pair.reduced_part.dim(d):
+            mats = {e: r.mat(e).copy() for e in r.source.degrees()}
+            mats[d][moved[0]] += pair.projection.mat(d)[0]
+            return replace(pair, retraction=QModuleMap(r.source, r.target, mats, r.shift))
+    raise AssertionError("no degree holds both parts and a moved free vector")
+
+
+def test_si_ri_catches_a_non_equivariant_retraction(capsys, monkeypatch):
+    # at degree 60 every free part is 0, so the doctored retraction would
+    # compare nothing there; at 220 each S_i has dimension 8
+    real = cli.si_ri_splitting
+
+    def split(ctx, perm, depth):
+        pair = real(ctx, perm, depth)
+        return _off_summand_retraction(pair) if perm[0] == 0 else pair
+
+    monkeypatch.setattr(cli, "si_ri_splitting", split)
+    argv = ["verify-splitting", "--p", "3", "--max-degree", "220", "--k-max", "0", "--s-max", "2"]
+    assert _only_failure(capsys, "si-ri-splittings", argv) == "failed for ['s0']"
+
+
+def test_si_ri_splits_nonzero_summands_at_260(capsys):
+    argv = ["verify-splitting", "--p", "3", "--max-degree", "260", "--k-max", "0", "--s-max", "4"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    si_ri = next(c for c in payload["checks"] if c["name"] == "si-ri-splittings")
+    assert si_ri["detail"] == "S_i free and split off for each omitted Q (free dim 96, free dim 96, free dim 96)"
 
 
 def test_w_margolis_catches_a_misplaced_model(capsys, monkeypatch):

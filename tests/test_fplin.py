@@ -21,7 +21,6 @@ from bgsplit.fplin import (
     ranks,
     reduce_mod_rows,
     rref_array,
-    solve_columns,
 )
 
 
@@ -112,15 +111,6 @@ def test_quotient_basis_accepts_dependent_rows():
     dependent = coset_representatives(eye, _m([[1, 2], [2, 4]]), 3)
     assert np.array_equal(dependent, coset_representatives(eye, _m([[1, 2]]), 3))
     assert dependent.shape[0] == 1
-
-
-def test_solve_columns_consistent_and_inconsistent():
-    a = _m([[1, 1], [0, 1]])
-    x = solve_columns(a, _m([2, 1]), 3)
-    assert x is not None
-    assert ((a @ x) % 3).tolist() == [2, 1]
-    b = _m([[1, 1], [2, 2]])
-    assert solve_columns(b, _m([0, 1]), 3) is None
 
 
 def test_rank_counts_distinct_rows_of_singleton_columns():
@@ -335,25 +325,6 @@ def test_quotient_projection_is_reduction_mod_rows(pm, data):
         v = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)), dtype=np.int64)
         assert np.array_equal((proj @ v) % p, reduce_mod_rows(v, rows, tuple(piv), p)[keep])
     assert not ((proj @ rows.T) % p).any()
-
-
-@settings(max_examples=120, deadline=None)
-@given(fp_matrices(), st.data())
-def test_solve_columns_solves_exactly_the_consistent_systems(pm, data):
-    p, a = pm
-    rows, cols = a.shape
-    k = data.draw(st.integers(1, 3))
-    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=cols * k, max_size=cols * k))
-    b = (a @ np.array(entries, dtype=np.int64).reshape(cols, k)) % p
-    x = solve_columns(a, b, p)
-    assert x is not None and x.shape == (cols, k)
-    assert np.array_equal((a @ x) % p, b)
-    # a right-hand side outside the column space has no solution
-    for c in range(rows):
-        e = np.zeros(rows, dtype=np.int64)
-        e[c] = 1
-        consistent = _rank(np.concatenate([a, e[:, None]], axis=1), p) == _rank(a, p)
-        assert (solve_columns(a, e, p) is not None) == consistent
 
 
 def _reduce_row_by_row(v: np.ndarray, rows: np.ndarray, pivots, p: int) -> np.ndarray:

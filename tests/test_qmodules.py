@@ -20,6 +20,7 @@ from bgsplit.qmodules import (
     identity_map,
     module_from_monomials,
     q_action_on_monomial,
+    q_word,
     quotient,
     restrict_qs,
     submodule_generated,
@@ -112,6 +113,16 @@ def test_module_from_monomials_b19_actions():
 def test_closure_error_names_offender():
     with pytest.raises(ClosureError, match=r"Q_0\(tau2\).*xi2"):
         module_from_monomials(P3, A1, [mono("tau2"), mono("1"), mono("xi1^3")], (0,))
+
+
+def test_q_word_applies_the_last_index_first():
+    free = free_module(P3, (0, 1, 2), 23)
+    _, g = free.element(("g", ()))
+    got = q_word(free, (0, 1), 23, g)
+    assert np.array_equal(got, free.act(0, 18) @ free.act(1, 23) @ g % 3)
+    assert np.array_equal(got, free.element(("g", (0, 1)))[1])
+    # the other order is Q_1 Q_0 = -Q_0 Q_1
+    assert np.array_equal(free.act(1, 22) @ free.act(0, 23) @ g % 3, -got % 3)
 
 
 def test_relation_validation_rejects_corrupt_actions():
