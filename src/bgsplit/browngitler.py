@@ -467,7 +467,7 @@ def length_splitting(ctx: PrimeContext, max_degree: int) -> SplitPair:
     H = bp_homology(ctx, 2, max_degree).module
     gens = [lab for d in H.degrees() for lab in H.basis[d] if mono_length(lab) >= 3]
     free_part, inc = submodule_generated(H, gens)
-    reduced, proj = quotient(H, gens)
+    reduced, proj = quotient(inc)
     retr = _retraction(H, free_part, inc)
     return SplitPair(H, free_part, reduced, inc, proj, retr)
 
@@ -484,8 +484,7 @@ def weight_restricted_C(ctx: PrimeContext, k: int) -> QModule:
     """
     B = brown_gitler(ctx, 1, k).module
     gens = [lab for d in B.degrees() for lab in B.basis[d] if mono_length(lab) >= 3]
-    reduced, _ = quotient(B, gens)
-    return reduced
+    return quotient(submodule_generated(B, gens)[1])[0]
 
 
 def si_ri_splitting(
@@ -505,7 +504,7 @@ def si_ri_splitting(
     Cpair = restrict_qs(C, pair)
     gens = [lab for d in Cpair.degrees() for lab in Cpair.basis[d] if mono_length(lab) == 2]
     S, inc = submodule_generated(Cpair, gens)
-    R, proj = quotient(Cpair, gens)
+    R, proj = quotient(inc)
     retr = _retraction(Cpair, S, inc)
     p = ctx.p
     lo, hi = pair

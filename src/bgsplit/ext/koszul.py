@@ -70,20 +70,33 @@ def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
 
 
-def _nonzeros(module: QModule, i: int) -> tuple[np.ndarray, ...]:
-    """The nonzero entries of every Q_i matrix, concatenated in degree order.
+def _nonzeros(mats: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The nonzero entries of a list of matrices, concatenated in list order.
 
-    Returns (entries per degree of module.degrees(), the start of each
-    degree's entries, rows, columns, values), so a degree's entries are
-    one slice.
+    Returns (entries per matrix, the start of each matrix's entries, rows,
+    columns, values), so a matrix's entries are one slice.
     """
-    none = np.zeros((0, 0), dtype=np.int64)
-    # a module with no degrees gets one empty matrix, so the concatenations have a part
-    mats = [module.actions[i].get(d, none) for d in module.degrees()] or [none]
+    # an empty list gets one empty matrix, so the concatenations have a part
+    mats = mats or [np.zeros((0, 0), dtype=np.int64)]
     at = [np.nonzero(mat) for mat in mats]
     count = np.array([r.size for r, _ in at], dtype=np.int64)
     rows, cols = (np.concatenate([x[k] for x in at]) for k in (0, 1))
     return count, np.cumsum(count) - count, rows, cols, np.concatenate([m[x] for m, x in zip(mats, at)])
+
+
+def dims_from_ranks(table: tuple[np.ndarray, ...], p: int, s_max: int, t0: int) -> dict[tuple[int, int], int]:
+    """The nonzero dim H^{s,t}, s <= s_max, t-major, of a tabulated complex, from one `fplin.ranks` call.
+
+    table is (chain, rows, cols, vals): chain[s, t - t0] = dim C^{s,t}, with an
+    empty level above the top, and the entries of every d^{s,t}, numbered
+    across the table with columns from level 0 and rows from level 1.
+    """
+    chain, rows, cols, vals = table
+    shapes = np.stack([chain[1:].ravel(), chain[:-1].ravel()], axis=1)
+    rk = ranks(rows, cols, vals, shapes, p).reshape(chain[1:].shape)
+    ext = (chain[:-1] - rk - np.vstack([np.zeros_like(rk[:1]), rk[:-1]]))[: s_max + 1]
+    t_ix, s_ix = np.nonzero(ext.T)
+    return {(int(s), t0 + int(t)): int(ext[s, t]) for t, s in zip(t_ix, s_ix)}
 
 
 # the most chain columns one pass of `KoszulComplex.chart` holds, which bounds
@@ -116,9 +129,7 @@ class BlockTable:
     nonzero sends each source block at that degree to its block alpha + e_i
     one s higher, found by `np.searchsorted` on the key, and contributes the
     matrix's entries at the two blocks' offsets.  Only d^{s,t} with
-    s <= s_max is tabulated.  Rows and columns are numbered across the
-    table, as `fplin.ranks` takes them: columns from level 0, rows from
-    level 1.
+    s <= s_max is tabulated, numbered as `dims_from_ranks` reads it.
     """
 
     def __init__(self, kc: KoszulComplex, s_max: int, t0: int, t1: int, runs: list):
@@ -165,12 +176,7 @@ class BlockTable:
 
     def ext(self) -> dict[tuple[int, int], int]:
         """The nonzero dim Ext^{s,t}, s <= s_max, t-major, from one `fplin.ranks` call."""
-        shapes = np.stack([self.chain[1:].ravel(), self.chain[:-1].ravel()], axis=1)
-        rk = ranks(self.rows, self.cols, self.vals, shapes, self.p).reshape(-1, self.nt)
-        below = np.vstack([np.zeros((1, self.nt), dtype=np.int64), rk[:-1]])
-        ext = (self.chain[:-1] - rk - below)[: self.s_max + 1]
-        t_ix, s_ix = np.nonzero(ext.T)
-        return {(int(s), self.t0 + int(t)): int(ext[s, t]) for t, s in zip(t_ix, s_ix)}
+        return dims_from_ranks((self.chain, self.rows, self.cols, self.vals), self.p, self.s_max, self.t0)
 
     def d(self, s: int, t: int) -> np.ndarray:
         """The dense d^{s,t}: C^{s,t} -> C^{s+1,t}, cut from the entries; C^{-1,t} = 0."""
@@ -237,7 +243,8 @@ class KoszulComplex:
         self.drops = tuple(module.ctx.q_degree(i) for i in self.qs)
         self._degrees = np.array(module.degrees(), dtype=np.int64)
         self._dims = np.array([module.dim(d) for d in module.degrees()], dtype=np.int64)
-        self._actions = [_nonzeros(module, i) for i in self.qs]
+        none = np.zeros((0, 0), dtype=np.int64)
+        self._actions = [_nonzeros([module.actions[i].get(d, none) for d in module.degrees()]) for i in self.qs]
 
     def table(self, s_max: int, t0: int, t1: int) -> BlockTable:
         """The whole window s <= s_max, t0 <= t <= t1 as one `BlockTable`."""

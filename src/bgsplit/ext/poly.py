@@ -10,7 +10,10 @@ window it is exact on.
 Each weight block is resolved once: `resolved_block` holds Ext(F_p, C)
 and stages 0..2 of its minimal resolution per block content.  A gr
 presentation is a view of that memo, projective dimension reads its length
-and socle off the view, and the E_2 comparison maps the same stages.
+and socle off the view, and the E_2 comparison maps the same stages into
+a target block's Ext: `ext_from_resolution` lays out Hom(F_u, B) of its
+whole window as one table of sparse entries, as `koszul.BlockTable` lays
+out chains, and ranks every differential with one `fplin.ranks` call.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from ..fplin import coset_representatives, kernel_array, rank, reduce_mod_rows
 from ..monomials import exponent_vectors
 from ..qmodules import QModule, content_key
-from .koszul import BigradedDims, KoszulComplex
+from .koszul import BigradedDims, KoszulComplex, _nonzeros, _ragged, dims_from_ranks
 
 Bidegree = tuple[int, int]
 
@@ -403,64 +406,72 @@ def p_resolution(m: PModule, u_max: int) -> list[PStage]:
     return stages
 
 
-def _hom_blocks(stage: PStage, b: PModule, b_by_t, t: int):
-    """(gen, target s, dim) blocks of Hom(F_u, B) in internal degree t."""
-    blocks = []
-    for g, (_, tg) in enumerate(stage.gen_bidegrees):
-        for sp in b_by_t.get(tg + t, ()):
-            blocks.append((g, sp, b.dim(sp, tg + t)))
-    return blocks
+def _hom_table(stages: list[PStage], b: PModule, t0: int, t1: int) -> tuple[np.ndarray, ...]:
+    """Hom(F_u, B)^t, t0 <= t <= t1, for each stage given, as a table for `dims_from_ranks`.
+
+    Block (u, t, g, s) holds the images of generator g of F_u in B^{s, t_g + t};
+    one sort of a combined key puts the blocks in (u, t, g, s) order.  A
+    relation entry (g, alpha, c) of generator g' of F_u sends each block
+    (u - 1, t, g, s) to block (u, t, g', s + |alpha|), found on the key, by
+    c times v^alpha on B.  The entries of one relation with one g all have
+    the same |alpha| and degree, so they may share positions: those are summed.
+    """
+    nt = t1 - t0 + 1
+    bids = sorted(b.dims, key=lambda bd: (bd[1], bd[0]))
+    bs, bt = (np.array([bd[x] for bd in bids], dtype=np.int64) for x in (0, 1))
+    ng, ns = max(len(st.gen_bidegrees) for st in stages), int(bs.max(initial=0)) + 1
+
+    def key(u: int, t: np.ndarray, g, s: np.ndarray) -> np.ndarray:
+        return ((u * nt + t - t0) * ng + g) * ns + s
+
+    # each generator's blocks are one run of B's bidegrees, ascending in t
+    runs, keys, ats = [], [], []
+    for u, st in enumerate(stages):
+        tg = np.array([t for _, t in st.gen_bidegrees], dtype=np.int64)
+        lo = np.searchsorted(bt, t0 + tg)
+        runs.append((tg, lo, np.searchsorted(bt, t1 + tg, "right") - lo))
+        g, at = np.repeat(np.arange(tg.size), runs[-1][2]), _ragged(lo, runs[-1][2])
+        keys.append(key(u, bt[at] - tg[g], g, bs[at]))
+        ats.append(at)
+    order = np.argsort(np.concatenate(keys))
+    table = np.concatenate(keys)[order]
+    width = np.array([b.dims[bd] for bd in bids], dtype=np.int64)[np.concatenate(ats)[order]]
+    hom = np.bincount(table // (ng * ns), width, (len(stages) + 1) * nt).astype(np.int64)
+    pos, lead, n = np.cumsum(width) - width, hom[:nt].sum(), hom.sum()
+
+    powers: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+    parts = [(np.zeros(0, dtype=np.int64),) * 3]
+    for u in range(1, len(stages)):
+        tg, lo, count = runs[u - 1]
+        for g_new, (bd, vector) in enumerate(zip(stages[u].gen_bidegrees, stages[u].gen_vectors)):
+            for c in np.flatnonzero(vector):
+                g, alpha = stages[u - 1].columns[bd][c]
+                if alpha not in powers:
+                    # v^alpha from each B-bidegree whose target B holds; every source block is one
+                    cut = np.searchsorted(bt, b.t_max - _dot(alpha, b.var_degrees), "right")
+                    powers[alpha] = _nonzeros([_power(b, alpha, *source) for source in bids[:cut]])
+                nz, start, pr, pc, pv = powers[alpha]
+                src = np.arange(lo[g], lo[g] + count[g])
+                src = src[nz[src] > 0]
+                t, k, at = bt[src] - tg[g], nz[src], _ragged(start[src], nz[src])
+                col = pos[np.searchsorted(table, key(u - 1, t, g, bs[src]))]
+                row = pos[np.searchsorted(table, key(u, t, g_new, bs[src] + sum(alpha)))] - lead
+                parts.append((np.repeat(row, k) + pr[at], np.repeat(col, k) + pc[at], vector[c] * pv[at]))
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    at, merged = np.unique(rows * n + cols, return_inverse=True)
+    summed = np.zeros(at.size, dtype=np.int64)
+    np.add.at(summed, merged, vals)
+    return hom.reshape(-1, nt), at // n, at % n, summed
 
 
-def _b_power(b: PModule, alpha: tuple[int, ...], s: int, t: int, memo) -> np.ndarray:
-    """Matrix of v^alpha on B starting at (s, t)."""
-    key = (alpha, s, t)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if not any(alpha):
-        out = np.eye(b.dim(s, t), dtype=np.int64)
-    else:
-        j = next(h for h, a in enumerate(alpha) if a)
-        prev = tuple(a - 1 if h == j else a for h, a in enumerate(alpha))
-        step = b.act(j, s + sum(prev), t + _dot(prev, b.var_degrees))
-        out = (step @ _b_power(b, prev, s, t, memo)) % b.p
-    memo[key] = out
-    return out
-
-
-def _p_hom_differential(upper: PStage, lower: PStage, b: PModule, b_by_t, t: int, memo) -> np.ndarray:
-    """Precomposition Hom(F_u, B)^t -> Hom(F_{u+1}, B)^t."""
-    src = _hom_blocks(lower, b, b_by_t, t)
-    dst = _hom_blocks(upper, b, b_by_t, t)
-    src_off = {}
-    total = 0
-    for g, sp, dim in src:
-        src_off[(g, sp)] = total
-        total += dim
-    dst_off = {}
-    dtotal = 0
-    for g, sp, dim in dst:
-        dst_off[(g, sp)] = dtotal
-        dtotal += dim
-    mat = np.zeros((dtotal, total), dtype=np.int64)
-    for g_new, ((s_new, t_new), vector) in enumerate(
-        zip(upper.gen_bidegrees, upper.gen_vectors)
-    ):
-        bd = (s_new, t_new)
-        for pos, coeff in enumerate(vector):
-            if not coeff:
-                continue
-            g, alpha = lower.columns[bd][pos]
-            tg = lower.gen_bidegrees[g][1]
-            for sp in b_by_t.get(tg + t, ()):
-                piece = _b_power(b, alpha, sp, tg + t, memo)
-                if not piece.size:
-                    continue
-                r0 = dst_off[(g_new, sp + sum(alpha))]
-                c0 = src_off[(g, sp)]
-                mat[r0 : r0 + piece.shape[0], c0 : c0 + piece.shape[1]] += int(coeff) * piece
-    return mat % b.p
+def _power(b: PModule, alpha: tuple[int, ...], s: int, t: int) -> np.ndarray:
+    """Matrix of v^alpha on B from (s, t)."""
+    mat = np.eye(b.dim(s, t), dtype=np.int64)
+    for j, a in enumerate(alpha):
+        for _ in range(a):
+            mat = (b.act(j, s, t) @ mat) % b.p
+            s, t = s + 1, t + b.var_degrees[j]
+    return mat
 
 
 def ext_from_resolution(
@@ -477,40 +488,23 @@ def ext_from_resolution(
     element of B in internal degree t_g + t.  The certified window is
     [B.t_max - A.t_max, B.t_max - (largest generator degree)]: above it B
     is not stored far enough, below it generators of the resolution
-    hiding above A's window could contribute.
+    hiding above A's window could contribute.  The stages through u_max + 1
+    make one Hom table, and one `fplin.ranks` call ranks its differentials.
     """
-    B = b
     if not stages:
         return BigradedDims({}, u_max, t_max, t_min or 0, note="source module is zero")
     top = max(t for st in stages for _, t in st.gen_bidegrees)
-    t_hi = min(t_max, B.t_max - top)
-    floor = (B.min_t() - top) if B.dims else t_hi
-    t_lo = max(B.t_max - a_t_max, floor)
+    t_hi = min(t_max, b.t_max - top)
+    floor = (b.min_t() - top) if b.dims else t_hi
+    t_lo = max(b.t_max - a_t_max, floor)
     if t_min is not None:
         if t_min < t_lo:
             raise ValueError(f"t_min {t_min} is below the certified floor {t_lo}")
         t_lo = t_min
     note = None if t_hi == t_max else f"t_max shrunk to certified {t_hi}"
-    b_by_t: dict[int, list[int]] = {}
-    for s, t in sorted(B.dims):
-        b_by_t.setdefault(t, []).append(s)
-    memo: dict = {}
-    dims: dict[Bidegree, int] = {}
-    for t in range(t_lo, t_hi + 1):
-        prev_rank = 0
-        for u in range(u_max + 1):
-            if u >= len(stages):
-                break
-            dim_here = sum(dim for _, _, dim in _hom_blocks(stages[u], B, b_by_t, t))
-            if u + 1 < len(stages):
-                delta = _p_hom_differential(stages[u + 1], stages[u], B, b_by_t, t, memo)
-                rank_here = rank(delta, B.p)
-            else:
-                rank_here = 0
-            d = dim_here - rank_here - prev_rank
-            if d:
-                dims[(u, t)] = d
-            prev_rank = rank_here
+    dims = {}
+    if t_lo <= t_hi:
+        dims = dims_from_ranks(_hom_table(stages[: u_max + 2], b, t_lo, t_hi), b.p, u_max, t_lo)
     return BigradedDims(dims, u_max, t_hi, t_lo, note)
 
 

@@ -95,8 +95,9 @@ def ranks(row: np.ndarray, col: np.ndarray, val: np.ndarray, shapes: np.ndarray,
 
     The rows, and the columns, of the batch are numbered matrix by matrix,
     in the order and with the shapes of shapes.  Entry e is val[e] at
-    (row[e], col[e]), no two entries share a position, and values need not
-    be reduced.  The whole batch is peeled together by `_peel`.
+    (row[e], col[e]), and values need not be reduced.  No two entries
+    share a position: a caller sums any that would, as the P(2) Hom table
+    does.  The whole batch is peeled together by `_peel`.
     """
     shapes = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
     val = np.mod(np.asarray(val, dtype=np.int64), p)

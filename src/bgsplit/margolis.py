@@ -386,7 +386,7 @@ def construct_model(ctx: PrimeContext, pair: tuple[int, int], a: int, b: int) ->
         factor, _ = submodule_generated(free, [("g", (j,)), ("g", (h,))])
         shift = a
     else:
-        factor, _ = quotient(free, [("g", (j, h))])
+        factor, _ = quotient(submodule_generated(free, [("g", (j, h))])[1])
         shift = a + (-b) * (ctx.q_degree(j) + ctx.q_degree(h))
     out = factor
     for _ in range(abs(b) - 1):

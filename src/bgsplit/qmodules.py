@@ -518,16 +518,18 @@ def content_key(module: QModule) -> tuple:
 
 
 def _resolve_elements(m: QModule, elements: Iterable) -> dict[int, list[np.ndarray]]:
-    """Normalize labels / (degree, vector) pairs to per-degree vectors."""
+    """Normalize labels / (degree, vector) pairs to per-degree vectors, reading labels first:
+    a `direct_sum` label (block index, label) looks like a (degree, vector) pair."""
     out: dict[int, list[np.ndarray]] = {}
     for el in elements:
-        if isinstance(el, tuple) and len(el) == 2 and isinstance(el[0], int):
-            d, v = el
-            v = np.asarray(v, dtype=np.int64) % m.ctx.p
+        try:
+            d, v = m.element(el)
+        except (KeyError, TypeError):
+            if not (isinstance(el, tuple) and len(el) == 2 and isinstance(el[0], int)):
+                raise
+            d, v = el[0], np.asarray(el[1], dtype=np.int64) % m.ctx.p
             if v.shape != (m.dim(d),):
                 raise ValueError(f"vector at degree {d} has wrong length")
-        else:
-            d, v = m.element(el)
         out.setdefault(d, []).append(v)
     return out
 
@@ -591,25 +593,21 @@ def submodule_generated(m: QModule, elements: Iterable) -> tuple[QModule, QModul
     return sub, inc
 
 
-def quotient(m: QModule, generators: Iterable) -> tuple[QModule, QModuleMap]:
-    """Quotient by the submodule the generators span, with the projection.
+def quotient(inc: QModuleMap) -> tuple[QModule, QModuleMap]:
+    """Quotient of inc's target by the submodule inc includes, with the projection.
 
-    Coset representatives are the basis elements at the non-pivot columns
-    of the submodule's echelon basis, so quotient labels are a subset of
-    the original labels and the construction is deterministic.
+    inc is what `submodule_generated` returns, so a caller that keeps the
+    submodule closes it once.  Coset representatives are the basis elements
+    at the non-pivot columns of its echelon basis, so quotient labels are a
+    subset of the original labels and the construction is deterministic.
     """
-    p = m.ctx.p
-    sub, inc = submodule_generated(m, generators)
-    spans: dict[int, tuple[np.ndarray, list[int]]] = {}
-    for d in sub.degrees():
-        red, pivots = rref_array(inc.mat(d).T, p)
-        spans[d] = (red[: len(pivots)], pivots)
-
+    m, p = inc.target, inc.target.ctx.p
     basis: dict[int, tuple] = {}
     proj_mats: dict[int, np.ndarray] = {}
     keep: dict[int, list[int]] = {}
     for d in m.degrees():
-        rows, pivots = spans.get(d, ((), ()))
+        # inc is injective, so every row of the echelon form holds a pivot
+        rows, pivots = rref_array(inc.mat(d).T, p)
         keep[d], proj_mats[d] = quotient_projection(rows, pivots, m.dim(d), p)
         basis[d] = tuple(m.basis[d][c] for c in keep[d])
 

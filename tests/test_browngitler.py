@@ -376,7 +376,7 @@ def test_retraction_splits_a_free_summand_off_the_axes():
     v = (23, np.ones(3, dtype=np.int64))
     part, inc = submodule_generated(whole, [v])
     assert part.total_dim == 8
-    reduced, proj = quotient(whole, [v])
+    reduced, proj = quotient(inc)
     retraction = browngitler._retraction(whole, part, inc)
     split = browngitler.SplitPair(whole, part, reduced, inc, proj, retraction)
     assert verify_map(split.retraction).passed

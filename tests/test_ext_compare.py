@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from bgsplit import fplin
 from bgsplit.browngitler import bp_homology, brown_gitler, weight_restricted_C
-from bgsplit.ext import compare, poly
+from bgsplit.ext import compare, koszul, poly
 from bgsplit.ext.compare import (
     PropisoReport,
     dual_module,
@@ -17,6 +18,7 @@ from bgsplit.ext.koszul import BigradedDims
 from bgsplit.ext.resolution import ext_general
 from bgsplit.monomials import PrimeContext
 from bgsplit.qmodules import content_key, suspend, trivial_module
+from p2_oracles import dense_ext_from_resolution
 
 P3 = PrimeContext(3)
 FULL = (0, 1, 2)
@@ -225,3 +227,56 @@ def test_comparison_resolves_only_block_builds(poly_work):
     assert poly_work.blocks
     assert len(poly_work.resolved) == len(poly_work.blocks)
     assert not poly_work.outside
+
+
+# -- the Hom table -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, top, with_ext1", [(3, 12, 52), (5, 9, 0)])
+def test_hom_table_matches_the_dense_reference_on_every_pair(monkeypatch, p, top, with_ext1):
+    # every pair with k, m <= top, and every one has Ext^0; the p = 5 pairs
+    # are those of the verify_p5_t100 golden
+    seen = []
+
+    def both(*args, **kwargs):
+        seen.append(poly.ext_from_resolution(*args, **kwargs))
+        assert seen[-1] == dense_ext_from_resolution(*args, **kwargs)
+        return seen[-1]
+
+    monkeypatch.setattr(compare, "ext_from_resolution", both)
+    ctx = PrimeContext(p)
+    for k in range(top + 1):
+        for m in range(top + 1):
+            propiso_check(ctx, k, m)
+    assert len(seen) == (top + 1) ** 2
+    assert all(ext.dims for ext in seen)
+    assert sum(any(u == 1 for u, _ in ext.dims) for ext in seen) == with_ext1
+
+
+def test_comparison_ranks_its_hom_table_once(poly_work, monkeypatch):
+    # the blocks are built before the polynomial side runs, so every rank
+    # asked for inside it is the Hom table's
+    calls, inside = [], []
+    for module in (fplin, koszul, poly):
+        for name in ("rank", "ranks"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+
+                def counted(*args, real=real, name=name):
+                    if inside:
+                        calls.append(name)
+                    return real(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    route = compare.ext_from_resolution
+
+    def traced(*args, **kwargs):
+        inside.append(True)
+        try:
+            return route(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(compare, "ext_from_resolution", traced)
+    assert propiso_check(P3, 9, 9).passed
+    assert calls == ["ranks"]

@@ -12,6 +12,8 @@ from bgsplit.ext.poly import ext_p_module, gr_module, p_resolution, projective_d
 from bgsplit.monomials import PrimeContext
 from bgsplit.qmodules import QModule
 from p2_oracles import (
+    Spec,
+    dense_ext_from_resolution,
     ext_over_P2,
     fields,
     fp_v2_presentation,
@@ -129,6 +131,33 @@ def test_ext_u_line_vanishes_above_projective_dimension():
         b = gr_module(weight_restricted_C(P3, m), 40)
         ext = ext_over_P2(a, b, 4, 20)
         assert all(u <= 1 for u, _ in ext.dims), sorted(ext.dims)
+
+
+def test_hom_table_sums_entries_that_share_a_position():
+    # P/(v_0^3 v_2 - v_1^4): the one relation has two entries from one
+    # generator with equal |alpha| and degree, so both land in the same
+    # pairs of Hom blocks and their entries must be added
+    gens, rels = ((0, 0),), (((4, 20), ((0, (0, 4, 0), 2), (0, (3, 0, 1), 1))),)
+    a, b = Spec(3, VARS, gens, rels, 80), Spec(3, VARS, gens, rels, 60)
+    table = ext_over_P2(a, b, 1, 40)
+    assert (table.t_min, table.t_max) == (-20, 40)
+    assert table == ext_over_P2(a, b, 1, 40, route=dense_ext_from_resolution)
+
+
+def test_a_dropped_hom_entry_changes_ext(monkeypatch):
+    # P/(v_0) into P: every Hom differential is v_0, which is injective, so
+    # without any one of its entries a rank falls and Ext grows
+    a = Spec(3, VARS, ((0, 0),), (((1, 1), ((0, (1, 0, 0), 1),)),), 64)
+    b = free_presentation(3, VARS, ((0, 0),), 32)
+    assert ext_over_P2(a, b, 1, 8).dims == {(1, -1): 1, (1, 4): 1}
+    table = poly._hom_table
+
+    def one_short(*args):
+        hom, rows, cols, vals = table(*args)
+        return hom, rows[1:], cols[1:], vals[1:]
+
+    monkeypatch.setattr(poly, "_hom_table", one_short)
+    assert ext_over_P2(a, b, 1, 8).dims != {(1, -1): 1, (1, 4): 1}
 
 
 def test_projective_dimension_oracles():

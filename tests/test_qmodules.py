@@ -334,18 +334,31 @@ def test_submodule_generated_rejects_an_image_the_sweep_missed():
         submodule_generated(m, [m.element((0, mono("tau2")))])
 
 
+def test_submodule_generated_reads_a_direct_sum_label_as_a_label():
+    # (1, ("g", ())) is the generator of the second summand, though it has
+    # the shape of a (degree, vector) pair
+    free = free_module(P3, (0, 1))
+    both = direct_sum([free, free])
+    sub, inc = submodule_generated(both, [(1, ("g", ()))])
+    assert sub.total_dim == 4
+    assert verify_map(inc).passed
+    d, v = both.element((1, ("g", ())))
+    assert submodule_generated(both, [(d, v)])[0].total_dim == 4
+
+
 def test_quotient_by_nothing_and_by_everything():
     m = b19_module()
-    q0, proj0 = quotient(m, [])
+    q0, proj0 = quotient(submodule_generated(m, [])[1])
     assert q0.total_dim == m.total_dim
-    qall, projall = quotient(m, [mono(s) for s in ["1", "xi1", "xi1^2", "xi1^3", "xi2", "tau2"]])
+    everything = [mono(s) for s in ["1", "xi1", "xi1^2", "xi1^3", "xi2", "tau2"]]
+    qall, projall = quotient(submodule_generated(m, everything)[1])
     assert qall.total_dim == 0
 
 
 def test_quotient_of_free_by_socle_is_three_dimensional():
     free = free_module(P3, (1, 2))
     socle_label = ("g", (1, 2))
-    quot, proj = quotient(free, [socle_label])
+    quot, proj = quotient(submodule_generated(free, [socle_label])[1])
     assert quot.total_dim == 3
     assert sorted(quot.degrees()) == [-17, -5, 0]
     assert verify_map(proj).passed
@@ -358,7 +371,7 @@ def test_quotient_of_free_by_socle_is_three_dimensional():
 
 def test_projection_is_equivariant_and_surjective():
     m = b19_module()
-    quot, proj = quotient(m, [mono("tau2")])
+    quot, proj = quotient(submodule_generated(m, [mono("tau2")])[1])
     assert verify_map(proj).passed
     assert quot.total_dim == 2  # xi1, xi1^2 survive
     assert set(quot.basis[4]) == {mono("xi1")}
