@@ -17,12 +17,13 @@ a window in t-slabs of bounded size, one table each, and charts
 table, reads its dimensions from the same ranks, and asks the table for
 the v-multiplications on classes (`BlockTable.v_maps`).  Only there are
 dense differentials cut from the entries, at the bidegrees a v-map
-reads, for `fplin.homology_basis`, the one homology primitive, which
-Margolis homology uses too; each representative moves to its v_j target
-block by a search on the table's keys.  v-injectivity and Bockstein
-collapse read charts alone: v_i is injective on cochains with cokernel
-the complex of M over the other operators, so a long exact sequence
-counts the kernel of v_i on Ext (`_v_kernels`).
+reads that some entry of d leaves or enters, for `fplin.homology_basis`,
+the one homology primitive, which Margolis homology uses too; elsewhere
+the chain basis is the class basis.  Each representative moves to its
+v_j target block by a search on the table's keys.  v-injectivity and
+Bockstein collapse read charts alone: v_i is injective on cochains with
+cokernel the complex of M over the other operators, so a long exact
+sequence counts the kernel of v_i on Ext (`_v_kernels`).
 
 Charts are the one Koszul memo, keyed by module content
 (`qmodules.content_key`, the same identity the gr and comparison caches
@@ -39,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..fplin import homology_basis, ranks, reduce_mod_rows
+from ..fplin import _COLUMNS, homology_basis, ranks, reduce_mod_rows
 from ..monomials import exponent_vectors
 from ..qmodules import QModule, content_key, restrict_qs
 
@@ -99,12 +100,6 @@ def dims_from_ranks(table: tuple[np.ndarray, ...], p: int, s_max: int, t0: int) 
     return {(int(s), t0 + int(t)): int(ext[s, t]) for t, s in zip(t_ix, s_ix)}
 
 
-# the most chain columns one pass of `KoszulComplex.chart` holds, which bounds
-# the entries it ranks at once: C-bar's three-operator chart has 35,667 in
-# t = 192..220, and one pass over them cost 2.7 MB of peak RSS
-_COLUMNS = 8192
-
-
 @dataclass
 class BigradedDims:
     """Ext dimensions per (s, t) with the certified window they live in."""
@@ -158,6 +153,7 @@ class BlockTable:
         self.chain = chain.reshape(levels + 1, nt)
         self.first = (np.cumsum(chain) - chain).reshape(levels + 1, nt)
         self.pos, self.lead = np.cumsum(self.width) - self.width, chain[:nt].sum()
+        self.v_columns: dict[int, np.ndarray] = {}
 
         src = np.flatnonzero(self.bid < (min(s_max, levels - 2) + 1) * nt)
         parts: list[tuple[np.ndarray, ...]] = []
@@ -194,40 +190,65 @@ class BlockTable:
         """rows over C^{s,t} times v_{qs[j]}, over C^{s+1,t+d_j}.
 
         The v's act on the monomial factor alone, so each block moves
-        unchanged to its block alpha + e_j of the same module degree.
+        unchanged to its block alpha + e_j of the same module degree.  The
+        first call for a j finds every block's target by one search on the
+        table's keys and keeps each chain column's column in its target
+        bidegree; a column whose target lies outside the table keeps a
+        meaningless one.
         """
-        b, up = s * self.nt + t - self.t0, (s + 1, t + self.drops[j] - self.t0)
-        lo, hi = np.searchsorted(self.bid, (b, b + 1))
-        target = np.searchsorted(
-            self.key, self.key[lo:hi] + (self.nt + self.drops[j]) * self.span + self.place[j]
-        )
-        out = np.zeros((rows.shape[0], self.chain[up]), dtype=np.int64)
-        out[:, _ragged(self.pos[target] - self.first[up], self.width[lo:hi])] = rows
+        if j not in self.v_columns:
+            target = np.searchsorted(self.key, self.key + (self.nt + self.drops[j]) * self.span + self.place[j])
+            target = np.minimum(target, self.key.size - 1)
+            start = self.pos[target] - self.first.ravel()[self.bid[target]] - self.pos
+            self.v_columns[j] = np.repeat(start, self.width) + np.arange(self.width.sum())
+        c0, n = self.first[s, t - self.t0], self.chain[s, t - self.t0]
+        out = np.zeros((rows.shape[0], self.chain[s + 1, t + self.drops[j] - self.t0]), dtype=np.int64)
+        out[:, self.v_columns[j][c0 : c0 + n]] = rows
         return out
 
     def v_maps(self, dims: dict[tuple[int, int], int]) -> dict[int, dict[tuple[int, int], np.ndarray]]:
         """Per j, the matrix of v_{qs[j]} on classes from each (s, t) of dims whose target is in dims.
 
-        Each bidegree read gets one `fplin.homology_basis`, and a reduced
-        image's class coordinates are its entries at the pivots of the
-        target's representatives.
+        One pass over the entries marks each bidegree that an entry of d
+        leaves or enters.  An unmarked bidegree has H = C: its
+        representatives are the chain basis and it has no borders, so a
+        v-map into it is the images of the source's representatives,
+        transposed, and every image is a cycle.  Each marked bidegree read
+        gets one `fplin.homology_basis` of the two d's cut there, and a
+        reduced image's class coordinates are its entries at the pivots of
+        the target's representatives.  Where the module sits in degrees of
+        one parity, as every C_k with k <= 8 does at p = 3, every drop
+        2p^i - 1 is odd, so C^{s,t} != 0 forces t = s mod 2 and d^{s,t},
+        which keeps t and raises s, is zero: no bidegree is marked.
         """
-        bases: dict[tuple[int, int], tuple] = {}
+        nt, p = self.nt, self.p
+        leaves = np.searchsorted(self.first.ravel(), self.cols, "right") - 1
+        marked = np.zeros(self.chain.size, dtype=bool)
+        marked[leaves] = marked[leaves + nt] = True
+        bases: dict[tuple[int, int], tuple | None] = {}
 
-        def basis(s: int, t: int) -> tuple:
+        def basis(s: int, t: int) -> tuple | None:
+            """homology_basis at (s, t), or None where it is marked by no entry."""
             if (s, t) not in bases:
-                bases[(s, t)] = homology_basis(self.d(s, t), self.d(s - 1, t), self.p)
+                touched = marked[s * nt + t - self.t0]
+                bases[(s, t)] = homology_basis(self.d(s, t), self.d(s - 1, t), p) if touched else None
             return bases[(s, t)]
 
         acts: dict[int, dict[tuple[int, int], np.ndarray]] = {j: {} for j in range(len(self.drops))}
         for s, t in dims:
             for j, drop in enumerate(self.drops):
                 if (s + 1, t + drop) in dims:
-                    treps, trep_piv, borders, border_piv = basis(s + 1, t + drop)
-                    images = self.v_image(basis(s, t)[0], s, t, j)
-                    reduced = reduce_mod_rows(images, borders, border_piv, self.p)
+                    source = basis(s, t)
+                    reps = np.eye(self.chain[s, t - self.t0], dtype=np.int64) if source is None else source[0]
+                    images = self.v_image(reps, s, t, j)
+                    target = basis(s + 1, t + drop)
+                    if target is None:
+                        acts[j][(s, t)] = images.T
+                        continue
+                    treps, trep_piv, borders, border_piv = target
+                    reduced = reduce_mod_rows(images, borders, border_piv, p)
                     coords = reduced[:, list(trep_piv)]
-                    if not np.array_equal((coords @ treps) % self.p, reduced):
+                    if not np.array_equal((coords @ treps) % p, reduced):
                         raise ValueError("vector is not a cycle at this bidegree")
                     acts[j][(s, t)] = coords.T
         return acts

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..fplin import coset_representatives, kernel_array, rank, reduce_mod_rows
+from ..fplin import coset_representatives, dense_ranks, kernel_array, reduce_mod_rows
 from ..monomials import exponent_vectors
 from ..qmodules import QModule, content_key
 from .koszul import BigradedDims, KoszulComplex, _nonzeros, _ragged, dims_from_ranks
@@ -229,23 +229,26 @@ def _relabel(rows: np.ndarray, src_cols, dst_index, j: int) -> np.ndarray:
 
 
 def _p_min_generators(m: PModule) -> tuple[list[Bidegree], list[np.ndarray]]:
-    """Canonical representatives of M / (sum_j v_j M), ascending (t, s)."""
+    """Canonical representatives of M / (sum_j v_j M), ascending (t, s).
+
+    One `dense_ranks` batch ranks every bidegree's span of v-images, and
+    only a span below its bidegree's dimension gets `coset_representatives`.
+    """
+
+    def span(s: int, t: int) -> np.ndarray:
+        spans = [
+            m.act(j, s - 1, t - dv).T for j, dv in enumerate(m.var_degrees) if m.dim(s - 1, t - dv)
+        ]
+        return np.concatenate(spans, axis=0) if spans else np.zeros((0, m.dim(s, t)), dtype=np.int64)
+
     bidegs: list[Bidegree] = []
     reps: list[np.ndarray] = []
-    for s, t in m.bidegrees():
-        spans = []
-        for j, dv in enumerate(m.var_degrees):
-            if m.dim(s - 1, t - dv):
-                spans.append(m.act(j, s - 1, t - dv).T)
-        span = (
-            np.concatenate(spans, axis=0)
-            if spans
-            else np.zeros((0, m.dim(s, t)), dtype=np.int64)
-        )
-        found = coset_representatives(np.eye(m.dim(s, t), dtype=np.int64), span, m.p)
-        for row in found:
-            bidegs.append((s, t))
-            reps.append(row)
+    order = m.bidegrees()
+    for (s, t), r in zip(order, dense_ranks((span(*bd) for bd in order), m.p)):
+        if r < m.dim(s, t):
+            for row in coset_representatives(np.eye(m.dim(s, t), dtype=np.int64), span(s, t), m.p):
+                bidegs.append((s, t))
+                reps.append(row)
     return bidegs, reps
 
 
@@ -253,7 +256,10 @@ def _cover_and_kernels(target: PModule, reps, columns):
     """Free cover matrices into target coordinates and their kernels per bidegree.
 
     Also checks the cover is onto (generators do generate) and that no
-    part of the target sits at a bidegree the free module misses.
+    part of the target sits at a bidegree the free module misses.  One
+    `dense_ranks` batch ranks every cover matrix first: a rank below the
+    target's dimension misses part of it, and only a rank below the number
+    of columns leaves a kernel for `kernel_array`.
     """
     p = target.p
     # ascending t, so v^alpha g comes after the v^(alpha - e_j) g it is pushed from
@@ -268,16 +274,18 @@ def _cover_and_kernels(target: PModule, reps, columns):
             step = target.act(j, s - 1, t - target.var_degrees[j])
             image[(g, alpha)] = (step @ image[(g, prev)]) % p
 
+    def cover(bd: Bidegree) -> np.ndarray:
+        mat = np.zeros((target.dim(*bd), len(columns[bd])), dtype=np.int64)
+        for c, key in enumerate(columns[bd]):
+            mat[:, c] = image[key]
+        return mat
+
     kernels: dict[Bidegree, np.ndarray] = {}
-    for bd, cols in columns.items():
-        mat = np.zeros((target.dim(*bd), len(cols)), dtype=np.int64)
-        for c, (g, alpha) in enumerate(cols):
-            mat[:, c] = image[(g, alpha)]
-        k = kernel_array(mat, p)
-        if len(cols) - k.shape[0] != target.dim(*bd):
+    for bd, r in zip(columns, dense_ranks(map(cover, columns), p)):
+        if r < target.dim(*bd):
             raise AssertionError(f"free cover misses part of the target at {bd}")
-        if k.shape[0]:
-            kernels[bd] = k
+        if r < len(columns[bd]):
+            kernels[bd] = kernel_array(cover(bd), p)
     for bd, n in target.dims.items():
         if n and bd not in columns:
             raise AssertionError(f"target is nonzero at uncovered bidegree {bd}")
@@ -539,6 +547,8 @@ def projective_dimension(pres: PolyPresentation) -> PdReport:
     the module cut at t_max.  The socle (elements killed by every v_j) is
     certified only where all the v-targets stay inside the window,
     t <= t_max - max(var degrees); an empty socle witnesses depth >= 1.
+    The stacked v-maps of every such bidegree are ranked in one
+    `dense_ranks` batch.
     """
     m = pres.module
     length = max(
@@ -546,13 +556,9 @@ def projective_dimension(pres: PolyPresentation) -> PdReport:
         default=0,
     )
     socle_t_max = m.t_max - max(m.var_degrees)
-    socle: list[Bidegree] = []
-    for s, t in m.bidegrees():
-        if t > socle_t_max:
-            continue
-        stacked = np.concatenate([m.act(j, s, t) for j in range(len(m.var_degrees))], axis=0)
-        if rank(stacked, m.p) < stacked.shape[1]:
-            socle.append((s, t))
+    checked = [(s, t) for s, t in m.bidegrees() if t <= socle_t_max]
+    stacked = (np.concatenate([m.act(j, *bd) for j in range(len(m.var_degrees))], axis=0) for bd in checked)
+    socle = [bd for bd, r in zip(checked, dense_ranks(stacked, m.p)) if r < m.dim(*bd)]
     return PdReport(
         length=length,
         socle_empty=not socle,

@@ -11,9 +11,10 @@ form: it takes a whole batch of sparse matrices as entries whose rows
 and columns are numbered across the batch, peels singleton columns and
 rows of every matrix at once
 (structured Gaussian elimination, LaMacchia-Odlyzko) and hands each
-core left over to `rref_array`.  `rank` is a batch of one dense matrix.
-Both return only integers, so the order in which pivots are taken
-cannot show in any output.
+core left over to `rref_array`.  `dense_ranks` peels dense matrices
+from an iterable the same way, keeping only their entries, in batches of
+at most _COLUMNS columns; `rank` is a batch of one.  All return only integers,
+so the order in which pivots are taken cannot show in any output.
 
 Primes stay below `MAX_PRIME` = 2^16 (the CLI rejects larger ones), so
 a product of two residues is below 2^32 and a matrix product of residues
@@ -23,6 +24,7 @@ over fewer than 2^31 terms stays inside int64.  That makes a single
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +32,7 @@ import numpy as np
 __all__ = [
     "MAX_PRIME",
     "ranks",
+    "dense_ranks",
     "rank",
     "rref_array",
     "reduce_mod_rows",
@@ -41,6 +44,12 @@ __all__ = [
 ]
 
 MAX_PRIME = 2**16
+
+# the most columns one `dense_ranks` batch, or one pass of
+# `koszul.KoszulComplex.chart`, holds, which bounds the entries ranked at
+# once: C-bar's three-operator chart has 35,667 in t = 192..220, and one
+# pass over them cost 2.7 MB of peak RSS
+_COLUMNS = 8192
 
 
 def is_prime(n: int) -> bool:
@@ -97,7 +106,8 @@ def ranks(row: np.ndarray, col: np.ndarray, val: np.ndarray, shapes: np.ndarray,
     in the order and with the shapes of shapes.  Entry e is val[e] at
     (row[e], col[e]), and values need not be reduced.  No two entries
     share a position: a caller sums any that would, as the P(2) Hom table
-    does.  The whole batch is peeled together by `_peel`.
+    does, and `_compressed` raises on two that reach a core.  The whole
+    batch is peeled together by `_peel`.
     """
     shapes = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
     val = np.mod(np.asarray(val, dtype=np.int64), p)
@@ -114,12 +124,43 @@ def ranks(row: np.ndarray, col: np.ndarray, val: np.ndarray, shapes: np.ndarray,
     )
 
 
+def dense_ranks(mats: Iterable[np.ndarray], p: int) -> np.ndarray:
+    """Rank mod p of every dense matrix of mats, in order.
+
+    Only each matrix's nonzero entries are kept, numbered across a batch
+    as `ranks` numbers them, and the batches hold at most _COLUMNS columns
+    (a wider matrix is a batch alone), so no two dense matrices are held
+    at once.  Each batch goes to `_peel` as `ranks` would send it.
+    """
+    out: list[np.ndarray] = []
+    parts: list[tuple[np.ndarray, ...]] = []
+    shapes: list[tuple[int, int]] = []
+    height = width = 0
+    for a in mats:
+        a = np.mod(np.asarray(a, dtype=np.int64), p)
+        if shapes and width + a.shape[1] > _COLUMNS:
+            out.append(_batch_ranks(parts, shapes, p))
+            parts, shapes, height, width = [], [], 0, 0
+        rows, cols = np.nonzero(a)
+        parts.append((rows + height, cols + width, a[rows, cols]))
+        shapes.append(a.shape)
+        height, width = height + a.shape[0], width + a.shape[1]
+    if shapes:
+        out.append(_batch_ranks(parts, shapes, p))
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+
+
+def _batch_ranks(parts: list[tuple[np.ndarray, ...]], shapes: list[tuple[int, int]], p: int) -> np.ndarray:
+    """`_peel` on a batch's nonzero entries, numbered across the batch, given its shapes."""
+    owner = np.arange(len(shapes))
+    rows, cols, val = (np.concatenate([part[k] for part in parts]) for k in range(3))
+    heights, widths = zip(*shapes)
+    return _peel(rows, cols, val, np.repeat(owner, heights), np.repeat(owner, widths), len(shapes), p)
+
+
 def rank(a: np.ndarray, p: int) -> int:
-    """Rank of `a` mod p: `_peel` on a batch of one."""
-    a = np.mod(np.asarray(a, dtype=np.int64), p)
-    rows, cols = np.nonzero(a)
-    owner = np.zeros(max(a.shape), dtype=np.int64)
-    return int(_peel(rows, cols, a[rows, cols], owner[: a.shape[0]], owner[: a.shape[1]], 1, p)[0])
+    """Rank of `a` mod p: `dense_ranks` of a batch of one."""
+    return int(dense_ranks([a], p)[0])
 
 
 def _peel(
@@ -165,11 +206,20 @@ def _peel(
 
 
 def _compressed(rows: np.ndarray, cols: np.ndarray, val: np.ndarray) -> np.ndarray:
-    """The dense matrix of some entries, with its empty rows and columns left out."""
+    """The dense matrix of some nonzero entries, with its empty rows and columns left out.
+
+    Two entries at one position would keep only one value, so they raise:
+    the matrix then has fewer nonzeros than there are entries.  Such a pair
+    is never a singleton, since it counts twice in its row and in its
+    column, so it reaches a core unless the peel deletes its whole row or
+    column, which cannot change the rank.
+    """
     r = np.cumsum(np.bincount(rows - rows.min()) > 0) - 1
     c = np.cumsum(np.bincount(cols - cols.min()) > 0) - 1
     dense = np.zeros((r[-1] + 1, c[-1] + 1), dtype=np.int64)
     dense[r[rows - rows.min()], c[cols - cols.min()]] = val
+    if np.count_nonzero(dense) < val.size:
+        raise ValueError("two entries share a position")
     return dense
 
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import Callable
 
 import numpy as np
 
 from .browngitler import bp_homology
-from .fplin import homology_basis, rank
+from .fplin import dense_ranks, homology_basis, rank
 from .monomials import Monomial, PrimeContext, degree, format_monomial, products
 from .qmodules import (
     QModule,
@@ -96,24 +95,15 @@ class MargolisHomology:
         }
 
 
-def _action_rank(module: QModule, i: int) -> Callable[[int], int]:
-    """rank Q_i|_d as a function of the source degree d, each degree ranked once.
+def _action_ranks(module: QModule, i: int, lo: int, hi: int) -> dict[int, int]:
+    """rank Q_i|_d for every source degree lo <= d <= hi with a matrix, from one `dense_ranks` call.
 
     dim H_d needs the ranks at d and d + drop(i), so across a range of
     degrees every Q_i matrix serves twice; an absent matrix has rank 0.
     """
     acts = module.actions[i]
-    p = module.ctx.p
-    memo: dict[int, int] = {}
-
-    def at(d: int) -> int:
-        got = memo.get(d)
-        if got is None:
-            mat = acts.get(d)
-            got = memo[d] = 0 if mat is None else rank(mat, p)
-        return got
-
-    return at
+    degrees = [d for d in sorted(acts) if lo <= d <= hi]
+    return dict(zip(degrees, dense_ranks((acts[d] for d in degrees), module.ctx.p).tolist()))
 
 
 def _certified_top(module: QModule, i: int) -> int | None:
@@ -149,12 +139,12 @@ def margolis_homology(
             f"truncated above {module.truncated_above} and Q_{i} drops degree "
             f"by {module.drop(i)}"
         )
-    rank_at = _action_rank(module, i)
     di = module.drop(i)
+    rank_at = _action_ranks(module, i, lo, hi + di)
     dims = {}
     for d in module.degrees():
         if lo <= d <= hi:
-            got = module.dim(d) - rank_at(d) - rank_at(d + di)
+            got = module.dim(d) - rank_at.get(d, 0) - rank_at.get(d + di, 0)
             if got:
                 dims[d] = got
     return MargolisHomology(module, i, (lo, hi), dims)
@@ -215,7 +205,7 @@ def margolis_bp2(ctx: PrimeContext, i: int, max_degree: int) -> MargolisBP2Repor
     module = bp_homology(ctx, 2, max_degree + ctx.q_degree(2)).module
     p = ctx.p
     di = module.drop(i)
-    rank_at = _action_rank(module, i)
+    rank_at = _action_ranks(module, i, 0, max_degree + di)
     per_degree: dict[int, tuple[int, int]] = {}
     failures: list[str] = []
     first_failing: int | None = None
@@ -228,8 +218,8 @@ def margolis_bp2(ctx: PrimeContext, i: int, max_degree: int) -> MargolisBP2Repor
 
     for d in range(max_degree + 1):
         expected = forms.get(d, [])
-        border_rank = rank_at(d + di)
-        got = module.dim(d) - rank_at(d) - border_rank
+        border_rank = rank_at.get(d + di, 0)
+        got = module.dim(d) - rank_at.get(d, 0) - border_rank
         per_degree[d] = (got, len(expected))
         if got != len(expected):
             fail(d, f"degree {d}: homology dimension {got}, closed form {len(expected)}")

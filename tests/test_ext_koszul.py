@@ -336,13 +336,16 @@ def test_p_module_dims_match_homology_bases():
 @pytest.mark.parametrize(
     "make, t_max",
     [
+        (lambda: weight_restricted_C(P3, 6), 60),
         (lambda: weight_restricted_C(P3, 9), 41),
         (lambda: weight_restricted_C(P3, 27), 80),
         (lambda: weight_restricted_C(P5, 25), 120),
     ],
-    ids=["C9", "C27", "p5-C25"],
+    ids=["C6", "C9", "C27", "p5-C25"],
 )
 def test_p_module_acts_match_the_dense_reference(make, t_max):
+    # C_6 sits in even degrees, so every d of it is zero and no bidegree is
+    # marked: its v-maps are the chain-level maps on the chain basis
     module = make()
     ext = ext_p_module(module, t_max)
     ref = _Reference(module)
@@ -362,8 +365,11 @@ def test_p_module_acts_match_the_dense_reference(make, t_max):
 def test_v_mult_rejects_images_that_are_not_cycles(monkeypatch):
     # An all-ones "multiplication" is no chain map.  The free summand puts
     # nonzero differentials beside the trivial summand's classes, so some
-    # image is not a cycle.  On C_9 and C_27 through t = 60 every differential
-    # out of a v-map target is zero, so a block cannot reach the guard.
+    # image is not a cycle.  The guard runs only at targets that an entry of
+    # d leaves or enters: elsewhere every vector is a cycle.  A block C_k,
+    # k <= 8, at p = 3 sits in even degrees and every drop 2p^i - 1 is odd,
+    # so its chains at (s, t) need t = s mod 2, each d is zero, and no
+    # target of it reaches the guard.
     image = BlockTable.v_image
 
     def all_ones(self, rows, s, t, j):
@@ -374,6 +380,37 @@ def test_v_mult_rejects_images_that_are_not_cycles(monkeypatch):
     monkeypatch.setattr(BlockTable, "v_image", all_ones)
     with pytest.raises(ValueError, match="not a cycle"):
         ext_p_module(module, 30)
+
+
+def test_v_maps_eliminate_only_where_a_differential_is_nonzero(monkeypatch):
+    calls = []
+
+    def counted(d_out, d_in, p):
+        calls.append((d_out, d_in))
+        return homology_basis(d_out, d_in, p)
+
+    monkeypatch.setattr(koszul, "homology_basis", counted)
+    # C_6 sits in even degrees, so every d of it is zero
+    even = ext_p_module(weight_restricted_C(P3, 6), 60)
+    assert calls == []
+    assert sum(even.dims.values()) == 1831
+    assert sum(len(maps) for maps in even.acts.values()) == 1107
+
+    # C_9 has odd degrees: one call per bidegree read whose d in or out is
+    # nonzero, by the dense reference
+    c9 = weight_restricted_C(P3, 9)
+    ext = ext_p_module(c9, 41)
+    ref = _Reference(c9)
+    read = {
+        bd
+        for s, t in ext.dims
+        for drop in ref.drops
+        if (s + 1, t + drop) in ext.dims
+        for bd in ((s, t), (s + 1, t + drop))
+    }
+    touched = {(s, t) for s, t in read if ref.d(s, t).any() or ref.d(s - 1, t).any()}
+    assert len(calls) == len(touched) == 81
+    assert all(d_out.any() or d_in.any() for d_out, d_in in calls)
 
 
 def test_windows_without_chains_are_empty():

@@ -133,7 +133,7 @@ def test_ext_u_line_vanishes_above_projective_dimension():
         assert all(u <= 1 for u, _ in ext.dims), sorted(ext.dims)
 
 
-def test_hom_table_sums_entries_that_share_a_position():
+def test_hom_table_sums_entries_that_share_a_position(monkeypatch):
     # P/(v_0^3 v_2 - v_1^4): the one relation has two entries from one
     # generator with equal |alpha| and degree, so both land in the same
     # pairs of Hom blocks and their entries must be added
@@ -142,6 +142,17 @@ def test_hom_table_sums_entries_that_share_a_position():
     table = ext_over_P2(a, b, 1, 40)
     assert (table.t_min, table.t_max) == (-20, 40)
     assert table == ext_over_P2(a, b, 1, 40, route=dense_ext_from_resolution)
+    # summed, no two entries share a position, which `fplin.ranks` would reject
+    held, hom_table = [], poly._hom_table
+
+    def kept(*args):
+        held.append(hom_table(*args))
+        return held[-1]
+
+    monkeypatch.setattr(poly, "_hom_table", kept)
+    assert ext_over_P2(a, b, 1, 40) == table
+    _, rows, cols, _ = held[0]
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
 
 
 def test_a_dropped_hom_entry_changes_ext(monkeypatch):
@@ -158,6 +169,22 @@ def test_a_dropped_hom_entry_changes_ext(monkeypatch):
 
     monkeypatch.setattr(poly, "_hom_table", one_short)
     assert ext_over_P2(a, b, 1, 8).dims != {(1, -1): 1, (1, 4): 1}
+
+
+def test_a_cover_missing_a_generator_is_caught(monkeypatch):
+    # without one of stage 0's generators the free cover of C_9's Ext is not
+    # onto; the first bidegree it misses still has columns from the others
+    ext = ext_p_module(weight_restricted_C(P3, 9), 41)
+    generators = poly._p_min_generators
+
+    def one_short(m):
+        bidegrees, reps = generators(m)
+        return (bidegrees[1:], reps[1:]) if m is ext else (bidegrees, reps)
+
+    assert p_resolution(ext, 1)
+    monkeypatch.setattr(poly, "_p_min_generators", one_short)
+    with pytest.raises(AssertionError, match=r"free cover misses part of the target at \(1, 5\)"):
+        p_resolution(ext, 1)
 
 
 def test_projective_dimension_oracles():

@@ -6,14 +6,18 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bgsplit
+from bgsplit import fplin
 from bgsplit.fplin import (
     coset_representatives,
+    dense_ranks,
     homology_basis,
     kernel_array,
     quotient_projection,
@@ -143,6 +147,21 @@ def test_rank_reduces_entries_first():
     assert rank(_m([[-1, 0], [0, 7]]), 5) == 2
 
 
+def test_ranks_rejects_two_entries_at_one_position_in_a_core():
+    # [[1, 1], [1, 2]] has no singleton; its (0, 0) given as 2 + 2 = 1 mod 3
+    # would be read as one of the two
+    row, col, val = _m([0, 0, 0, 1, 1]), _m([0, 0, 1, 0, 1]), _m([2, 2, 1, 1, 2])
+    with pytest.raises(ValueError, match="share a position"):
+        ranks(row, col, val, _m([[2, 2]]), 3)
+
+
+def test_ranks_allows_a_pair_whose_row_the_peel_deletes():
+    # column 0 is a singleton on row 0, so row 0 goes with its pair at (0, 1)
+    # before the core [[1, 1], [1, 2]] is reached; the pair's sum cannot count
+    row, col, val = _m([0, 0, 0, 1, 1, 2, 2]), _m([0, 1, 1, 1, 2, 1, 2]), _m([1, 1, 1, 1, 1, 1, 2])
+    assert ranks(row, col, val, _m([[3, 3]]), 3).tolist() == [3]
+
+
 def test_rank_leaves_numpy_ma_unimported():
     # np.unique imports numpy.ma, which costs every invocation about 1.7 MB of RSS
     src = Path(bgsplit.__file__).resolve().parents[1]
@@ -218,6 +237,32 @@ def test_batched_ranks_match_echelon_pivots(batch):
     row, col, val = (np.array([e[k] for e in entries], dtype=np.int64) for k in range(3))
     got = ranks(row, col, val, shapes, p)
     assert got.tolist() == [_rank(a, p) for a in mats]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_fp_batches())
+def test_dense_ranks_match_echelon_pivots_in_any_batching(batch):
+    p, mats, _ = batch
+    want = [_rank(a, p) for a in mats]
+    for bound in (10**9, 8, 1):
+        with mock.patch.object(fplin, "_COLUMNS", bound):
+            assert dense_ranks(iter(mats), p).tolist() == want
+
+
+def test_dense_ranks_hold_at_most_columns_per_batch(monkeypatch):
+    # widths 2, 2, 2 under a bound of 5 make batches of 4 and 2 columns; a
+    # wider matrix is a batch alone
+    batches, peel = [], fplin._peel
+
+    def counted(rows, cols, val, row_of, col_of, n, p):
+        batches.append(col_of.size)
+        return peel(rows, cols, val, row_of, col_of, n, p)
+
+    monkeypatch.setattr(fplin, "_peel", counted)
+    monkeypatch.setattr(fplin, "_COLUMNS", 5)
+    mats = [np.eye(2, dtype=np.int64)] * 3 + [np.ones((2, 7), dtype=np.int64)]
+    assert dense_ranks(mats, 3).tolist() == [2, 2, 2, 1]
+    assert batches == [4, 2, 7]
 
 
 @st.composite
