@@ -6,7 +6,7 @@ canonical representatives are built only when a caller reads them.
 Over a rank-two exterior algebra a module whose two homologies are both
 one-dimensional is pinned down by the pair of homology degrees; those
 solve for a suspension a and a power b of the augmentation ideal, and
-construct_model realizes the parameters as an explicit module.
+construct_model realizes the parameters as an explicit minimal module.
 """
 
 from __future__ import annotations
@@ -18,17 +18,9 @@ from itertools import count
 import numpy as np
 
 from .browngitler import bp_homology
-from .fplin import dense_ranks, homology_basis, rank
+from .fplin import dense_ranks, homology_basis
 from .monomials import Monomial, PrimeContext, degree, format_monomial, products
-from .qmodules import (
-    QModule,
-    _shift_grading,
-    free_module,
-    quotient,
-    submodule_generated,
-    tensor,
-    trivial_module,
-)
+from .qmodules import QModule, tensor
 
 
 def _label_text(label) -> str:
@@ -199,7 +191,9 @@ def margolis_bp2(ctx: PrimeContext, i: int, max_degree: int) -> MargolisBP2Repor
     representatives are built: dim H_d = dim M_d - rank Q_i|_d -
     rank Q_i|_{d+drop}, and the set is independent modulo boundaries
     exactly when adjoining it to the boundaries raises their rank by its
-    size.
+    size.  Every degree's stack of [closed-form rows; boundaries] is
+    ranked in one `dense_ranks` call, and the failures are then listed by
+    degree.
     """
     forms = _closed_form(ctx, i, max_degree)
     module = bp_homology(ctx, 2, max_degree + ctx.q_degree(2)).module
@@ -216,25 +210,26 @@ def margolis_bp2(ctx: PrimeContext, i: int, max_degree: int) -> MargolisBP2Repor
         if first_failing is None:
             first_failing = d
 
+    vectors: dict[int, np.ndarray] = {}
     for d in range(max_degree + 1):
         expected = forms.get(d, [])
-        border_rank = rank_at.get(d + di, 0)
-        got = module.dim(d) - rank_at.get(d, 0) - border_rank
+        got = module.dim(d) - rank_at.get(d, 0) - rank_at.get(d + di, 0)
         per_degree[d] = (got, len(expected))
-        if got != len(expected):
-            fail(d, f"degree {d}: homology dimension {got}, closed form {len(expected)}")
+        if expected and got == len(expected):
+            vectors[d] = np.stack([module.element(mono)[1] for mono in expected])
+    stacked = (np.concatenate([v, module.act(i, d + di).T]) for d, v in vectors.items())
+    joint_rank = dict(zip(vectors, dense_ranks(stacked, p).tolist()))
+    for d, (got, want) in per_degree.items():
+        if got != want:
+            fail(d, f"degree {d}: homology dimension {got}, closed form {want}")
             continue
-        if not expected:
+        if d not in vectors:
             continue
-        q = module.act(i, d)
-        borders = module.act(i, d + di).T
-        rows = []
-        for mono in expected:
-            _, v = module.element(mono)
-            if ((q @ v) % p).any():
+        cycles = (module.act(i, d) @ vectors[d].T) % p
+        for mono, image in zip(forms[d], cycles.T):
+            if image.any():
                 fail(d, f"degree {d}: {format_monomial(mono)} is not a cycle")
-            rows.append(v)
-        if rank(np.concatenate([np.stack(rows), borders]), p) - border_rank != len(expected):
+        if joint_rank[d] - rank_at.get(d + di, 0) != want:
             fail(d, f"degree {d}: closed-form classes are dependent modulo boundaries")
     return MargolisBP2Report(
         prime=p,
@@ -356,32 +351,51 @@ def classify_invertible(
 
 
 def construct_model(ctx: PrimeContext, pair: tuple[int, int], a: int, b: int) -> QModule:
-    """The module labeled (a, b) over E(Q_j, Q_h): a suspension of I^{(x)b}.
+    """The minimal module labeled (a, b) over E(Q_j, Q_h): the zigzag Omega^b, suspended by a.
 
-    I is the augmentation ideal of the free rank-one module.  Negative
-    powers use the socle quotient J with a compensating suspension of
-    d_j + d_h per factor, so the homologies land at a + |Q_j|b and
-    a + |Q_h|b either way.  The shift may be odd; a graded shift of a
-    module over the exterior algebra is again a module, and Margolis
-    homology only reads degrees.
+    The class (a, b) is Sigma^a I^{(x)b}, with I the augmentation ideal of
+    the free rank-one module (and, for b < 0, the socle quotient J in its
+    place).  Stably I^{(x)b} = Omega^b(F_p) + free: the tensor power has
+    3^|b| elements and the zigzag 2|b| + 1, and the rest is free.  Q_i
+    acts on a free module over E(Q_j, Q_h) with kernel equal to image,
+    so free summands add no Margolis homology and the zigzag answers for
+    the tensor power.  Write d_j, d_h for the drops of Q_j, Q_h and
+    n = |b|.
+
+    For b >= 0 the generators x_0..x_n sit in degrees
+    a - i d_j - (n - i) d_h and the socle s_1..s_n in
+    a - i d_j - (n + 1 - i) d_h, with Q_j x_{i-1} = s_i = Q_h x_i.  For
+    b < 0 the socle t_0..t_n sits in degrees a + i d_j + (n - i) d_h and
+    the generators y_0..y_{n-1} in deg t_i + d_j, with Q_j y_i = t_i and
+    Q_h y_i = t_{i+1}.  Either way the chain's two ends carry the
+    homology: Q_j at a - b d_j and Q_h at a - b d_h.  Every product of
+    two Q's is zero, so the relations hold with all coefficients 1.
+
+    Node k of the chain (x_0, s_1, x_1, .. or t_0, y_0, t_1, ..) is
+    labelled ("z", k); the edge from node k to k + 1 is Q_j for even k
+    and Q_h for odd k, and acts from whichever end is a generator.  The
+    shift a may be odd; Margolis homology only reads degrees.
     """
     j, h = sorted(pair)
     if j == h:
         raise ValueError("the two Q indices must differ")
-    qs = (j, h)
-    if b == 0:
-        return _shift_grading(trivial_module(ctx, qs), a)
-    free = free_module(ctx, qs, 0, "g")
-    if b > 0:
-        factor, _ = submodule_generated(free, [("g", (j,)), ("g", (h,))])
-        shift = a
-    else:
-        factor, _ = quotient(submodule_generated(free, [("g", (j, h))])[1])
-        shift = a + (-b) * (ctx.q_degree(j) + ctx.q_degree(h))
-    out = factor
-    for _ in range(abs(b) - 1):
-        out = tensor(out, factor)
-    return _shift_grading(out, shift)
+    dj, dh = ctx.q_degree(j), ctx.q_degree(h)
+    step = 1 if b >= 0 else -1
+    degrees = [a - b * dh]
+    for k in range(2 * abs(b)):
+        degrees.append(degrees[-1] + step * (dh if k % 2 else -dj))
+    basis: dict[int, list] = {}
+    for k, d in enumerate(degrees):
+        basis.setdefault(d, []).append(("z", k))
+    generator_parity = 0 if b >= 0 else 1
+    actions: dict[int, dict[int, np.ndarray]] = {j: {}, h: {}}
+    for k in range(2 * abs(b)):
+        i = h if k % 2 else j
+        src, dst = (k, k + 1) if k % 2 == generator_parity else (k + 1, k)
+        d, e = degrees[src], degrees[dst]
+        mat = actions[i].setdefault(d, np.zeros((len(basis[e]), len(basis[d])), dtype=np.int64))
+        mat[basis[e].index(("z", dst)), basis[d].index(("z", src))] = 1
+    return QModule(ctx, (j, h), basis, actions)
 
 
 def freeness_check(module: QModule, degrees: tuple[int, int] | None = None) -> bool:

@@ -29,6 +29,7 @@ from bgsplit.qmodules import (
     free_module,
     trivial_module,
 )
+from margolis_oracles import without_lowest_edge
 from p2_oracles import fp_v2_presentation, resolved, residue_field_presentation
 
 GOLDEN_P3_K0 = Path(__file__).parent / "data" / "verify_p3_k0.json"
@@ -387,6 +388,17 @@ def test_w_margolis_catches_a_misplaced_model(capsys, monkeypatch):
     )
     detail = _only_failure(capsys, "w-margolis")
     assert "W1(1) model misses the Q_1 homology degree 36" in detail
+
+
+def test_w_margolis_catches_a_model_missing_an_edge(capsys, monkeypatch):
+    real = cli.construct_model
+    monkeypatch.setattr(
+        cli,
+        "construct_model",
+        lambda ctx, pair, a, b: without_lowest_edge(real(ctx, pair, a, b), max(pair)),
+    )
+    detail = _only_failure(capsys, "w-margolis")
+    assert "W1(1) model misses the Q_2 homology degree 48" in detail
 
 
 def test_w_margolis_catches_a_non_invertible_block(capsys, monkeypatch):

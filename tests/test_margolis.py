@@ -29,6 +29,7 @@ from bgsplit.margolis import (
 )
 from bgsplit.monomials import PrimeContext
 from bgsplit.qmodules import direct_sum, free_module, suspend, tensor, trivial_module
+from margolis_oracles import tensor_power_model, without_lowest_edge
 
 P3 = PrimeContext(3)
 
@@ -81,6 +82,7 @@ def _rank_route_cases():
         for n in range(6):
             cls = classify_invertible(w_family(P3, which, n))
             modules.append(construct_model(P3, cls.pair, cls.a, cls.b))
+            modules.append(tensor_power_model(P3, cls.pair, cls.a, cls.b))
     modules.append(construct_model(P3, (1, 2), 31, -1))
     for module in modules:
         for i in module.qs:
@@ -163,6 +165,26 @@ def test_margolis_bp2_fails_on_dependent_classes(monkeypatch):
     rep = margolis_bp2(P3, 0, 20)
     assert not rep.passed and rep.first_failing_degree == 16
     assert rep.failures == ["degree 16: closed-form classes are dependent modulo boundaries"]
+
+
+def test_margolis_bp2_ranks_its_classes_in_one_batch(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("margolis_bp2 ranked a matrix alone")
+
+    monkeypatch.setattr(margolis, "rank", refuse, raising=False)
+    batches = []
+    real = margolis.dense_ranks
+
+    def counted(mats, p):
+        batches.append(1)
+        return real(mats, p)
+
+    monkeypatch.setattr(margolis, "dense_ranks", counted)
+    for i in (0, 1, 2):
+        batches.clear()
+        assert margolis_bp2(P3, i, 60).passed
+        # one call ranks the Q_i matrices, one the closed-form stacks
+        assert len(batches) == 2
 
 
 def test_margolis_bp2_truncation_boundary():
@@ -300,17 +322,47 @@ def test_construct_model_examples():
     assert margolis_homology(odd_shift, 2).support() == [48]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(
-    b=st.integers(min_value=-3, max_value=3),
+    pair=st.sampled_from([(0, 1), (0, 2), (1, 2)]),
+    b=st.integers(min_value=-8, max_value=8),
     halfshift=st.integers(min_value=-8, max_value=8),
 )
-def test_model_classification_roundtrip(b, halfshift):
+def test_model_classification_roundtrip(pair, b, halfshift):
     a = b + 2 * halfshift
-    model = construct_model(P3, (1, 2), a, b)
+    model = construct_model(P3, pair, a, b)
+    assert model.total_dim == 2 * abs(b) + 1
     cls = classify_invertible(model)
     assert isinstance(cls, InvertibleClass)
-    assert (cls.a, cls.b) == (a, b)
+    assert (cls.a, cls.b, cls.pair) == (a, b, pair)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_zigzag_model_matches_the_tensor_power(p):
+    ctx = PrimeContext(p)
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        for b in range(-4, 5):
+            for a in (-7, 0, 3, 40):
+                model = construct_model(ctx, pair, a, b)
+                oracle = tensor_power_model(ctx, pair, a, b)
+                assert model.total_dim == 2 * abs(b) + 1
+                assert oracle.total_dim == 3 ** abs(b)
+                # the two differ by a free summand, made of rank-one free modules of dimension 4
+                assert (oracle.total_dim - model.total_dim) % 4 == 0
+                for i in pair:
+                    got = margolis_homology(model, i).dims()
+                    assert got == margolis_homology(oracle, i).dims(), (pair, a, b, i)
+                    assert got == {a - b * ctx.q_degree(i): 1}
+
+
+def test_model_without_a_q_h_edge_is_not_invertible():
+    for b in (-6, -1, 1, 3):
+        broken = without_lowest_edge(construct_model(P3, (1, 2), 31, b), 2)
+        assert margolis_homology(broken, 1).total_dim == 1
+        assert margolis_homology(broken, 2).total_dim == 3
+        verdict = classify_invertible(broken)
+        assert isinstance(verdict, NotInvertible)
+        assert "Q_2-homology 3" in verdict.reason
 
 
 def test_kunneth_reports():
