@@ -148,9 +148,9 @@ def bp_homology(ctx: PrimeContext, n: int, max_degree: int) -> BPHomology:
     every Q_i lowers degree, so H through D is the degree <= D part of H
     through any D' >= D, with the same matrices.  So one module per
     (prime, n) is held, the largest asked for, the way `brown_gitler` holds
-    one per weight: a smaller degree is cut from it, and a larger one grows
-    it by the new degrees only.  Both pass through the checked QModule
-    constructor.
+    one per weight: a smaller degree is cut from it by `_prefix`, and a
+    larger one grows it by the new degrees only, through the checked
+    QModule constructor.
     """
     if n < 0:
         raise ValueError("truncation index must be nonnegative")
@@ -182,9 +182,9 @@ def brown_gitler(ctx: PrimeContext, i: int, k: int) -> BrownGitlerComodule:
     weight, so B_i(k) is the degreewise prefix of B_i(K) for any K >= k and
     its action matrices are the top-left blocks of B_i(K)'s.  One module
     per (ctx, i) is held: a smaller k is sliced from it, a larger one grows
-    it by the new weights only.  Either way the result has been through
-    the checked QModule constructor and equals the build from scratch over
-    all weights <= k.
+    it by the new weights only, through the checked QModule constructor.
+    Either way the result equals the build from scratch over all weights
+    <= k.
     """
     if i not in (-1, 0, 1, 2):
         raise ValueError("truncation index out of range")
@@ -209,6 +209,9 @@ def _prefix(module: QModule, cut: dict[int, int], truncated_above: int | None = 
     The kept elements must span a submodule: no Q_j may take one to a
     dropped element, as when the cut is by degree (every Q_j lowers it) or
     by weight (no Q_j raises it, and each degree lists weights in order).
+    That is checked: every action block below the kept rows must be zero
+    on the kept columns.  The held module passed the Q relations, and the
+    slice of a submodule keeps them, so they are not checked again.
     """
     basis = {d: module.basis[d][:n] for d, n in cut.items() if n}
     actions: dict[int, dict[int, np.ndarray]] = {j: {} for j in module.qs}
@@ -216,9 +219,11 @@ def _prefix(module: QModule, cut: dict[int, int], truncated_above: int | None = 
         dj = module.drop(j)
         for d, mat in module.actions[j].items():
             rows, cols = cut.get(d - dj, 0), cut.get(d, 0)
+            if rows < mat.shape[0] and cols and mat[rows:, :cols].any():
+                raise ValueError(f"the cut is no submodule: Q_{j} takes a kept element of degree {d} out")
             if rows and cols:
                 actions[j][d] = mat[:rows, :cols]
-    return QModule(module.ctx, module.qs, basis, actions, truncated_above)
+    return QModule(module.ctx, module.qs, basis, actions, truncated_above, _skip_check=True)
 
 
 def weight_block(ctx: PrimeContext, i: int, j: int) -> WeightBlock:

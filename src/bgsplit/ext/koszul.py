@@ -15,12 +15,15 @@ differentials with one `fplin.ranks` call.  `KoszulComplex.chart` takes
 a window in t-slabs of bounded size, one table each, and charts
 (`ext_koszul`) read it.  `ext_p_module` takes its whole window as one
 table, reads its dimensions from the same ranks, and asks the table for
-the v-multiplications on classes (`BlockTable.v_maps`).  Only there are
-dense differentials cut from the entries, at the bidegrees a v-map
-reads that some entry of d leaves or enters, for `fplin.homology_basis`,
-the one homology primitive, which Margolis homology uses too; elsewhere
-the chain basis is the class basis.  Each representative moves to its
-v_j target block by a search on the table's keys.  v-injectivity and
+the v-multiplications on classes as entries over one numbering of the
+classes (`BlockTable.v_maps`).  Where no entry of d leaves or enters a
+bidegree, the chain basis is the class basis and a v-map is index
+arithmetic on `BlockTable.v_target`, which moves every block to its v_j
+target by one search on the table's keys.  Only at the bidegrees that
+some entry of d does touch are dense differentials cut from the entries,
+for `fplin.homology_basis`, the one homology primitive, which Margolis
+homology uses too.  The v-monomials of a window come from one
+enumeration bounded by length and v-degree (`_v_levels`).  v-injectivity and
 Bockstein collapse read charts alone: v_i is injective on cochains with
 cokernel the complex of M over the other operators, so a long exact
 sequence counts the kernel of v_i on Ext (`_v_kernels`).
@@ -51,18 +54,24 @@ def v_monomials(qs: tuple[int, ...], s: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _v_exponents(
-    qs: tuple[int, ...], drops: tuple[int, ...], s: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The v-degrees of v_monomials(qs, s), ascending, and the exponents as rows in that order.
+def _v_levels(drops: tuple[int, ...], s_top: int, budget: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per s <= s_top, (v-degrees ascending, exponent rows) of the alphas with |alpha| = s and v-degree <= budget.
 
-    The sort is stable, so alphas of one v-degree stay in lex order.
+    One enumeration bounds both quantities: each variable in turn extends
+    every partial alpha by every exponent that keeps the length within
+    s_top and the v-degree within budget, so the rows come in lex order.
+    A stable sort by (s, v-degree) keeps that order within one v-degree.
     """
-    monos = v_monomials(qs, s)
-    alphas = np.array(monos, dtype=np.int64).reshape(len(monos), len(qs))
-    vdeg = alphas @ np.array(drops, dtype=np.int64)
-    order = np.argsort(vdeg, kind="stable")
-    return vdeg[order], alphas[order]
+    alphas = np.zeros((1, 0), dtype=np.int64)
+    size = vdeg = np.zeros(1, dtype=np.int64)
+    for d in drops:
+        count = np.minimum(s_top - size, (budget - vdeg) // d) + 1
+        rep = np.repeat(np.arange(size.size), count)
+        e = _ragged(np.zeros_like(count), count)
+        alphas, size, vdeg = np.column_stack([alphas[rep], e]), size[rep] + e, vdeg[rep] + e * d
+    order = np.lexsort((vdeg, size))
+    cuts = np.searchsorted(size[order], np.arange(1, s_top + 1))
+    return tuple((vdeg[at], alphas[at]) for at in np.split(order, cuts))
 
 
 def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -153,7 +162,7 @@ class BlockTable:
         self.chain = chain.reshape(levels + 1, nt)
         self.first = (np.cumsum(chain) - chain).reshape(levels + 1, nt)
         self.pos, self.lead = np.cumsum(self.width) - self.width, chain[:nt].sum()
-        self.v_columns: dict[int, np.ndarray] = {}
+        self.v_targets: dict[int, np.ndarray] = {}
 
         src = np.flatnonzero(self.bid < (min(s_max, levels - 2) + 1) * nt)
         parts: list[tuple[np.ndarray, ...]] = []
@@ -186,72 +195,113 @@ class BlockTable:
             mat[self.rows[a:z] - r0, self.cols[a:z] - c0] = self.vals[a:z]
         return mat
 
-    def v_image(self, rows: np.ndarray, s: int, t: int, j: int) -> np.ndarray:
-        """rows over C^{s,t} times v_{qs[j]}, over C^{s+1,t+d_j}.
+    def v_target(self, j: int) -> np.ndarray:
+        """Per chain column of the table, the column of its image under v_{qs[j]}, or -1 outside the table.
 
         The v's act on the monomial factor alone, so each block moves
-        unchanged to its block alpha + e_j of the same module degree.  The
-        first call for a j finds every block's target by one search on the
-        table's keys and keeps each chain column's column in its target
-        bidegree; a column whose target lies outside the table keeps a
-        meaningless one.
+        unchanged to its block alpha + e_j of the same module degree, found
+        by one search on the table's keys the first time j is asked for.
+        Both columns are numbered across the table.
         """
-        if j not in self.v_columns:
-            target = np.searchsorted(self.key, self.key + (self.nt + self.drops[j]) * self.span + self.place[j])
-            target = np.minimum(target, self.key.size - 1)
-            start = self.pos[target] - self.first.ravel()[self.bid[target]] - self.pos
-            self.v_columns[j] = np.repeat(start, self.width) + np.arange(self.width.sum())
-        c0, n = self.first[s, t - self.t0], self.chain[s, t - self.t0]
-        out = np.zeros((rows.shape[0], self.chain[s + 1, t + self.drops[j] - self.t0]), dtype=np.int64)
-        out[:, self.v_columns[j][c0 : c0 + n]] = rows
+        if j not in self.v_targets:
+            want = self.key + (self.nt + self.drops[j]) * self.span + self.place[j]
+            target = np.minimum(np.searchsorted(self.key, want), self.key.size - 1)
+            columns = np.repeat(self.pos[target] - self.pos, self.width) + np.arange(self.width.sum())
+            columns[np.repeat(self.key[target] != want, self.width)] = -1
+            self.v_targets[j] = columns
+        return self.v_targets[j]
+
+    def v_image(self, rows: np.ndarray, s: int, t: int, j: int) -> np.ndarray:
+        """rows over C^{s,t} times v_{qs[j]}, over C^{s+1,t+d_j}, which the table must hold."""
+        flat = self.first.ravel()
+        c0, n = flat[s * self.nt + t - self.t0], self.chain[s, t - self.t0]
+        up = (s + 1) * self.nt + t + self.drops[j] - self.t0
+        out = np.zeros((rows.shape[0], self.chain.ravel()[up]), dtype=np.int64)
+        out[:, self.v_target(j)[c0 : c0 + n] - flat[up]] = rows
         return out
 
-    def v_maps(self, dims: dict[tuple[int, int], int]) -> dict[int, dict[tuple[int, int], np.ndarray]]:
-        """Per j, the matrix of v_{qs[j]} on classes from each (s, t) of dims whose target is in dims.
+    def v_maps(self, dims: dict[tuple[int, int], int]) -> dict[int, tuple[np.ndarray, ...]]:
+        """Per j, the entries (src, dst, val) of v_{qs[j]} on the classes of dims, numbered in dims' order.
 
-        One pass over the entries marks each bidegree that an entry of d
-        leaves or enters.  An unmarked bidegree has H = C: its
-        representatives are the chain basis and it has no borders, so a
-        v-map into it is the images of the source's representatives,
-        transposed, and every image is a cycle.  Each marked bidegree read
-        gets one `fplin.homology_basis` of the two d's cut there, and a
-        reduced image's class coordinates are its entries at the pivots of
-        the target's representatives.  Where the module sits in degrees of
+        A class of (s, t) is numbered after every class of the bidegrees
+        before (s, t) in dims, and only maps whose source and target are
+        both in dims are given.  One pass over the entries of d marks each
+        bidegree that an entry leaves or enters.  An unmarked bidegree has
+        H = C: its classes are its chain columns in order, it has no
+        borders and every vector is a cycle, so between two unmarked
+        bidegrees v_j sends class to class with coefficient 1, read off
+        `v_target` for every chain column at once.  A map from or to a
+        marked bidegree gets one `fplin.homology_basis` of the two d's cut
+        at each marked end: the source's representatives are moved by
+        `v_image`, reduced mod the target's borders, and read at the pivots
+        of the target's representatives, a reduced image that is not a
+        combination of them raising.  Where the module sits in degrees of
         one parity, as every C_k with k <= 8 does at p = 3, every drop
         2p^i - 1 is odd, so C^{s,t} != 0 forces t = s mod 2 and d^{s,t},
         which keeps t and raises s, is zero: no bidegree is marked.
         """
-        nt, p = self.nt, self.p
-        leaves = np.searchsorted(self.first.ravel(), self.cols, "right") - 1
+        nt, p, t0 = self.nt, self.p, self.t0
+        flat = self.first.ravel()
+        leaves = np.searchsorted(flat, self.cols, "right") - 1
         marked = np.zeros(self.chain.size, dtype=bool)
         marked[leaves] = marked[leaves + nt] = True
+        at = {bd: bd[0] * nt + bd[1] - t0 for bd in dims}
+        count = np.fromiter(dims.values(), dtype=np.int64, count=len(dims))
+        start = np.full(self.chain.size, -1, dtype=np.int64)
+        start[list(at.values())] = np.cumsum(count) - count
+        plain = np.where(marked, -1, start)
+        # each chain column's class where its bidegree is in dims and unmarked, else -1
+        bid = np.repeat(np.arange(self.chain.size), self.chain.ravel())
+        cls = np.where(plain[bid] >= 0, plain[bid] + np.arange(bid.size) - flat[bid], -1)
+        del bid
+        parts: dict[int, list[tuple[np.ndarray, ...]]] = {}
+        for j in range(len(self.drops)):
+            target = self.v_target(j)
+            src = np.flatnonzero((cls >= 0) & (target >= 0))
+            dst = cls[target[src]]
+            src, dst = cls[src[dst >= 0]], dst[dst >= 0]
+            parts[j] = [(src, dst, np.ones_like(src))]
+
         bases: dict[tuple[int, int], tuple | None] = {}
 
         def basis(s: int, t: int) -> tuple | None:
             """homology_basis at (s, t), or None where it is marked by no entry."""
             if (s, t) not in bases:
-                touched = marked[s * nt + t - self.t0]
+                touched = marked[at[(s, t)]]
                 bases[(s, t)] = homology_basis(self.d(s, t), self.d(s - 1, t), p) if touched else None
             return bases[(s, t)]
 
-        acts: dict[int, dict[tuple[int, int], np.ndarray]] = {j: {} for j in range(len(self.drops))}
-        for s, t in dims:
-            for j, drop in enumerate(self.drops):
-                if (s + 1, t + drop) in dims:
-                    source = basis(s, t)
-                    reps = np.eye(self.chain[s, t - self.t0], dtype=np.int64) if source is None else source[0]
-                    images = self.v_image(reps, s, t, j)
-                    target = basis(s + 1, t + drop)
-                    if target is None:
-                        acts[j][(s, t)] = images.T
-                        continue
-                    treps, trep_piv, borders, border_piv = target
-                    reduced = reduce_mod_rows(images, borders, border_piv, p)
-                    coords = reduced[:, list(trep_piv)]
-                    if not np.array_equal((coords @ treps) % p, reduced):
-                        raise ValueError("vector is not a cycle at this bidegree")
-                    acts[j][(s, t)] = coords.T
-        return acts
+        # dims from `ext` is t-major, so the pairs go up in source t and
+        # every target lies above it: no later pair reads a basis below t,
+        # and one dropped too early would only be computed again
+        pairs = [
+            (s, t, j)
+            for s, t in dims
+            for j, drop in enumerate(self.drops)
+            if (s + 1, t + drop) in dims and (marked[at[(s, t)]] or marked[at[(s + 1, t + drop)]])
+        ]
+        low = None
+        for s, t, j in pairs:
+            if t != low:
+                low = t
+                for below in [bd for bd in bases if bd[1] < t]:
+                    del bases[below]
+            source = basis(s, t)
+            reps = np.eye(self.chain[s, t - t0], dtype=np.int64) if source is None else source[0]
+            images = self.v_image(reps, s, t, j)
+            up = (s + 1, t + self.drops[j])
+            target = basis(*up)
+            if target is None:
+                coords = images
+            else:
+                treps, trep_piv, borders, border_piv = target
+                reduced = reduce_mod_rows(images, borders, border_piv, p)
+                coords = reduced[:, list(trep_piv)]
+                if not np.array_equal((coords @ treps) % p, reduced):
+                    raise ValueError("vector is not a cycle at this bidegree")
+            col, row = np.nonzero(coords)
+            parts[j].append((start[at[(s, t)]] + col, start[at[up]] + row, coords[col, row]))
+        return {j: tuple(np.concatenate(x) for x in zip(*part)) for j, part in parts.items()}
 
 
 class KoszulComplex:
@@ -295,15 +345,16 @@ class KoszulComplex:
         return BlockTable(self, s_max, t0, t1, runs).ext()
 
     def _runs(self, s_max: int, t0: int, t1: int) -> list[tuple[np.ndarray, ...]]:
-        """Per level s, `_v_exponents` and each module degree's first alpha and count in the window.
+        """Per level s, `_v_levels` and each module degree's first alpha and count in the window.
 
-        A block needs v-degree >= s, since every drop is >= 1, so s stops
-        at t1 - min degree; level 0 is kept even when it is empty.
+        A block needs v-degree <= t1 - min degree, and v-degree >= s, since
+        every drop is >= 1, so s stops there too; level 0 is kept even when
+        it is empty.
         """
         degs = self._degrees
+        budget = max(t1 - self.module.min_degree(), 0)
         runs = []
-        for s in range(max(min(s_max + 1, t1 - self.module.min_degree()), 0) + 1):
-            vdeg, alphas = _v_exponents(self.qs, self.drops, s)
+        for vdeg, alphas in _v_levels(self.drops, min(s_max + 1, budget), budget):
             lo = np.searchsorted(vdeg, t0 - degs, "left")
             runs.append((vdeg, alphas, lo, np.searchsorted(vdeg, t1 - degs, "right") - lo))
         return runs
@@ -379,19 +430,33 @@ def _v_kernels(
     other operators, 0 -> C^{s-1,t} -> C^{s,t+d_i} -> C'^{s,t+d_i} -> 0 gives
     ker^{s,t} = dim H'^{s,t+d_i} - dim H^{s,t+d_i} + dim H^{s-1,t} - ker^{s-1,t},
     counted wherever a term can be nonzero, so inexact charts show a kernel.
+    The recurrence runs for every t at once: with a^{s,t} the first three
+    terms, (-1)^s ker^{s,t} is the running sum over s of (-1)^s a^{s,t}.
     """
     drop, lo = module.drop(i), (module.min_degree() if module.basis else 0)
     pair = restrict_qs(module, tuple(j for j in module.qs if j != i))
     rest = ext_koszul(pair, s_max, t_max + drop).dims
-    kernels: dict[tuple[int, int], int] = {}
-    for t in range(lo, t_max + 1):
-        below = 0  # ker^{-1,t}; C^{s,t+d_i} = 0 once s > t + d_i - lo
-        for s in range(min(s_max, t + drop - lo) + 1):
-            up = (s, t + drop)
-            below = rest.get(up, 0) - ext.get(up, 0) + ext.get((s - 1, t), 0) - below
-            if below:
-                kernels[(s, t)] = below
-    return kernels
+    if t_max < lo:
+        return {}
+    nt = t_max + drop - lo + 1
+
+    def dense(dims: dict[tuple[int, int], int]) -> np.ndarray:
+        """dims as an (s_max + 1) x nt array over t = lo .. t_max + d_i."""
+        out = np.zeros((s_max + 1, nt), dtype=np.int64)
+        s, t = np.array(list(dims), dtype=np.int64).reshape(-1, 2).T
+        keep = (s <= s_max) & (t >= lo) & (t < lo + nt)
+        out[s[keep], t[keep] - lo] = np.fromiter(dims.values(), dtype=np.int64, count=len(dims))[keep]
+        return out
+
+    total, part = dense(ext), dense(rest)
+    a = part[:, drop:] - total[:, drop:]
+    a[1:] += total[:-1, : nt - drop]
+    sign = 1 - 2 * (np.arange(s_max + 1) % 2)[:, None]
+    kernel = sign * np.cumsum(sign * a, axis=0)
+    # C^{s,t+d_i} = 0 once s > t + d_i - lo, and the recurrence stops there
+    kernel[np.arange(s_max + 1)[:, None] > np.arange(nt - drop) + drop] = 0
+    t_ix, s_ix = np.nonzero(kernel.T)
+    return {(int(s), lo + int(t)): int(kernel[s, t]) for t, s in zip(t_ix, s_ix)}
 
 
 @dataclass

@@ -19,34 +19,55 @@ out chains, and ranks every differential with one `fplin.ranks` call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ..fplin import coset_representatives, dense_ranks, kernel_array, reduce_mod_rows
-from ..monomials import exponent_vectors
+from ..fplin import coset_representatives, kernel_array, ranks, rref_array
 from ..qmodules import QModule, content_key
-from .koszul import BigradedDims, KoszulComplex, _nonzeros, _ragged, dims_from_ranks
+from .koszul import BigradedDims, KoszulComplex, _ragged, _v_levels, dims_from_ranks
 
 Bidegree = tuple[int, int]
+Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-@lru_cache(maxsize=None)
-def _alphas_within(var_degrees: tuple[int, ...], budget: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent tuples alpha with sum(alpha * var_degrees) <= budget, lex order."""
-    return tuple(exponent_vectors(var_degrees, budget))
+def _summed(src: np.ndarray, dst: np.ndarray, val: np.ndarray, p: int) -> Entries:
+    """Entries with one (src, dst) added up, reduced mod p, zeros dropped, sorted by (src, dst)."""
+    order = np.lexsort((dst, src))
+    src, dst, val = src[order], dst[order], val[order]
+    if src.size:
+        new = np.flatnonzero(np.concatenate(([True], (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]))))
+        src, dst, val = src[new], dst[new], np.add.reduceat(val, new) % p
+    keep = val != 0
+    return src[keep], dst[keep], val[keep]
 
 
-def _dot(alpha: tuple[int, ...], var_degrees: tuple[int, ...]) -> int:
-    return sum(a * dv for a, dv in zip(alpha, var_degrees))
+def _minus(first: Entries, second: Entries, p: int) -> Entries:
+    """The nonzero entries of first - second."""
+    return _summed(*(np.concatenate(x) for x in zip(first, second[:2] + (-second[2],))), p)
+
+
+def _compose(first: Entries, second: Entries, p: int) -> Entries:
+    """The entries of `second` after `first`; second's are sorted by source."""
+    src, mid, val = first
+    lo = np.searchsorted(second[0], mid, "left")
+    count = np.searchsorted(second[0], mid, "right") - lo
+    at = _ragged(lo, count)
+    return _summed(np.repeat(src, count), second[1][at], np.repeat(val, count) * second[2][at], p)
 
 
 class PModule:
     """Bigraded P-module known exactly for internal degrees t <= t_max.
 
-    dims[(s, t)] holds the nonzero dimensions; acts[j][(s, t)] is the
-    matrix of v_j from (s, t) to (s + 1, t + var_degrees[j]).  An action
-    whose target lies above t_max is uncertified and may not be asked for.
+    Its classes are numbered once, bidegree by bidegree in ascending
+    (t, s): dims[(s, t)] holds the nonzero dimensions and first[(s, t)]
+    the number of the bidegree's first class; as arrays over the
+    bidegrees in that order, (ss[b], ts[b]) is bidegree b, counts[b] its
+    dimension and starts[b] its first class, and home[c] is the bidegree
+    of class c.  maps[j] = (src, dst, val) holds the entries of v_j over
+    that numbering, sorted by (src, dst): v_j sends class src[e] to the
+    sum of val[e] times class dst[e].  No entry can reach above t_max, and
+    `act` refuses an action whose target lies there; it cuts one
+    bidegree's dense matrix from the entries.
     """
 
     def __init__(
@@ -54,20 +75,24 @@ class PModule:
         p: int,
         var_degrees: tuple[int, ...],
         dims: dict[Bidegree, int],
-        acts: dict[int, dict[Bidegree, np.ndarray]],
+        maps: dict[int, Entries],
         t_max: int,
         _skip_check: bool = False,
     ) -> None:
         self.p = p
         self.var_degrees = tuple(var_degrees)
-        self.dims = {bd: n for bd, n in dims.items() if n}
-        self.acts = {
-            j: {bd: np.asarray(m, dtype=np.int64) % p for bd, m in a.items()}
-            for j, a in acts.items()
-        }
         self.t_max = t_max
-        for j in range(len(self.var_degrees)):
-            self.acts.setdefault(j, {})
+        self.dims = {bd: n for bd, n in sorted(dims.items(), key=lambda x: (x[0][1], x[0][0])) if n}
+        self.counts = np.fromiter(self.dims.values(), dtype=np.int64, count=len(self.dims))
+        self.starts = np.cumsum(self.counts) - self.counts
+        self.first = dict(zip(self.dims, self.starts.tolist()))
+        self.ss, self.ts = np.array(list(self.dims), dtype=np.int64).reshape(-1, 2).T
+        self.home = np.repeat(np.arange(self.counts.size), self.counts)
+        none = (np.zeros(0, dtype=np.int64),) * 3
+        self.maps = {
+            j: _summed(*(np.asarray(x, dtype=np.int64) for x in maps.get(j, none)), p)
+            for j in range(len(self.var_degrees))
+        }
         if not _skip_check:
             self._check()
 
@@ -75,7 +100,7 @@ class PModule:
         return self.dims.get((s, t), 0)
 
     def bidegrees(self) -> list[Bidegree]:
-        return sorted(self.dims, key=lambda bd: (bd[1], bd[0]))
+        return list(self.dims)
 
     def min_t(self) -> int:
         return min((t for _, t in self.dims), default=0)
@@ -84,47 +109,98 @@ class PModule:
         dv = self.var_degrees[j]
         if t + dv > self.t_max:
             raise ValueError(f"v_{j} from t = {t} leaves the certified window")
-        mat = self.acts[j].get((s, t))
-        if mat is None:
-            return np.zeros((self.dim(s + 1, t + dv), self.dim(s, t)), dtype=np.int64)
+        mat = np.zeros((self.dim(s + 1, t + dv), self.dim(s, t)), dtype=np.int64)
+        if mat.size:
+            src, dst, val = self.maps[j]
+            c0 = self.first[(s, t)]
+            a, z = np.searchsorted(src, (c0, c0 + mat.shape[1]))
+            mat[dst[a:z] - self.first[(s + 1, t + dv)], src[a:z] - c0] = val[a:z]
         return mat
 
     def truncated(self, t_max: int) -> "PModule":
-        """The same module, known only for t <= t_max."""
+        """The same module, known only for t <= t_max: a prefix of the classes."""
         if t_max > self.t_max:
             raise ValueError(f"t_max {t_max} exceeds the certified window {self.t_max}")
-        dims = {bd: n for bd, n in self.dims.items() if bd[1] <= t_max}
-        acts = {
-            j: {bd: m for bd, m in a.items() if bd[1] + self.var_degrees[j] <= t_max}
-            for j, a in self.acts.items()
-        }
-        return PModule(self.p, self.var_degrees, dims, acts, t_max, _skip_check=True)
+        n = int(self.counts[self.ts <= t_max].sum())
+        dims = {bd: k for bd, k in self.dims.items() if bd[1] <= t_max}
+        maps = {j: tuple(x[dst < n] for x in (src, dst, val)) for j, (src, dst, val) in self.maps.items()}
+        return PModule(self.p, self.var_degrees, dims, maps, t_max, _skip_check=True)
+
+    def locate(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The index in dims of each bidegree (s[e], t[e]), or -1 where the module is zero."""
+        if not self.dims:
+            return np.full(np.shape(s), -1, dtype=np.int64)
+        width = int(self.ss.max()) + 1
+        key, want = self.ts * width + self.ss, t * width + s
+        at = np.minimum(np.searchsorted(key, want), key.size - 1)
+        return np.where((s >= 0) & (s < width) & (key[at] == want), at, -1)
+
+    def stacked_ranks(self, count: int, into: bool) -> np.ndarray:
+        """The rank of each of the first `count` bidegrees' v-stacks, from one `fplin.ranks` call.
+
+        Stack b has b's classes as columns and, as rows, the classes of
+        b + v_j (or b - v_j, with into), for each j in turn, with each
+        entry of v_j between them: the v-maps out of b stacked, or the
+        transposed v-images into b.  The stacks are numbered as the
+        bidegrees are, so a class's number is its column across the batch.
+        """
+        nb, nv = self.counts.size, len(self.var_degrees)
+        ends = []
+        for dv in self.var_degrees:
+            up = self.locate(self.ss + 1, self.ts + dv)
+            if into:
+                up, down = np.full(nb, -1, dtype=np.int64), up
+                up[down[down >= 0]] = np.flatnonzero(down >= 0)
+            ends.append(up)
+        heights = np.stack([np.where(e >= 0, self.counts[e], 0) for e in ends])
+        offset = (np.cumsum(heights.T) - heights.T.ravel()).reshape(nb, nv).T
+        rows, cols, vals = [], [], []
+        for j, (src, dst, val) in self.maps.items():
+            near, far = (dst, src) if into else (src, dst)
+            keep = self.home[near] < count
+            near, far = near[keep], far[keep]
+            rows.append(offset[j, self.home[near]] + far - self.starts[self.home[far]])
+            cols.append(near)
+            vals.append(val[keep])
+        shapes = np.stack([heights.sum(axis=0)[:count], self.counts[:count]], axis=1)
+        return ranks(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), shapes, self.p)
 
     def _check(self) -> None:
-        for j, a in self.acts.items():
+        """Every entry of v_j goes from (s, t) to (s + 1, t + d_j), and the v's commute.
+
+        Commutation composes the entry maps: v_h v_j and v_j v_h are each
+        one join of two entry lists, and their difference must vanish.
+        """
+        ss, ts = self.ss, self.ts
+        for j, (src, dst, _) in self.maps.items():
+            a, b = self.home[src], self.home[dst]
             dv = self.var_degrees[j]
-            for (s, t), mat in a.items():
-                want = (self.dim(s + 1, t + dv), self.dim(s, t))
-                if mat.shape != want:
-                    raise ValueError(
-                        f"v_{j} matrix at {(s, t)} has shape {mat.shape}, expected {want}"
-                    )
+            wrong = np.flatnonzero((ss[b] != ss[a] + 1) | (ts[b] != ts[a] + dv))
+            if wrong.size:
+                a, b = a[wrong[0]], b[wrong[0]]
+                raise ValueError(
+                    f"v_{j} entry from {(int(ss[a]), int(ts[a]))} lands at {(int(ss[b]), int(ts[b]))}, "
+                    f"expected {(int(ss[a]) + 1, int(ts[a]) + dv)}"
+                )
+        first = None
         nv = len(self.var_degrees)
-        for s, t in self.dims:
-            for j in range(nv):
-                dj = self.var_degrees[j]
-                for h in range(j + 1, nv):
-                    dh = self.var_degrees[h]
-                    if t + dj + dh > self.t_max:
-                        continue
-                    lhs = (self.act(h, s + 1, t + dj) @ self.act(j, s, t)) % self.p
-                    rhs = (self.act(j, s + 1, t + dh) @ self.act(h, s, t)) % self.p
-                    if not np.array_equal(lhs, rhs):
-                        raise ValueError(f"v_{j} and v_{h} fail to commute at {(s, t)}")
+        for j in range(nv):
+            for h in range(j + 1, nv):
+                lhs = _compose(self.maps[j], self.maps[h], self.p)
+                diff = _minus(lhs, _compose(self.maps[h], self.maps[j], self.p), self.p)
+                if diff[0].size and (first is None or self.home[diff[0][0]] < first[0]):
+                    first = (self.home[diff[0][0]], j, h)
+        if first is not None:
+            b, j, h = first
+            raise ValueError(f"v_{j} and v_{h} fail to commute at {(int(ss[b]), int(ts[b]))}")
 
 
 def ext_p_module(module: QModule, t_max: int) -> PModule:
-    """Ext(F_p, module) for t <= t_max, as a module over the v's of its pair."""
+    """Ext(F_p, module) for t <= t_max, as a module over the v's of its pair.
+
+    One `BlockTable` over the whole window gives the dimensions and the
+    v-maps' entries over the classes, numbered in the order `PModule` uses.
+    """
     cap = module.truncated_above
     if cap is not None and t_max > cap:
         raise ValueError(f"t_max {t_max} exceeds the certified degree {cap}")
@@ -190,7 +266,7 @@ class PolyPresentation:
         return tuple(
             (bd, tuple(
                 (g, alpha, int(vector[pos]))
-                for pos, (g, alpha) in enumerate(cover.columns[bd])
+                for pos, (g, alpha) in enumerate(cover.free.keys(bd))
                 if vector[pos]
             ))
             for bd, vector in zip(syzygies.gen_bidegrees, syzygies.gen_vectors)
@@ -201,38 +277,67 @@ class PolyPresentation:
 # -- free covers and kernels -----------------------------------------------------
 
 
-def _free_columns(
-    gen_bidegrees, var_degrees: tuple[int, ...], t_cap: int
-) -> dict[Bidegree, list[tuple[int, tuple[int, ...]]]]:
-    """Basis (gen, alpha) of the free module on the generators, per bidegree."""
-    cols: dict[Bidegree, list[tuple[int, tuple[int, ...]]]] = {}
-    for g, (s0, t0) in enumerate(gen_bidegrees):
-        for alpha in _alphas_within(var_degrees, t_cap - t0):
-            bd = (s0 + sum(alpha), t0 + _dot(alpha, var_degrees))
-            cols.setdefault(bd, []).append((g, alpha))
-    for bd in cols:
-        cols[bd].sort()
-    return cols
+class FreeColumns:
+    """The basis v^alpha g of the free module on some generators, for t <= t_cap.
 
+    Columns are numbered bidegree by bidegree in ascending (t, s), and
+    within one bidegree by generator, then alpha lexicographically; column
+    c is v^alpha[c] times generator gen[c], and up[c, j] is the column
+    v_j times it, or -1 where that lies above t_cap.  bidegrees lists the
+    bidegrees with a column, start[i] .. start[i + 1] - 1 are those of
+    bidegrees[i], and home[c] is the index of column c's bidegree.  The
+    alphas come from one `koszul._v_levels` enumeration up to the largest
+    v-degree any generator has room for.
+    """
 
-def _column_index(columns) -> dict[Bidegree, dict[tuple[int, tuple[int, ...]], int]]:
-    return {bd: {key: i for i, key in enumerate(keys)} for bd, keys in columns.items()}
+    def __init__(self, gen_bidegrees, var_degrees: tuple[int, ...], t_cap: int):
+        nv = len(var_degrees)
+        gs, gt = np.array(list(gen_bidegrees), dtype=np.int64).reshape(-1, 2).T
+        budget = t_cap - int(gt.min(initial=t_cap))
+        levels = _v_levels(tuple(var_degrees), budget // min(var_degrees), budget) if budget >= 0 else ()
+        vdeg = np.concatenate([v for v, _ in levels] or [np.zeros(0, dtype=np.int64)])
+        alphas = np.concatenate([a for _, a in levels] or [np.zeros((0, nv), dtype=np.int64)])
+        order = np.argsort(vdeg, kind="stable")
+        vdeg, alphas = vdeg[order], alphas[order]
+        count = np.searchsorted(vdeg, t_cap - gt, "right")
+        gen, at = np.repeat(np.arange(gt.size), count), _ragged(np.zeros_like(count), count)
+        alpha, s, t = alphas[at], gs[gen] + alphas[at].sum(axis=1), gt[gen] + vdeg[at]
+        # alpha as digits in a base no exponent reaches even after a step,
+        # so alpha + e_j adds place[j] with no carry
+        base = int(alpha.max(initial=0)) + 2
+        place = base ** np.arange(nv - 1, -1, -1, dtype=np.int64)
+        code = alpha @ place
+        order = np.lexsort((code, gen, s, t))
+        self.gen, self.alpha, s, t = gen[order], alpha[order], s[order], t[order]
+        key = self.gen * base**nv + code[order]
+        by_key = np.argsort(key)
+        want = key[:, None] + place
+        at = by_key[np.minimum(np.searchsorted(key[by_key], want), max(key.size - 1, 0))]
+        self.up = np.where(key[at] == want, at, -1) if key.size else want
+        new = np.flatnonzero(np.concatenate(([True], (s[1:] != s[:-1]) | (t[1:] != t[:-1])))) if s.size else s
+        self.bidegrees: list[Bidegree] = list(zip(s[new].tolist(), t[new].tolist()))
+        self.start = np.append(new, s.size)
+        self.index = {bd: i for i, bd in enumerate(self.bidegrees)}
+        self.home = np.repeat(np.arange(new.size), np.diff(self.start))
 
+    def span(self, bd: Bidegree) -> tuple[int, int]:
+        """The first column of bd and one past its last; (0, 0) where there is none."""
+        i = self.index.get(bd)
+        return (0, 0) if i is None else (int(self.start[i]), int(self.start[i + 1]))
 
-def _relabel(rows: np.ndarray, src_cols, dst_index, j: int) -> np.ndarray:
-    """Rows in free coordinates pushed along v_j (alpha -> alpha + e_j)."""
-    out = np.zeros((rows.shape[0], len(dst_index)), dtype=np.int64)
-    for c, (g, alpha) in enumerate(src_cols):
-        beta = tuple(a + 1 if h == j else a for h, a in enumerate(alpha))
-        out[:, dst_index[(g, beta)]] = rows[:, c]
-    return out
+    def keys(self, bd: Bidegree) -> list[tuple[int, tuple[int, ...]]]:
+        """(generator, alpha) of each column of bd, in column order."""
+        a, z = self.span(bd)
+        return list(zip(self.gen[a:z].tolist(), map(tuple, self.alpha[a:z].tolist())))
+
 
 
 def _p_min_generators(m: PModule) -> tuple[list[Bidegree], list[np.ndarray]]:
     """Canonical representatives of M / (sum_j v_j M), ascending (t, s).
 
-    One `dense_ranks` batch ranks every bidegree's span of v-images, and
-    only a span below its bidegree's dimension gets `coset_representatives`.
+    One `fplin.ranks` call ranks every bidegree's span of v-images
+    (`PModule.stacked_ranks`), and only a span below its bidegree's
+    dimension is cut dense for `coset_representatives`.
     """
 
     def span(s: int, t: int) -> np.ndarray:
@@ -244,52 +349,141 @@ def _p_min_generators(m: PModule) -> tuple[list[Bidegree], list[np.ndarray]]:
     bidegs: list[Bidegree] = []
     reps: list[np.ndarray] = []
     order = m.bidegrees()
-    for (s, t), r in zip(order, dense_ranks((span(*bd) for bd in order), m.p)):
-        if r < m.dim(s, t):
-            for row in coset_representatives(np.eye(m.dim(s, t), dtype=np.int64), span(s, t), m.p):
-                bidegs.append((s, t))
-                reps.append(row)
+    for i in np.flatnonzero(m.stacked_ranks(len(order), into=True) < m.counts):
+        s, t = order[i]
+        for row in coset_representatives(np.eye(m.dim(s, t), dtype=np.int64), span(s, t), m.p):
+            bidegs.append((s, t))
+            reps.append(row)
     return bidegs, reps
 
 
-def _cover_and_kernels(target: PModule, reps, columns):
-    """Free cover matrices into target coordinates and their kernels per bidegree.
+def _cover_images(target: PModule, gen_bidegrees, reps, free: FreeColumns) -> Entries:
+    """The image of every free column in target coordinates, as entries (column, class, value).
+
+    v^alpha g is v_j times v^(alpha - e_j) g, with j the first nonzero
+    exponent of alpha, so the images are built level by level in |alpha|
+    from the representatives: a column's children are v_j times it for
+    j up to its own first nonzero exponent, and one join of a level's
+    entries with every v-map's entries, sorted by (source, j), makes the
+    next level.
+    """
+    p, nv = target.p, len(target.var_degrees)
+    src, dst, val, tag = (
+        np.concatenate(x)
+        for x in zip(*((*e, np.full(e[0].size, j, dtype=np.int64)) for j, e in target.maps.items()))
+    )
+    order = np.lexsort((tag, src))
+    dst, val, tag, key = dst[order], val[order], tag[order], (src * nv + tag)[order]
+    nonzero = free.alpha > 0
+    last = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), nv - 1)
+    units = np.flatnonzero(~nonzero.any(axis=1))
+    column = dict(zip(free.gen[units].tolist(), units.tolist()))
+    roots = []
+    for g, (bd, rep) in enumerate(zip(gen_bidegrees, reps)):
+        at = np.flatnonzero(rep % p)
+        roots.append((np.full(at.size, column[g]), target.first[bd] + at, rep[at] % p))
+    level = _summed(*(np.concatenate(x) for x in zip(*roots)), p)
+    parts = [level]
+    while level[0].size:
+        c, a, v = level
+        lo = np.searchsorted(key, a * nv)
+        count = np.searchsorted(key, a * nv + last[c], "right") - lo
+        at = _ragged(lo, count)
+        kid = free.up[np.repeat(c, count), tag[at]]
+        ok = kid >= 0
+        level = _summed(kid[ok], dst[at][ok], (np.repeat(v, count) * val[at])[ok], p)
+        parts.append(level)
+    return _summed(*(np.concatenate(x) for x in zip(*parts)), p)
+
+
+def _cover_and_kernels(target: PModule, gen_bidegrees, reps, free: FreeColumns) -> dict[Bidegree, np.ndarray]:
+    """The kernel of the free cover at each bidegree where it is not injective.
 
     Also checks the cover is onto (generators do generate) and that no
     part of the target sits at a bidegree the free module misses.  One
-    `dense_ranks` batch ranks every cover matrix first: a rank below the
-    target's dimension misses part of it, and only a rank below the number
-    of columns leaves a kernel for `kernel_array`.
+    `fplin.ranks` call ranks every bidegree's cover matrix from the
+    images' entries: a rank below the target's dimension misses part of
+    it, and only a rank below the number of columns leaves a kernel.  The
+    kernels are taken in ascending (t, s), as echelon rows.  Where the
+    v-pushes of the kernels below span as much as the kernel's dimension,
+    the kernel is their echelon form; only where they fall short (a new
+    relation) is a dense cover matrix cut for `kernel_array`.
     """
-    p = target.p
-    # ascending t, so v^alpha g comes after the v^(alpha - e_j) g it is pushed from
-    image: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-    for s, t in sorted(columns, key=lambda bd: bd[1]):
-        for g, alpha in columns[(s, t)]:
-            if not any(alpha):
-                image[(g, alpha)] = reps[g] % p
-                continue
-            j = next(h for h, a in enumerate(alpha) if a)
-            prev = tuple(a - 1 if h == j else a for h, a in enumerate(alpha))
-            step = target.act(j, s - 1, t - target.var_degrees[j])
-            image[(g, alpha)] = (step @ image[(g, prev)]) % p
-
-    def cover(bd: Bidegree) -> np.ndarray:
-        mat = np.zeros((target.dim(*bd), len(columns[bd])), dtype=np.int64)
-        for c, key in enumerate(columns[bd]):
-            mat[:, c] = image[key]
-        return mat
-
+    col, cls, val = _cover_images(target, gen_bidegrees, reps, free)
+    s, t = np.array(free.bidegrees, dtype=np.int64).reshape(-1, 2).T
+    found = target.locate(s, t)
+    height = np.where(found >= 0, target.counts[found], 0)
+    width = np.diff(free.start)
+    first = np.cumsum(height) - height
+    rows = first[free.home[col]] + cls - target.starts[target.home[cls]]
+    rk = ranks(rows, col, val, np.stack([height, width], axis=1), target.p)
+    missed = np.flatnonzero(rk < height)
+    if missed.size:
+        raise AssertionError(f"free cover misses part of the target at {free.bidegrees[missed[0]]}")
+    covered = np.zeros(target.counts.size, dtype=bool)
+    covered[found[found >= 0]] = True
+    if not covered.all():
+        missed = target.bidegrees()[np.argmin(covered)]
+        raise AssertionError(f"target is nonzero at uncovered bidegree {missed}")
     kernels: dict[Bidegree, np.ndarray] = {}
-    for bd, r in zip(columns, dense_ranks(map(cover, columns), p)):
-        if r < target.dim(*bd):
-            raise AssertionError(f"free cover misses part of the target at {bd}")
-        if r < len(columns[bd]):
-            kernels[bd] = kernel_array(cover(bd), p)
-    for bd, n in target.dims.items():
-        if n and bd not in columns:
-            raise AssertionError(f"target is nonzero at uncovered bidegree {bd}")
+    for i in np.flatnonzero(rk < width):
+        (s, t), c0 = free.bidegrees[i], free.start[i]
+        # v_j maps the kernel below into this one, so pushes that span as
+        # much as the kernel's dimension are it, and the echelon form is unique
+        echelon = np.zeros((0, width[i]), dtype=np.int64)
+        for j, dv in enumerate(target.var_degrees):
+            below = kernels.get((s - 1, t - dv))
+            if below is None or echelon.shape[0] == width[i] - rk[i]:
+                continue
+            a = free.span((s - 1, t - dv))[0]
+            pushed = np.zeros((below.shape[0], width[i]), dtype=np.int64)
+            pushed[:, free.up[a : a + below.shape[1], j] - c0] = below
+            echelon, pivots = rref_array(np.concatenate([echelon, pushed]), target.p)
+            echelon = echelon[: len(pivots)]
+        if echelon.shape[0] == width[i] - rk[i]:
+            kernels[(s, t)] = echelon
+            continue
+        lo, hi = np.searchsorted(col, free.start[i : i + 2])
+        mat = np.zeros((height[i], width[i]), dtype=np.int64)
+        mat[rows[lo:hi] - first[i], col[lo:hi] - c0] = val[lo:hi]
+        kernels[(s, t)] = kernel_array(mat, target.p)
     return kernels
+
+
+def _kernel_module(kernels: dict[Bidegree, np.ndarray], free: FreeColumns, m: PModule) -> PModule:
+    """The kernel as a P-module: its echelon rows are its classes, with the v's of the free module.
+
+    v_j moves a row's entries to the columns `FreeColumns.up` names.
+    Each row is 1 at its pivot and every row is 0 at the others' pivots,
+    so a pushed row's coordinates are its entries at the target's pivots;
+    rebuilt from them it must give the pushed row back, or the kernel is
+    not closed under the v's.  A submodule of a commuting action inherits
+    commutation, so the module is not checked again.
+    """
+    held = [bd for bd in free.bidegrees if bd in kernels]
+    parts, n = [], 0
+    for bd in held:
+        r, c = np.nonzero(kernels[bd])
+        parts.append((n + r, free.span(bd)[0] + c, kernels[bd][r, c]))
+        n += kernels[bd].shape[0]
+    none = (np.zeros(0, dtype=np.int64),) * 3
+    row, col, val = (np.concatenate(x) for x in zip(none, *parts))
+    # entries run row by row, so each row's first is its pivot
+    lead = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1]))) if row.size else row
+    pivot_of = np.full(free.gen.size, -1, dtype=np.int64)
+    pivot_of[col[lead]] = row[lead]
+    maps: dict[int, Entries] = {}
+    for j in range(len(m.var_degrees)):
+        up = free.up[col, j]
+        ok = up >= 0
+        pushed = (row[ok], up[ok], val[ok])
+        k = pivot_of[pushed[1]]
+        coords = (pushed[0][k >= 0], k[k >= 0], pushed[2][k >= 0])
+        if _minus(pushed, _compose(coords, (row, col, val), m.p), m.p)[0].size:
+            raise AssertionError("kernel is not closed under the v's")
+        maps[j] = coords
+    dims = {bd: kernels[bd].shape[0] for bd in held}
+    return PModule(m.p, m.var_degrees, dims, maps, m.t_max, _skip_check=True)
 
 
 # -- gr presentations ------------------------------------------------------------
@@ -337,25 +531,26 @@ def gr_module(module: QModule, t_max: int) -> PolyPresentation:
 # -- minimal resolutions and Ext -------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class PStage:
     """Free stage of a truncated minimal resolution.
 
-    gen_vectors are coordinates in the previous stage's free module (for
-    the first stage: in the resolved module itself).
+    gen_vectors are coordinates in the previous stage's free module, over
+    its columns at the generator's bidegree (for the first stage: in the
+    resolved module itself); free is this stage's free module.
     """
 
     gen_bidegrees: tuple[Bidegree, ...]
     gen_vectors: tuple[np.ndarray, ...]
-    columns: dict[Bidegree, list[tuple[int, tuple[int, ...]]]]
+    free: FreeColumns
 
 
 def _assert_no_units(stage: PStage, cover: PStage) -> None:
     """A syzygy stage's generators may not touch an alpha = 0 column of its cover."""
     for bd, vector in zip(stage.gen_bidegrees, stage.gen_vectors):
-        for pos, (_, alpha) in enumerate(cover.columns[bd]):
-            if not any(alpha) and vector[pos]:
-                raise AssertionError("relation matrix contains a unit; the cover was not minimal")
+        a, z = cover.free.span(bd)
+        if vector[~cover.free.alpha[a:z].any(axis=1)].any():
+            raise AssertionError("relation matrix contains a unit; the cover was not minimal")
 
 
 def p_resolution(m: PModule, u_max: int) -> list[PStage]:
@@ -363,10 +558,15 @@ def p_resolution(m: PModule, u_max: int) -> list[PStage]:
 
     The only place that covers, takes kernels and finds minimal generators
     over P: gr presentations are its first two stages.  Stops after stage
-    u_max or when the kernel vanishes inside the window.  Kernels are
-    realized with their inherited v-actions, so each stage is the honest
-    degreewise syzygy module of the previous one, and no stage u >= 1 may
-    touch a unit of stage u - 1 (minimality).
+    u_max or when the kernel vanishes inside the window.  Each stage works
+    on entries: one `fplin.ranks` call finds the bidegrees that need a
+    generator, the cover's images are built level by level, one more call
+    ranks every cover matrix, and only a rank that falls short gets a
+    dense matrix, for `coset_representatives`, or for a kernel that the
+    v-pushes of the kernels below do not span, for `kernel_array`.  Kernels
+    are realized with their inherited v-actions, so each stage is the
+    honest degreewise syzygy module of the previous one, and no stage
+    u >= 1 may touch a unit of stage u - 1 (minimality).
     """
     stages: list[PStage] = []
     target = m
@@ -375,41 +575,20 @@ def p_resolution(m: PModule, u_max: int) -> list[PStage]:
         gen_bidegrees, reps = _p_min_generators(target)
         if not gen_bidegrees:
             break
-        columns = _free_columns(gen_bidegrees, m.var_degrees, m.t_max)
+        free = FreeColumns(gen_bidegrees, m.var_degrees, m.t_max)
         if to_free is None:
             gen_vectors = [row % m.p for row in reps]
         else:
             gen_vectors = [
                 (row @ to_free[bd]) % m.p for row, bd in zip(reps, gen_bidegrees)
             ]
-        stages.append(PStage(tuple(gen_bidegrees), tuple(gen_vectors), columns))
+        stages.append(PStage(tuple(gen_bidegrees), tuple(gen_vectors), free))
         if u:
             _assert_no_units(stages[u], stages[u - 1])
         if u == u_max:
             break
-        kernels = _cover_and_kernels(target, reps, columns)
-        col_index = _column_index(columns)
-        kdims = {bd: rows.shape[0] for bd, rows in kernels.items()}
-        kacts: dict[int, dict[Bidegree, np.ndarray]] = {
-            j: {} for j in range(len(m.var_degrees))
-        }
-        piv_of = {
-            bd: [int(np.nonzero(r)[0][0]) for r in rows] for bd, rows in kernels.items()
-        }
-        for bd, rows in kernels.items():
-            s, t = bd
-            for j, dv in enumerate(m.var_degrees):
-                dst = (s + 1, t + dv)
-                if dst not in kernels:
-                    continue
-                pushed = _relabel(rows, columns[bd], col_index[dst], j)
-                if reduce_mod_rows(pushed, kernels[dst], piv_of[dst], m.p).any():
-                    raise AssertionError("kernel is not closed under the v's")
-                mat = pushed[:, piv_of[dst]].T % m.p
-                if mat.size:
-                    kacts[j][bd] = mat
-        # a submodule of a commuting action inherits commutation
-        target = PModule(m.p, m.var_degrees, kdims, kacts, m.t_max, _skip_check=True)
+        kernels = _cover_and_kernels(target, gen_bidegrees, reps, free)
+        target = _kernel_module(kernels, free, m)
         to_free = kernels
     return stages
 
@@ -425,8 +604,7 @@ def _hom_table(stages: list[PStage], b: PModule, t0: int, t1: int) -> tuple[np.n
     the same |alpha| and degree, so they may share positions: those are summed.
     """
     nt = t1 - t0 + 1
-    bids = sorted(b.dims, key=lambda bd: (bd[1], bd[0]))
-    bs, bt = (np.array([bd[x] for bd in bids], dtype=np.int64) for x in (0, 1))
+    bs, bt = b.ss, b.ts
     ng, ns = max(len(st.gen_bidegrees) for st in stages), int(bs.max(initial=0)) + 1
 
     def key(u: int, t: np.ndarray, g, s: np.ndarray) -> np.ndarray:
@@ -443,7 +621,7 @@ def _hom_table(stages: list[PStage], b: PModule, t0: int, t1: int) -> tuple[np.n
         ats.append(at)
     order = np.argsort(np.concatenate(keys))
     table = np.concatenate(keys)[order]
-    width = np.array([b.dims[bd] for bd in bids], dtype=np.int64)[np.concatenate(ats)[order]]
+    width = b.counts[np.concatenate(ats)[order]]
     hom = np.bincount(table // (ng * ns), width, (len(stages) + 1) * nt).astype(np.int64)
     pos, lead, n = np.cumsum(width) - width, hom[:nt].sum(), hom.sum()
 
@@ -452,12 +630,16 @@ def _hom_table(stages: list[PStage], b: PModule, t0: int, t1: int) -> tuple[np.n
     for u in range(1, len(stages)):
         tg, lo, count = runs[u - 1]
         for g_new, (bd, vector) in enumerate(zip(stages[u].gen_bidegrees, stages[u].gen_vectors)):
+            columns = stages[u - 1].free.keys(bd)
             for c in np.flatnonzero(vector):
-                g, alpha = stages[u - 1].columns[bd][c]
+                g, alpha = columns[c]
                 if alpha not in powers:
-                    # v^alpha from each B-bidegree whose target B holds; every source block is one
-                    cut = np.searchsorted(bt, b.t_max - _dot(alpha, b.var_degrees), "right")
-                    powers[alpha] = _nonzeros([_power(b, alpha, *source) for source in bids[:cut]])
+                    # v^alpha's entries, in source order, with each end numbered
+                    # within its own B-bidegree; every source block is one run
+                    src, dst, val = _power(b, alpha)
+                    nz = np.bincount(b.home[src], minlength=b.counts.size)
+                    local = (x - b.starts[b.home[x]] for x in (dst, src))
+                    powers[alpha] = (nz, np.cumsum(nz) - nz, *local, val)
                 nz, start, pr, pc, pv = powers[alpha]
                 src = np.arange(lo[g], lo[g] + count[g])
                 src = src[nz[src] > 0]
@@ -472,14 +654,14 @@ def _hom_table(stages: list[PStage], b: PModule, t0: int, t1: int) -> tuple[np.n
     return hom.reshape(-1, nt), at // n, at % n, summed
 
 
-def _power(b: PModule, alpha: tuple[int, ...], s: int, t: int) -> np.ndarray:
-    """Matrix of v^alpha on B from (s, t)."""
-    mat = np.eye(b.dim(s, t), dtype=np.int64)
+def _power(b: PModule, alpha: tuple[int, ...]) -> Entries:
+    """v^alpha on B as entries sorted by source: the v-maps composed."""
+    n = np.arange(b.home.size)
+    out = (n, n, np.ones_like(n))
     for j, a in enumerate(alpha):
         for _ in range(a):
-            mat = (b.act(j, s, t) @ mat) % b.p
-            s, t = s + 1, t + b.var_degrees[j]
-    return mat
+            out = _compose(out, b.maps[j], b.p)
+    return out
 
 
 def ext_from_resolution(
@@ -547,8 +729,8 @@ def projective_dimension(pres: PolyPresentation) -> PdReport:
     the module cut at t_max.  The socle (elements killed by every v_j) is
     certified only where all the v-targets stay inside the window,
     t <= t_max - max(var degrees); an empty socle witnesses depth >= 1.
-    The stacked v-maps of every such bidegree are ranked in one
-    `dense_ranks` batch.
+    The stacked v-maps of every such bidegree are ranked with one
+    `fplin.ranks` call (`PModule.stacked_ranks`).
     """
     m = pres.module
     length = max(
@@ -556,9 +738,9 @@ def projective_dimension(pres: PolyPresentation) -> PdReport:
         default=0,
     )
     socle_t_max = m.t_max - max(m.var_degrees)
-    checked = [(s, t) for s, t in m.bidegrees() if t <= socle_t_max]
-    stacked = (np.concatenate([m.act(j, *bd) for j in range(len(m.var_degrees))], axis=0) for bd in checked)
-    socle = [bd for bd, r in zip(checked, dense_ranks(stacked, m.p)) if r < m.dim(*bd)]
+    checked = int(np.count_nonzero(m.ts <= socle_t_max))
+    stacked = m.stacked_ranks(checked, into=False)
+    socle = [bd for bd, r, n in zip(m.bidegrees(), stacked, m.counts) if r < n]
     return PdReport(
         length=length,
         socle_empty=not socle,

@@ -1,4 +1,4 @@
-"""Test-side routes over P(2): hand-written presentations, realization and dense Hom.
+"""Test-side routes over P(2): hand-written presentations, realization and dense references.
 
 The pipeline never realizes a presentation: gr presentations and their
 projective dimension are read off the block memo.  These helpers build a
@@ -7,7 +7,10 @@ tests can hold the memo's views against an independent construction and
 against closed-form oracles (the residue field, free modules, F_p[v_2]).
 `dense_ext_from_resolution` builds each Hom differential as a dense matrix
 and ranks it alone, so the Hom table of `ext_from_resolution` is held
-against a layout that shares no code with it.
+against a layout that shares no code with it.  `dense_ext_p_module` and
+`dense_p_resolution` keep one dense matrix per bidegree for every v-map,
+cover and kernel action, as the library once did, so its entry tables are
+held against them.
 """
 
 from __future__ import annotations
@@ -16,21 +19,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from bgsplit.ext.koszul import BigradedDims
+from bgsplit.ext.koszul import BigradedDims, KoszulComplex
 from bgsplit.ext.poly import (
     Bidegree,
     PModule,
     PolyPresentation,
     PStage,
     RelationEntries,
-    _column_index,
-    _dot,
-    _free_columns,
-    _relabel,
     ext_from_resolution,
     p_resolution,
 )
-from bgsplit.fplin import quotient_projection, rank, rref_array
+from bgsplit.fplin import (
+    coset_representatives,
+    dense_ranks,
+    homology_basis,
+    kernel_array,
+    quotient_projection,
+    rank,
+    reduce_mod_rows,
+    rref_array,
+)
+from bgsplit.monomials import exponent_vectors
+from bgsplit.qmodules import QModule
 
 
 @dataclass(frozen=True)
@@ -120,7 +130,7 @@ def realize(pres) -> PModule:
                 mat[:, c] = projs[dst][:, col_index[dst][(g, beta)]]
             if mat.size:
                 acts[j][bd] = mat
-    return PModule(p, pres.var_degrees, dims, acts, pres.t_max)
+    return entry_module(DenseModule(p, pres.var_degrees, dims, acts, pres.t_max))
 
 
 def resolved(pres, u_max: int = 4) -> PolyPresentation:
@@ -179,7 +189,7 @@ def _hom_differential(upper: PStage, lower: PStage, b: PModule, b_by_t, t: int, 
     mat = np.zeros((sum(d for *_, d in dst), sum(d for *_, d in src)), dtype=np.int64)
     for g_new, (bd, vector) in enumerate(zip(upper.gen_bidegrees, upper.gen_vectors)):
         for pos in np.flatnonzero(vector):
-            g, alpha = lower.columns[bd][pos]
+            g, alpha = lower.free.keys(bd)[pos]
             tg = lower.gen_bidegrees[g][1]
             for sp in b_by_t.get(tg + t, ()):
                 piece = _b_power(b, alpha, sp, tg + t, memo)
@@ -232,3 +242,191 @@ def dense_ext_from_resolution(
 def fields(pres) -> tuple:
     """What a presentation says, for comparing two of them."""
     return (pres.p, pres.var_degrees, pres.t_max, pres.generators, pres.relations)
+
+
+# -- the dense per-bidegree reference ----------------------------------------------
+
+
+def _dot(alpha: tuple[int, ...], var_degrees: tuple[int, ...]) -> int:
+    return sum(a * dv for a, dv in zip(alpha, var_degrees))
+
+
+def _free_columns(
+    gen_bidegrees, var_degrees: tuple[int, ...], t_cap: int
+) -> dict[Bidegree, list[tuple[int, tuple[int, ...]]]]:
+    """Basis (gen, alpha) of the free module on the generators, per bidegree."""
+    cols: dict[Bidegree, list[tuple[int, tuple[int, ...]]]] = {}
+    for g, (s0, t0) in enumerate(gen_bidegrees):
+        for alpha in exponent_vectors(var_degrees, t_cap - t0):
+            bd = (s0 + sum(alpha), t0 + _dot(alpha, var_degrees))
+            cols.setdefault(bd, []).append((g, alpha))
+    for bd in cols:
+        cols[bd].sort()
+    return cols
+
+
+def _column_index(columns) -> dict[Bidegree, dict[tuple[int, tuple[int, ...]], int]]:
+    return {bd: {key: i for i, key in enumerate(keys)} for bd, keys in columns.items()}
+
+
+def _relabel(rows: np.ndarray, src_cols, dst_index, j: int) -> np.ndarray:
+    """Rows in free coordinates pushed along v_j (alpha -> alpha + e_j)."""
+    out = np.zeros((rows.shape[0], len(dst_index)), dtype=np.int64)
+    for c, (g, alpha) in enumerate(src_cols):
+        beta = tuple(a + 1 if h == j else a for h, a in enumerate(alpha))
+        out[:, dst_index[(g, beta)]] = rows[:, c]
+    return out
+
+
+@dataclass
+class DenseModule:
+    """A bigraded P-module with one dense matrix per (j, bidegree): acts[j][(s, t)] is v_j from (s, t)."""
+
+    p: int
+    var_degrees: tuple[int, ...]
+    dims: dict[Bidegree, int]
+    acts: dict[int, dict[Bidegree, np.ndarray]]
+    t_max: int
+
+    def dim(self, s: int, t: int) -> int:
+        return self.dims.get((s, t), 0)
+
+    def bidegrees(self) -> list[Bidegree]:
+        return sorted((bd for bd, n in self.dims.items() if n), key=lambda bd: (bd[1], bd[0]))
+
+    def act(self, j: int, s: int, t: int) -> np.ndarray:
+        dv = self.var_degrees[j]
+        if t + dv > self.t_max:
+            raise ValueError(f"v_{j} from t = {t} leaves the certified window")
+        mat = self.acts.get(j, {}).get((s, t))
+        if mat is None:
+            return np.zeros((self.dim(s + 1, t + dv), self.dim(s, t)), dtype=np.int64)
+        return mat % self.p
+
+
+def entry_module(dense: DenseModule) -> PModule:
+    """The checked `PModule` with the same dims and actions, as entries over its class numbering."""
+    numbered = PModule(dense.p, dense.var_degrees, dense.dims, {}, dense.t_max, _skip_check=True)
+    maps = {}
+    for j, dv in enumerate(dense.var_degrees):
+        parts = [(np.zeros(0, dtype=np.int64),) * 3]
+        for (s, t), mat in dense.acts.get(j, {}).items():
+            if t + dv > dense.t_max:
+                continue
+            row, col = np.nonzero(mat % dense.p)
+            src, dst = numbered.first[(s, t)] + col, numbered.first[(s + 1, t + dv)] + row
+            parts.append((src, dst, mat[row, col] % dense.p))
+        maps[j] = tuple(np.concatenate(x) for x in zip(*parts))
+    return PModule(dense.p, dense.var_degrees, dense.dims, maps, dense.t_max)
+
+
+def dense_ext_p_module(module: QModule, t_max: int) -> DenseModule:
+    """`ext_p_module` with one homology basis and one dense v-map matrix per bidegree read."""
+    kc = KoszulComplex(module)
+    t0 = module.min_degree()
+    table = kc.table((t_max - t0) // min(kc.drops), t0, t_max)
+    dims = table.ext()
+    p = kc.p
+    bases = {}
+
+    def basis(s: int, t: int):
+        if (s, t) not in bases:
+            bases[(s, t)] = homology_basis(table.d(s, t), table.d(s - 1, t), p)
+        return bases[(s, t)]
+
+    acts: dict[int, dict[Bidegree, np.ndarray]] = {j: {} for j in range(len(kc.drops))}
+    for s, t in dims:
+        for j, drop in enumerate(kc.drops):
+            if (s + 1, t + drop) in dims:
+                images = table.v_image(basis(s, t)[0], s, t, j)
+                treps, trep_piv, borders, border_piv = basis(s + 1, t + drop)
+                reduced = reduce_mod_rows(images, borders, border_piv, p)
+                coords = reduced[:, list(trep_piv)]
+                assert np.array_equal((coords @ treps) % p, reduced), "not a cycle"
+                acts[j][(s, t)] = coords.T
+    return DenseModule(p, kc.drops, dims, acts, t_max)
+
+
+@dataclass
+class DenseStage:
+    """A resolution stage with its free columns as a dict of (gen, alpha) lists per bidegree."""
+
+    gen_bidegrees: tuple[Bidegree, ...]
+    gen_vectors: tuple[np.ndarray, ...]
+    columns: dict[Bidegree, list[tuple[int, tuple[int, ...]]]]
+
+
+def _dense_min_generators(m: DenseModule) -> tuple[list[Bidegree], list[np.ndarray]]:
+    def span(s: int, t: int) -> np.ndarray:
+        spans = [m.act(j, s - 1, t - dv).T for j, dv in enumerate(m.var_degrees) if m.dim(s - 1, t - dv)]
+        return np.concatenate(spans, axis=0) if spans else np.zeros((0, m.dim(s, t)), dtype=np.int64)
+
+    bidegs, reps = [], []
+    order = m.bidegrees()
+    for (s, t), r in zip(order, dense_ranks((span(*bd) for bd in order), m.p)):
+        if r < m.dim(s, t):
+            for row in coset_representatives(np.eye(m.dim(s, t), dtype=np.int64), span(s, t), m.p):
+                bidegs.append((s, t))
+                reps.append(row)
+    return bidegs, reps
+
+
+def _dense_cover_and_kernels(target: DenseModule, reps, columns) -> dict[Bidegree, np.ndarray]:
+    p = target.p
+    image = {}
+    for s, t in sorted(columns, key=lambda bd: bd[1]):
+        for g, alpha in columns[(s, t)]:
+            if not any(alpha):
+                image[(g, alpha)] = reps[g] % p
+                continue
+            j = next(h for h, a in enumerate(alpha) if a)
+            prev = tuple(a - 1 if h == j else a for h, a in enumerate(alpha))
+            step = target.act(j, s - 1, t - target.var_degrees[j])
+            image[(g, alpha)] = (step @ image[(g, prev)]) % p
+
+    def cover(bd: Bidegree) -> np.ndarray:
+        mat = np.zeros((target.dim(*bd), len(columns[bd])), dtype=np.int64)
+        for c, key in enumerate(columns[bd]):
+            mat[:, c] = image[key]
+        return mat
+
+    kernels = {}
+    for bd, r in zip(columns, dense_ranks(map(cover, columns), p)):
+        assert r == target.dim(*bd), f"free cover misses part of the target at {bd}"
+        if r < len(columns[bd]):
+            kernels[bd] = kernel_array(cover(bd), p)
+    assert all(bd in columns for bd, n in target.dims.items() if n), "uncovered bidegree"
+    return kernels
+
+
+def dense_p_resolution(m: DenseModule, u_max: int) -> list[DenseStage]:
+    """`p_resolution` with every cover, kernel and kernel action as one dense matrix per bidegree."""
+    stages: list[DenseStage] = []
+    target, to_free = m, None
+    for u in range(u_max + 1):
+        gen_bidegrees, reps = _dense_min_generators(target)
+        if not gen_bidegrees:
+            break
+        columns = _free_columns(gen_bidegrees, m.var_degrees, m.t_max)
+        if to_free is None:
+            gen_vectors = [row % m.p for row in reps]
+        else:
+            gen_vectors = [(row @ to_free[bd]) % m.p for row, bd in zip(reps, gen_bidegrees)]
+        stages.append(DenseStage(tuple(gen_bidegrees), tuple(gen_vectors), columns))
+        if u == u_max:
+            break
+        kernels = _dense_cover_and_kernels(target, reps, columns)
+        col_index = _column_index(columns)
+        kacts: dict[int, dict[Bidegree, np.ndarray]] = {j: {} for j in range(len(m.var_degrees))}
+        piv_of = {bd: [int(np.nonzero(r)[0][0]) for r in rows] for bd, rows in kernels.items()}
+        for (s, t), rows in kernels.items():
+            for j, dv in enumerate(m.var_degrees):
+                dst = (s + 1, t + dv)
+                if dst not in kernels:
+                    continue
+                pushed = _relabel(rows, columns[(s, t)], col_index[dst], j)
+                assert not reduce_mod_rows(pushed, kernels[dst], piv_of[dst], m.p).any(), "not closed"
+                kacts[j][(s, t)] = pushed[:, piv_of[dst]].T % m.p
+        target = DenseModule(m.p, m.var_degrees, {bd: r.shape[0] for bd, r in kernels.items()}, kacts, m.t_max)
+        to_free = kernels
+    return stages

@@ -190,6 +190,18 @@ def test_held_bp_homology_equals_cold_builds(monkeypatch, order):
         _assert_same_module(bp_homology(P3, 2, top).module, got.module)
 
 
+def test_a_cut_that_is_no_submodule_raises():
+    # slices skip the Q relations, so the submodule condition is their check:
+    # keep the source of one Q_j entry of H_*BP<2> and drop its target
+    held = _cold_bp_homology(60)
+    j, d, mat = next((j, d, mat) for j in held.qs for d, mat in sorted(held.actions[j].items()) if mat.any())
+    row = int(np.nonzero(mat)[0][0])
+    whole = {e: held.dim(e) for e in held.degrees()}
+    assert browngitler._prefix(held, whole).total_dim == held.total_dim
+    with pytest.raises(ValueError, match=f"no submodule: Q_{j} takes a kept element of degree {d}"):
+        browngitler._prefix(held, whole | {d - held.drop(j): row})
+
+
 def test_builder_grows_a_held_brown_gitler_module():
     spec = AlgebraSpec(1)
     b4 = _cold_brown_gitler(P3, 1, 4)

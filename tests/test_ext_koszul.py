@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -37,6 +38,27 @@ P3 = PrimeContext(3)
 P5 = PrimeContext(5)
 FULL = (0, 1, 2)
 DROPS = (1, 5, 17)
+
+
+@pytest.mark.parametrize("ctx", [P3, P5], ids=["p3", "p5"])
+def test_v_levels_are_the_v_monomials_cut_to_each_window(ctx):
+    # one enumeration per (drops, top s, v-degree budget), bounded by both;
+    # each level is v_monomials(qs, s) cut at the budget, stably sorted by
+    # v-degree, so one v-degree keeps lex order
+    for n in range(4):
+        for qs in combinations(FULL, n):
+            drops = tuple(ctx.q_degree(i) for i in qs)
+
+            def vdeg(alpha):
+                return sum(a * d for a, d in zip(alpha, drops))
+
+            for s_top, budget in ((0, 0), (3, 10), (6, 60), (9, 30), (40, 45)):
+                levels = koszul._v_levels(drops, s_top, budget)
+                assert len(levels) == s_top + 1
+                for s, (degrees, alphas) in enumerate(levels):
+                    want = sorted((a for a in v_monomials(qs, s) if vdeg(a) <= budget), key=vdeg)
+                    assert alphas.reshape(len(want), n).tolist() == [list(a) for a in want], (qs, s)
+                    assert degrees.tolist() == [vdeg(a) for a in want], (qs, s)
 
 
 def test_unit_ext_matches_v_monomial_count():
@@ -355,11 +377,12 @@ def test_p_module_acts_match_the_dense_reference(make, t_max):
             if t + drop <= t_max and ref.classes(s + 1, t + drop):
                 expected[j][(s, t)] = ref.v_mult(s, t, j)
     assert any(expected.values())
-    assert ext.acts.keys() == expected.keys()
+    assert ext.maps.keys() == expected.keys()
     for j, maps in expected.items():
-        assert ext.acts[j].keys() == maps.keys(), j
-        for bd, mat in maps.items():
-            assert np.array_equal(ext.acts[j][bd], mat), (j, bd)
+        for s, t in ext.dims:
+            if t + ref.drops[j] <= t_max:
+                want = maps.get((s, t), np.zeros((ext.dim(s + 1, t + ref.drops[j]), ext.dim(s, t))))
+                assert np.array_equal(ext.act(j, s, t), want), (j, s, t)
 
 
 def test_v_mult_rejects_images_that_are_not_cycles(monkeypatch):
@@ -394,7 +417,8 @@ def test_v_maps_eliminate_only_where_a_differential_is_nonzero(monkeypatch):
     even = ext_p_module(weight_restricted_C(P3, 6), 60)
     assert calls == []
     assert sum(even.dims.values()) == 1831
-    assert sum(len(maps) for maps in even.acts.values()) == 1107
+    read = [(j, s, t) for s, t in even.dims for j, dv in enumerate(even.var_degrees) if t + dv <= 60]
+    assert sum(even.act(*at).any() for at in read) == 1107
 
     # C_9 has odd degrees: one call per bidegree read whose d in or out is
     # nonzero, by the dense reference

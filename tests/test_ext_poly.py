@@ -8,12 +8,21 @@ import pytest
 from bgsplit import cli
 from bgsplit.browngitler import bp_homology, weight_restricted_C
 from bgsplit.ext import poly
-from bgsplit.ext.poly import ext_p_module, gr_module, p_resolution, projective_dimension
+from bgsplit.ext.poly import (
+    PModule,
+    PolyPresentation,
+    ext_p_module,
+    gr_module,
+    p_resolution,
+    projective_dimension,
+)
 from bgsplit.monomials import PrimeContext
 from bgsplit.qmodules import QModule
 from p2_oracles import (
     Spec,
     dense_ext_from_resolution,
+    dense_ext_p_module,
+    dense_p_resolution,
     ext_over_P2,
     fields,
     fp_v2_presentation,
@@ -187,6 +196,114 @@ def test_a_cover_missing_a_generator_is_caught(monkeypatch):
         p_resolution(ext, 1)
 
 
+# -- entry tables against the dense per-bidegree reference --------------------------
+
+
+def _dense_relations(stages):
+    cover, syzygies = stages[:2]
+    return tuple(
+        (bd, tuple((g, alpha, int(v[pos])) for pos, (g, alpha) in enumerate(cover.columns[bd]) if v[pos]))
+        for bd, v in zip(syzygies.gen_bidegrees, syzygies.gen_vectors)
+    )
+
+
+@pytest.mark.parametrize(
+    "p, k", [(3, k) for k in range(0, 28, 3)] + [(5, k) for k in range(0, 26, 5)]
+)
+def test_entry_tables_match_the_dense_reference(p, k):
+    # C_k depends only on floor(k/p), so these are every C_k with k <= 27 at
+    # p = 3 and k <= 25 at p = 5; the window is the pd-bound's
+    ck = weight_restricted_C(PrimeContext(p), k)
+    t_max = ck.max_degree() + 8 * p
+    ext, dense = ext_p_module(ck, t_max), dense_ext_p_module(ck, t_max)
+    assert ext.dims == dense.dims
+    read = [(j, s, t) for s, t in ext.dims for j, dv in enumerate(ext.var_degrees) if t + dv <= t_max]
+    for at in read:
+        assert np.array_equal(ext.act(*at), dense.act(*at)), at
+    stages, ref = p_resolution(ext, 2), dense_p_resolution(dense, 2)
+    assert [st.gen_bidegrees for st in stages] == [st.gen_bidegrees for st in ref]
+    for st, want in zip(stages, ref):
+        assert all(np.array_equal(x, y) for x, y in zip(st.gen_vectors, want.gen_vectors))
+        assert {bd: st.free.keys(bd) for bd in st.free.bidegrees} == want.columns
+    if len(ref) > 1:
+        assert PolyPresentation(ext, stages).relations == _dense_relations(ref)
+    # the relations are compared where they exist, as for C_9 and above at p = 3
+    assert len(ref) > 1 or p == 5 or k < 9
+
+
+def test_kernel_array_runs_only_where_a_new_relation_appears(monkeypatch):
+    # a kernel is the echelon form of the v-pushes of the kernels below it
+    # wherever they span it, which fails exactly at the bidegrees of the
+    # next stage's generators
+    real, calls = poly.kernel_array, []
+
+    def counted(mat, p):
+        calls.append(mat.shape)
+        return real(mat, p)
+
+    monkeypatch.setattr(poly, "kernel_array", counted)
+    for module, u_max in (
+        (ext_p_module(weight_restricted_C(P3, 9), 60), 2),
+        (realize(residue_field_presentation(3, VARS, 40)), 3),
+    ):
+        calls.clear()
+        stages = p_resolution(module, u_max)
+        assert len(stages) > 1
+        assert len(calls) == sum(len(set(st.gen_bidegrees)) for st in stages[1:])
+
+
+def test_a_doctored_v_map_entry_trips_the_commutation_check():
+    ext = ext_p_module(weight_restricted_C(P3, 9), 41)
+    maps = {j: tuple(x.copy() for x in entries) for j, entries in ext.maps.items()}
+    assert PModule(ext.p, ext.var_degrees, ext.dims, maps, ext.t_max).dims == ext.dims
+    # an entry of v_0 whose target v_1 moves on: v_1 v_0 changes, v_0 v_1 does not
+    src, dst, val = maps[0]
+    e = int(np.flatnonzero(np.isin(dst, maps[1][0]))[0])
+    val[e] = (val[e] + 1) % 3
+    with pytest.raises(ValueError, match="v_0 and v_1 fail to commute at"):
+        PModule(ext.p, ext.var_degrees, ext.dims, maps, ext.t_max)
+    # an entry of v_0 that stays in its source's bidegree
+    maps[0] = (src[:1], src[:1], val[:1])
+    with pytest.raises(ValueError, match=r"v_0 entry from \(0, 0\) lands at \(0, 0\), expected \(1, 1\)"):
+        PModule(ext.p, ext.var_degrees, ext.dims, maps, ext.t_max)
+
+
+def test_a_doctored_cover_is_caught(monkeypatch):
+    # without the image of the first column, generator (0, 0) covers nothing
+    ext = ext_p_module(weight_restricted_C(P3, 9), 41)
+    images = poly._cover_images
+
+    def without_first_column(*args):
+        col, cls, val = images(*args)
+        return col[col > 0], cls[col > 0], val[col > 0]
+
+    monkeypatch.setattr(poly, "_cover_images", without_first_column)
+    with pytest.raises(AssertionError, match=r"free cover misses part of the target at \(0, 0\)"):
+        p_resolution(ext, 1)
+
+
+def test_a_dropped_kernel_row_is_caught(monkeypatch):
+    # the lowest kernel bidegree's v_0 images land one bidegree up; without
+    # one of that bidegree's rows they no longer reduce to zero
+    ext = ext_p_module(weight_restricted_C(P3, 9), 41)
+    kernels = poly._cover_and_kernels
+    dropped = []
+
+    def one_row_short(*args):
+        got = kernels(*args)
+        s, t = min(got, key=lambda bd: (bd[1], bd[0]))
+        up = (s + 1, t + VARS[0])
+        dropped.append(up)
+        got[up] = got[up][:-1]
+        return got
+
+    assert len(p_resolution(ext, 1)) == 2
+    monkeypatch.setattr(poly, "_cover_and_kernels", one_row_short)
+    with pytest.raises(AssertionError, match="kernel is not closed under the v's"):
+        p_resolution(ext, 1)
+    assert dropped == [(2, 18)]
+
+
 def test_projective_dimension_oracles():
     assert projective_dimension(resolved(residue_field_presentation(3, VARS, 60))).length == 3
     free = free_presentation(3, VARS, ((0, 0), (2, 10)), 60)
@@ -300,12 +417,12 @@ def test_truncated_block_equals_a_build_at_that_window(poly_work, t_max):
     direct = ext_p_module(c9, t_max)
     assert cut.t_max == direct.t_max == t_max
     assert cut.dims == direct.dims
-    assert {j: sorted(a) for j, a in cut.acts.items()} == {
-        j: sorted(a) for j, a in direct.acts.items()
-    }
-    for j, a in direct.acts.items():
-        for bd, mat in a.items():
-            assert np.array_equal(cut.act(j, *bd), mat)
+    read = [(j, bd) for bd in direct.dims for j, dv in enumerate(VARS) if bd[1] + dv <= t_max]
+    assert any(direct.act(j, *bd).any() for j, bd in read)
+    for j, bd in read:
+        assert np.array_equal(cut.act(j, *bd), direct.act(j, *bd)), (j, bd)
+    for j, (src, dst, val) in direct.maps.items():
+        assert all(np.array_equal(x, y) for x, y in zip(cut.maps[j], (src, dst, val))), j
     with pytest.raises(ValueError, match="exceeds the certified window 75"):
         held.truncated(76)
 
