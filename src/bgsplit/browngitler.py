@@ -19,7 +19,11 @@ theta(i, k) raises weight: it sends a monomial x of B_i(k) to the index
 shift of x (xi_a -> xi_{a+1}, tau_b -> tau_{b+1}) padded by
 xi_1^(k - weight(x)), landing in M_{i+1}(pk) with degree raised by
 2(p-1)k.  Assembling all blocks exhibits the homology of BP<n> as the sum
-over k of even suspensions of B_{n-1}(k).
+over k of even suspensions of B_{n-1}(k).  The assembly checks each
+theta_k through its degree window only, against the weight-pk slice of
+the H_* BP<n> it covers: no Q_j changes weight and each degree lists
+weights in order, so that slice is one basis range per degree.  Whole
+blocks are built and checked by `theta` and `theta_report`.
 
 The remaining constructions split that homology further: by tau-length
 (the length >= 3 part is free over E(Q_0,Q_1,Q_2), the quotient is the
@@ -31,9 +35,10 @@ algebras.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import combinations, count, groupby
 
 import numpy as np
 
@@ -175,6 +180,17 @@ def _qs_through(top: int) -> tuple[int, ...]:
 _HELD: dict[tuple[PrimeContext, int], tuple[int, QModule]] = {}
 
 
+def _held_brown_gitler(ctx: PrimeContext, i: int, k: int) -> tuple[int, QModule]:
+    """The held (K, B_i(K)) for (ctx, i), first grown to K >= k by the new weights only."""
+    held = _HELD.get((ctx, i))
+    if held is None or held[0] < k:
+        start, old = (-1, None) if held is None else held
+        spec = AlgebraSpec(i)
+        new = (m for w in range(start + 1, k + 1) for m in enumerate_by_weight(ctx, spec, w))
+        held = _HELD[(ctx, i)] = (k, module_from_monomials(ctx, spec, new, _qs_through(i + 1), held=old))
+    return held
+
+
 def brown_gitler(ctx: PrimeContext, i: int, k: int) -> BrownGitlerComodule:
     """B_i(k): monomials of weight <= k, closed under Q_0..Q_{i+1}.
 
@@ -190,13 +206,7 @@ def brown_gitler(ctx: PrimeContext, i: int, k: int) -> BrownGitlerComodule:
         raise ValueError("truncation index out of range")
     if k < 0:
         raise ValueError("weight bound must be nonnegative")
-    held = _HELD.get((ctx, i))
-    if held is None or held[0] < k:
-        start, old = (-1, None) if held is None else held
-        spec = AlgebraSpec(i)
-        new = (m for w in range(start + 1, k + 1) for m in enumerate_by_weight(ctx, spec, w))
-        held = _HELD[(ctx, i)] = (k, module_from_monomials(ctx, spec, new, _qs_through(i + 1), held=old))
-    top, module = held
+    top, module = _held_brown_gitler(ctx, i, k)
     if k < top:
         cut = {d: bisect_right(b, k, key=lambda m: mono_weight(ctx, m)) for d, b in module.basis.items()}
         module = _prefix(module, cut)
@@ -209,20 +219,35 @@ def _prefix(module: QModule, cut: dict[int, int], truncated_above: int | None = 
     The kept elements must span a submodule: no Q_j may take one to a
     dropped element, as when the cut is by degree (every Q_j lowers it) or
     by weight (no Q_j raises it, and each degree lists weights in order).
-    That is checked: every action block below the kept rows must be zero
-    on the kept columns.  The held module passed the Q relations, and the
-    slice of a submodule keeps them, so they are not checked again.
+    That is checked by `_slice`.
     """
-    basis = {d: module.basis[d][:n] for d, n in cut.items() if n}
+    return _slice(module, {d: (0, n) for d, n in cut.items()}, truncated_above)
+
+
+def _slice(module: QModule, spans: dict[int, tuple[int, int]], truncated_above: int | None = None) -> QModule:
+    """Basis elements lo..hi-1 of each degree d, for spans[d] = (lo, hi), with the matching action blocks.
+
+    The kept elements must span a submodule, as a degreewise prefix does
+    (`_prefix`) or one weight of a module whose degrees list weights in
+    order, since no Q_j changes weight.  That is checked: every action
+    block outside the kept rows must be zero on the kept columns.  The held
+    module passed the Q relations, and the slice of a submodule keeps
+    them, so they are not checked again.
+    """
+    basis = {d: module.basis[d][lo:hi] for d, (lo, hi) in spans.items() if hi > lo}
     actions: dict[int, dict[int, np.ndarray]] = {j: {} for j in module.qs}
     for j in module.qs:
-        dj = module.drop(j)
-        for d, mat in module.actions[j].items():
-            rows, cols = cut.get(d - dj, 0), cut.get(d, 0)
-            if rows < mat.shape[0] and cols and mat[rows:, :cols].any():
+        dj, acts = module.drop(j), module.actions[j]
+        for d, (lo, hi) in spans.items():
+            mat = acts.get(d)
+            if mat is None or hi == lo:
+                continue
+            top, bottom = spans.get(d - dj, (0, 0))
+            cols = mat[:, lo:hi]
+            if cols[:top].any() or cols[bottom:].any():
                 raise ValueError(f"the cut is no submodule: Q_{j} takes a kept element of degree {d} out")
-            if rows and cols:
-                actions[j][d] = mat[:rows, :cols]
+            if bottom > top:
+                actions[j][d] = cols[top:bottom]
     return QModule(module.ctx, module.qs, basis, actions, truncated_above, _skip_check=True)
 
 
@@ -237,21 +262,31 @@ def weight_block(ctx: PrimeContext, i: int, j: int) -> WeightBlock:
 
 
 def theta(ctx: PrimeContext, i: int, k: int) -> QModuleMap:
-    """The weight-raising map Sigma^{qk} B_i(k) -> M_{i+1}(pk).
+    """The weight-raising map Sigma^{qk} B_i(k) -> M_{i+1}(pk), on the whole block.
+
+    An image outside the target raises KeyError.
+    """
+    bg = brown_gitler(ctx, i, k)
+    target = weight_block(ctx, i + 1, ctx.p * k).module
+    return _theta_map(ctx, k, suspend(bg.module, ctx.q * k), target, lambda m: target.label_index(m)[1])
+
+
+def _theta_map(
+    ctx: PrimeContext, k: int, source: QModule, target: QModule, row: Callable[[Monomial], int | None]
+) -> QModuleMap:
+    """theta_k from the suspended source to the target, row(image) placing each image.
 
     Every basis monomial x goes to shift(x) * xi_1^(k - weight(x)), built
     from x's exponent tuples: the shift moves every xi index to 2 or more,
     so the pad stays a separate leading factor.  The pad exponent makes both
     gradings work out, and the map checks itself: a negative pad, or a
     violation of degree(image) = degree(x) + qk or weight(image) = pk,
-    aborts immediately.
+    aborts immediately.  An image that row places nowhere (None) leaves its
+    column zero, for the bijection gate to reject.
     """
-    bg = brown_gitler(ctx, i, k)
-    target = weight_block(ctx, i + 1, ctx.p * k)
-    source = suspend(bg.module, ctx.q * k)
     mats: dict[int, np.ndarray] = {}
     for d in source.degrees():
-        mat = np.zeros((target.module.dim(d), source.dim(d)), dtype=np.int64)
+        mat = np.zeros((target.dim(d), source.dim(d)), dtype=np.int64)
         for col, x in enumerate(source.basis[d]):
             pad = k - mono_weight(ctx, x)
             if pad < 0:
@@ -272,10 +307,11 @@ def theta(ctx: PrimeContext, i: int, k: int) -> QModuleMap:
                     f"theta image weight mismatch on {format_monomial(x)}: "
                     f"got {mono_weight(ctx, image)}, expected {ctx.p * k}"
                 )
-            _, row = target.module.label_index(image)
-            mat[row, col] = 1
+            r = row(image)
+            if r is not None:
+                mat[r, col] = 1
         mats[d] = mat
-    return QModuleMap(source, target.module, mats)
+    return QModuleMap(source, target, mats)
 
 
 @dataclass
@@ -310,6 +346,11 @@ def _basis_images(mat: np.ndarray) -> np.ndarray | None:
 def theta_report(ctx: PrimeContext, i: int, k: int) -> tuple[QModuleMap, ThetaReport]:
     """theta plus its verification: blockwise bijectivity and Q-commutation."""
     f = theta(ctx, i, k)
+    return f, _theta_gate(f, i, k)
+
+
+def _theta_gate(f: QModuleMap, i: int, k: int) -> ThetaReport:
+    """The checks of one theta block, on every degree it holds."""
     failures: list[str] = []
     degrees_match = sorted(f.source.degrees()) == sorted(f.target.degrees())
     if not degrees_match:
@@ -326,7 +367,49 @@ def theta_report(ctx: PrimeContext, i: int, k: int) -> tuple[QModuleMap, ThetaRe
     eq = verify_map(f)
     if not eq.passed:
         failures.extend(f"Q-commutation fails: {q} at degree {d}" for q, d in eq.failures[:5])
-    return f, ThetaReport(i, k, bijective, eq.passed, degrees_match, failures)
+    return ThetaReport(i, k, bijective, eq.passed, degrees_match, failures)
+
+
+def _weight_spans(ctx: PrimeContext, module: QModule) -> dict[int, dict[int, tuple[int, int]]]:
+    """weight -> {degree: (lo, hi)}: the basis range of each weight in each degree.
+
+    A degree listing weights out of order would split a weight over two
+    ranges, so that raises.
+    """
+    spans: dict[int, dict[int, tuple[int, int]]] = {}
+    for d, labels in module.basis.items():
+        lo, last = 0, -1
+        for w, run in groupby(labels, key=lambda m: mono_weight(ctx, m)):
+            if w <= last:
+                raise ValueError(f"degree {d} does not list its weights in ascending order")
+            hi = lo + sum(1 for _ in run)
+            spans.setdefault(w, {})[d] = (lo, hi)
+            lo, last = hi, w
+    return spans
+
+
+def _theta_windows(ctx: PrimeContext, i: int, H: QModule, max_degree: int) -> Iterator[QModuleMap]:
+    """theta_k : Sigma^{qk} B_i(k) -> weight pk of H, cut to degree <= max_degree, for k <= max_degree/q.
+
+    H is H_* BP<i+1> through max_degree.  Each source is one
+    `_prefix` of the held B_i(k_max), by weight <= k and degree <= the
+    window, with each held monomial's weight computed once.  Each target
+    is the weight-pk slice of H, whose action blocks are diagonal blocks of
+    H's, since no Q_j changes weight; an image that H does not hold leaves
+    its column zero.  The maps come one at a time, so only one is held.
+    """
+    q, k_max = ctx.q, max_degree // ctx.q
+    _, held = _held_brown_gitler(ctx, i, k_max)
+    weights = {d: [mono_weight(ctx, m) for m in labels] for d, labels in held.basis.items()}
+    H = restrict_qs(H, _qs_through(i + 1))
+    spans = _weight_spans(ctx, H)
+    for k in range(k_max + 1):
+        top = max_degree - q * k
+        cut = {d: bisect_right(w, k) for d, w in weights.items() if d <= top}
+        source = suspend(_prefix(held, cut, top), q * k)
+        target = _slice(H, spans.get(ctx.p * k, {}), max_degree)
+        index = {m: r for labels in target.basis.values() for r, m in enumerate(labels)}
+        yield _theta_map(ctx, k, source, target, index.get)
 
 
 @dataclass
@@ -349,35 +432,31 @@ class AssemblyReport:
 
 
 def assemble_bp_splitting(ctx: PrimeContext, n: int, max_degree: int) -> AssemblyReport:
-    """Match (+)_k Sigma^{qk} B_{n-1}(k) against the homology of BP<n>.
+    """Match (+)_k Sigma^{qk} B_{n-1}(k) against the homology of BP<n> through max_degree.
 
     Blocks k = 0 .. max_degree/q suffice: a monomial of weight w has
     degree at least qw/p (xi_1 powers realize the minimum), so everything
     of degree <= max_degree has weight <= p*max_degree/q and lands in one
-    of these blocks.  The comparison is exact: each basis monomial of the
-    target must be hit by exactly one theta image, read through the same
-    bijection gate as `theta_report`, so a block that is no bijection fails
-    the coverage instead of being read.  B_{n-1}(k_max) is built first, so
-    every smaller block is a slice of it.
+    of these blocks.  Each theta_k is checked through the window only, by
+    `_theta_windows`, against the weight-pk slice of H: blocks above the
+    window are `theta_report`'s, on the whole block.  The comparison is
+    exact: each basis monomial of H must be hit by exactly one theta
+    image, read through the same bijection gate as `theta_report`, so a
+    block that is no bijection fails the coverage instead of being read.
     """
     if n not in (1, 2):
         raise ValueError("assembly is defined for BP<1> and BP<2>")
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    H = bp_homology(ctx, n, max_degree)
-    target_counts = {d: H.module.dim(d) for d in range(max_degree + 1)}
+    H = bp_homology(ctx, n, max_degree).module
+    target_counts = {d: H.dim(d) for d in range(max_degree + 1)}
     block_counts = {d: 0 for d in range(max_degree + 1)}
     reports = []
     seen: set[Monomial] = set()
     coverage_exact = True
-    k_max = max_degree // ctx.q
-    brown_gitler(ctx, n - 1, k_max)
-    for k in range(k_max + 1):
-        f, rep = theta_report(ctx, n - 1, k)
-        reports.append(rep)
+    for k, f in enumerate(_theta_windows(ctx, n - 1, H, max_degree)):
+        reports.append(_theta_gate(f, n - 1, k))
         for d in f.source.degrees():
-            if d > max_degree:
-                continue
             block_counts[d] += f.source.dim(d)
             images = _basis_images(f.mat(d))
             if images is None:
@@ -388,9 +467,7 @@ def assemble_bp_splitting(ctx: PrimeContext, n: int, max_degree: int) -> Assembl
                 if image in seen:
                     coverage_exact = False
                 seen.add(image)
-    expected = {
-        m for d in range(max_degree + 1) for m in H.module.basis.get(d, ())
-    }
+    expected = {m for d in range(max_degree + 1) for m in H.basis.get(d, ())}
     if seen != expected:
         coverage_exact = False
     first_fail = None
@@ -399,7 +476,7 @@ def assemble_bp_splitting(ctx: PrimeContext, n: int, max_degree: int) -> Assembl
         per_degree[d] = (block_counts[d], target_counts[d])
         if block_counts[d] != target_counts[d] and first_fail is None:
             first_fail = d
-    return AssemblyReport(n, max_degree, k_max + 1, per_degree, reports, coverage_exact, first_fail)
+    return AssemblyReport(n, max_degree, len(reports), per_degree, reports, coverage_exact, first_fail)
 
 
 def _retraction(whole: QModule, part: QModule, inclusion: QModuleMap) -> QModuleMap:

@@ -36,6 +36,7 @@ from bgsplit.monomials import (
 )
 from bgsplit.qmodules import (
     ClosureError,
+    QModule,
     direct_sum,
     free_module,
     module_from_monomials,
@@ -44,6 +45,7 @@ from bgsplit.qmodules import (
     trivial_module,
     verify_map,
 )
+from theta_oracles import whole_block_assembly
 
 P3 = PrimeContext(3)
 P5 = PrimeContext(5)
@@ -153,12 +155,13 @@ def test_assembly_holds_one_brown_gitler_module(monkeypatch):
     monkeypatch.setattr(browngitler, "_BP", {})
     builds = _record_builds(monkeypatch)
     assemble_bp_splitting(P3, 2, 60)
-    # B_1(k_max) is built first, from nothing, and every theta block is a
-    # slice of it; the weight blocks and H_*BP<2> are the other builds
+    # H_*BP<2> and B_1(k_max) are the only builds, each from nothing: every
+    # theta source is a slice of B_1(k_max) and every target one of H
     assert list(browngitler._HELD) == [(P3, 1)]
     k_max, b1 = browngitler._HELD[(P3, 1)]
     assert k_max == 60 // P3.q
     assert all(held is None for held, _ in builds)
+    assert len(builds) == 2
     assert sum(out is b1 for _, out in builds) == 1
     weight_restricted_C.__wrapped__(P3, 3)
     brown_gitler(P3, 1, k_max + 1)
@@ -200,6 +203,31 @@ def test_a_cut_that_is_no_submodule_raises():
     assert browngitler._prefix(held, whole).total_dim == held.total_dim
     with pytest.raises(ValueError, match=f"no submodule: Q_{j} takes a kept element of degree {d}"):
         browngitler._prefix(held, whole | {d - held.drop(j): row})
+
+
+def test_weight_slices_check_their_premise():
+    # a weight slice is one basis range per degree only when each degree
+    # lists its weights in order and no Q_j entry joins two weights
+    held = _cold_bp_homology(60)
+    d = next(d for d, labels in held.basis.items() if len({weight(P3, m) for m in labels}) > 1)
+    flipped = QModule(P3, held.qs, held.basis | {d: held.basis[d][::-1]}, {}, _skip_check=True)
+    with pytest.raises(ValueError, match=f"degree {d} does not list its weights in ascending order"):
+        browngitler._weight_spans(P3, flipped)
+    spans = browngitler._weight_spans(P3, held)
+    j, d, r, c = next(
+        (j, d, r, c)
+        for j in held.qs
+        for d, mat in sorted(held.actions[j].items())
+        for r in range(mat.shape[0])
+        for c in range(mat.shape[1])
+        if weight(P3, held.basis[d - held.drop(j)][r]) != weight(P3, held.basis[d][c])
+    )
+    actions = {i: dict(acts) for i, acts in held.actions.items()}
+    actions[j][d] = actions[j][d].copy()
+    actions[j][d][r, c] = 1
+    joined = QModule(P3, held.qs, held.basis, actions, _skip_check=True)
+    with pytest.raises(ValueError, match=f"no submodule: Q_{j} takes a kept element of degree {d}"):
+        browngitler._slice(joined, spans[weight(P3, held.basis[d][c])])
 
 
 def test_builder_grows_a_held_brown_gitler_module():
@@ -302,6 +330,84 @@ def test_assembly_p5_block_five_carries_xi2():
     report = assemble_bp_splitting(P5, 2, 48)
     assert report.passed
     assert theta_images(P5, 1, 5)["xi1"] == "xi2"
+
+
+def test_assembly_reads_images_missing_from_a_short_homology(monkeypatch):
+    # H one degree short: the degree-24 images of theta_5 and theta_6 are in
+    # no weight slice, so their columns stay zero and fail the bijection
+    # gate and the coverage instead of raising
+    real = browngitler.bp_homology
+    monkeypatch.setattr(browngitler, "bp_homology", lambda ctx, n, top: real(ctx, n, top - 1))
+    report = assemble_bp_splitting(P3, 2, 24)
+    assert not report.passed and not report.coverage_exact
+    assert report.first_failing_degree == 24
+    assert report.per_degree[24] == (2, 0)
+    failing = {r.k: r.failures for r in report.theta_reports if not r.passed}
+    assert list(failing) == [5, 6]
+    assert all("non-square block at degree 24" in f for f in failing.values())
+
+
+def test_assembly_builds_no_weight_block(monkeypatch):
+    calls = []
+    real = browngitler.weight_block
+
+    def counting(ctx, i, j):
+        calls.append((i, j))
+        return real(ctx, i, j)
+
+    monkeypatch.setattr(browngitler, "weight_block", counting)
+    assert assemble_bp_splitting(P3, 2, 220).passed
+    assert assemble_bp_splitting(P5, 1, 100).passed
+    assert calls == []
+
+
+def _degree_cut(module, top):
+    return {d: labels for d, labels in module.basis.items() if d <= top}, {
+        j: {d: mat for d, mat in acts.items() if d <= top} for j, acts in module.actions.items()
+    }
+
+
+def _assert_same_cut(got, want, top):
+    got_basis, got_actions = _degree_cut(got, top)
+    want_basis, want_actions = _degree_cut(want, top)
+    assert got.qs == want.qs
+    assert list(got_basis.items()) == list(want_basis.items())
+    assert got_actions.keys() == want_actions.keys()
+    for j, acts in want_actions.items():
+        assert got_actions[j].keys() == acts.keys(), j
+        for d, mat in acts.items():
+            assert np.array_equal(got_actions[j][d], mat), (j, d)
+
+
+@pytest.mark.parametrize("ctx, top", [(P3, 120), (P5, 100)], ids=["p3", "p5"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_windowed_theta_is_the_cut_of_the_whole_block(ctx, top, n):
+    H = bp_homology(ctx, n, top).module
+    windows = list(browngitler._theta_windows(ctx, n - 1, H, top))
+    assert len(windows) == top // ctx.q + 1
+    for k, f in enumerate(windows):
+        whole = theta(ctx, n - 1, k)
+        assert f.shift == whole.shift == 0
+        _assert_same_cut(f.source, whole.source, top)
+        _assert_same_cut(f.target, whole.target, top)
+        assert list(f.mats) == [d for d in whole.mats if d <= top], k
+        for d, mat in f.mats.items():
+            assert np.array_equal(mat, whole.mats[d]), (k, d)
+
+
+@pytest.mark.parametrize("ctx, top", [(P3, 120), (P5, 100)], ids=["p3", "p5"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_assembly_report_matches_the_whole_block_reference(ctx, top, n):
+    got = assemble_bp_splitting(ctx, n, top)
+    want = whole_block_assembly(ctx, n, top)
+    assert got.per_degree == want.per_degree
+    assert (got.block_count, got.coverage_exact, got.first_failing_degree, got.passed) == (
+        want.block_count,
+        want.coverage_exact,
+        want.first_failing_degree,
+        want.passed,
+    )
+    assert got.passed
 
 
 # -- length splitting --------------------------------------------------------

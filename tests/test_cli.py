@@ -259,7 +259,9 @@ def test_q_structure_catches_a_doctored_homology(capsys, monkeypatch):
 
 
 def test_theta_assembly_catches_a_short_homology(capsys, monkeypatch):
-    # H built one degree short of the window leaves the top degree uncovered;
+    # H built one degree short of the window leaves the top degree uncovered:
+    # the theta images of degree 24 are missing from H's weight slices, so
+    # their columns stay zero and fail the bijection gate and the coverage;
     # theta-blocks and length-splitting read H too, so it is short only here
     real = cli.assemble_bp_splitting
     bp_homology = browngitler.bp_homology
@@ -273,15 +275,21 @@ def test_theta_assembly_catches_a_short_homology(capsys, monkeypatch):
     assert _only_failure(capsys, "theta-assembly") == "coverage first fails at degree 24"
 
 
-def _lossy_theta_3(theta):
-    """theta, except that theta_3 sends its top basis element to zero."""
+def _lossy(theta_map, k, d=None):
+    """The theta builder `_theta_map`, except that theta_k sends the last basis element of degree d to zero.
 
-    def lossy(ctx, i, k):
-        f = theta(ctx, i, k)
-        if k != 3:
+    d defaults to the top degree of the source it is given; a source
+    without degree d is left alone.
+    """
+
+    def lossy(ctx, kk, source, target, row):
+        f = theta_map(ctx, kk, source, target, row)
+        if kk != k:
             return f
-        mats = {d: f.mat(d).copy() for d in f.source.degrees()}
-        mats[f.source.max_degree()][:, -1] = 0
+        top = source.max_degree() if d is None else d
+        mats = {e: f.mat(e).copy() for e in f.source.degrees()}
+        if top in mats:
+            mats[top][:, -1] = 0
         return QModuleMap(f.source, f.target, mats, f.shift)
 
     return lossy
@@ -290,12 +298,13 @@ def _lossy_theta_3(theta):
 def test_theta_assembly_catches_a_lost_monomial(capsys, monkeypatch):
     # the coverage reads each block through the bijection gate, so a column
     # with no image fails the check instead of raising out of main;
-    # theta-blocks builds theta too, so theta is doctored only inside this check
+    # theta-blocks builds theta with the same formula, so it is doctored
+    # only inside this check
     real = cli.assemble_bp_splitting
 
     def assemble(ctx, n, max_degree):
         with monkeypatch.context() as m:
-            m.setattr(browngitler, "theta", _lossy_theta_3(browngitler.theta))
+            m.setattr(browngitler, "_theta_map", _lossy(browngitler._theta_map, 3))
             return real(ctx, n, max_degree)
 
     monkeypatch.setattr(cli, "assemble_bp_splitting", assemble)
@@ -303,16 +312,25 @@ def test_theta_assembly_catches_a_lost_monomial(capsys, monkeypatch):
 
 
 def test_theta_blocks_catches_a_lost_monomial(capsys, monkeypatch):
-    # theta-assembly builds theta too, so theta is doctored only inside this check
+    # theta-assembly builds theta with the same formula, so it is doctored only inside this check
     real = cli.theta_report
 
     def report(ctx, i, k):
         with monkeypatch.context() as m:
-            m.setattr(browngitler, "theta", _lossy_theta_3(browngitler.theta))
+            m.setattr(browngitler, "_theta_map", _lossy(browngitler._theta_map, 3))
             return real(ctx, i, k)
 
     monkeypatch.setattr(cli, "theta_report", report)
     assert _only_failure(capsys, "theta-blocks") == "theta fails for k in [3]"
+
+
+def test_theta_blocks_catches_a_lost_monomial_above_the_window(capsys, monkeypatch):
+    # at degree 40, kt = 9 and theta_9 reaches tau2 -> tau3 in degree 53,
+    # which theta-assembly's window does not hold; so one doctored formula,
+    # shared by both checks, fails theta-blocks alone
+    monkeypatch.setattr(browngitler, "_theta_map", _lossy(browngitler._theta_map, 9, 53))
+    argv = ["verify-splitting", "--p", "3", "--max-degree", "40", "--k-max", "9"]
+    assert _only_failure(capsys, "theta-blocks", argv) == "theta fails for k in [9]"
 
 
 def test_length_splitting_catches_a_non_equivariant_projection(capsys, monkeypatch):
