@@ -346,28 +346,29 @@ def _basis_images(mat: np.ndarray) -> np.ndarray | None:
 def theta_report(ctx: PrimeContext, i: int, k: int) -> tuple[QModuleMap, ThetaReport]:
     """theta plus its verification: blockwise bijectivity and Q-commutation."""
     f = theta(ctx, i, k)
-    return f, _theta_gate(f, i, k)
+    return f, _theta_gate(f, i, k)[0]
 
 
-def _theta_gate(f: QModuleMap, i: int, k: int) -> ThetaReport:
-    """The checks of one theta block, on every degree it holds."""
+def _theta_gate(f: QModuleMap, i: int, k: int) -> tuple[ThetaReport, dict[int, np.ndarray | None]]:
+    """The checks of one theta block, on every degree it holds, and the `_basis_images` of each degree."""
     failures: list[str] = []
     degrees_match = sorted(f.source.degrees()) == sorted(f.target.degrees())
     if not degrees_match:
         failures.append("source and target are supported in different degrees")
     bijective = degrees_match
-    for d in f.source.degrees():
+    images = {d: _basis_images(f.mat(d)) for d in f.source.degrees()}
+    for d, hit in images.items():
         mat = f.mat(d)
         if mat.shape[0] != mat.shape[1]:
             bijective = False
             failures.append(f"non-square block at degree {d}")
-        elif _basis_images(mat) is None:
+        elif hit is None:
             bijective = False
             failures.append(f"block at degree {d} is not a bijection on basis monomials")
     eq = verify_map(f)
     if not eq.passed:
         failures.extend(f"Q-commutation fails: {q} at degree {d}" for q, d in eq.failures[:5])
-    return ThetaReport(i, k, bijective, eq.passed, degrees_match, failures)
+    return ThetaReport(i, k, bijective, eq.passed, degrees_match, failures), images
 
 
 def _weight_spans(ctx: PrimeContext, module: QModule) -> dict[int, dict[int, tuple[int, int]]]:
@@ -455,14 +456,14 @@ def assemble_bp_splitting(ctx: PrimeContext, n: int, max_degree: int) -> Assembl
     seen: set[Monomial] = set()
     coverage_exact = True
     for k, f in enumerate(_theta_windows(ctx, n - 1, H, max_degree)):
-        reports.append(_theta_gate(f, n - 1, k))
-        for d in f.source.degrees():
+        report, images = _theta_gate(f, n - 1, k)
+        reports.append(report)
+        for d, hit in images.items():
             block_counts[d] += f.source.dim(d)
-            images = _basis_images(f.mat(d))
-            if images is None:
+            if hit is None:
                 coverage_exact = False
                 continue
-            for row in images.tolist():
+            for row in hit.tolist():
                 image = f.target.basis[d][row]
                 if image in seen:
                     coverage_exact = False

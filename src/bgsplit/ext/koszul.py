@@ -8,8 +8,8 @@ cochain m (x) v^alpha at s = |alpha| and t = deg(m) + sum alpha_i d_i
 with d_i = 2p^i - 1, so v_i sits at (1, d_i) and d preserves t.
 
 A `BlockTable` is the one chain layout: it tabulates every chain block
-of a window by index arithmetic and emits the differentials' entries,
-each differential once.  Dimensions come from ranks, dim Ext^{s,t} =
+of a window by index arithmetic and emits each differential once, as an
+`fplin` entry table.  Dimensions come from ranks, dim Ext^{s,t} =
 dim C^{s,t} - rank d^{s,t} - rank d^{s-1,t}, and a table ranks all its
 differentials with one `fplin.ranks` call.  `KoszulComplex.chart` takes
 a window in t-slabs of bounded size, one table each, and charts
@@ -19,7 +19,7 @@ the v-multiplications on classes as entries over one numbering of the
 classes (`BlockTable.v_maps`).  Where no entry of d leaves or enters a
 bidegree, the chain basis is the class basis and a v-map is index
 arithmetic on `BlockTable.v_target`, which moves every block to its v_j
-target by one search on the table's keys.  Only at the bidegrees that
+target by one `fplin.lookup` on its keys.  Only at the bidegrees that
 some entry of d does touch are dense differentials cut from the entries,
 for `fplin.homology_basis`, the one homology primitive, which Margolis
 homology uses too.  The v-monomials of a window come from one
@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..fplin import _COLUMNS, homology_basis, ranks, reduce_mod_rows
+from ..fplin import _COLUMNS, homology_basis, joined, lookup, nonzeros, ragged, ranks, reduce_mod_rows
 from ..monomials import exponent_vectors
 from ..qmodules import QModule, content_key, restrict_qs
 
@@ -67,31 +67,11 @@ def _v_levels(drops: tuple[int, ...], s_top: int, budget: int) -> tuple[tuple[np
     for d in drops:
         count = np.minimum(s_top - size, (budget - vdeg) // d) + 1
         rep = np.repeat(np.arange(size.size), count)
-        e = _ragged(np.zeros_like(count), count)
+        e = ragged(np.zeros_like(count), count)
         alphas, size, vdeg = np.column_stack([alphas[rep], e]), size[rep] + e, vdeg[rep] + e * d
     order = np.lexsort((vdeg, size))
     cuts = np.searchsorted(size[order], np.arange(1, s_top + 1))
     return tuple((vdeg[at], alphas[at]) for at in np.split(order, cuts))
-
-
-def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges starts[j] .. starts[j] + counts[j] - 1, concatenated."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
-
-
-def _nonzeros(mats: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """The nonzero entries of a list of matrices, concatenated in list order.
-
-    Returns (entries per matrix, the start of each matrix's entries, rows,
-    columns, values), so a matrix's entries are one slice.
-    """
-    # an empty list gets one empty matrix, so the concatenations have a part
-    mats = mats or [np.zeros((0, 0), dtype=np.int64)]
-    at = [np.nonzero(mat) for mat in mats]
-    count = np.array([r.size for r, _ in at], dtype=np.int64)
-    rows, cols = (np.concatenate([x[k] for x in at]) for k in (0, 1))
-    return count, np.cumsum(count) - count, rows, cols, np.concatenate([m[x] for m, x in zip(mats, at)])
 
 
 def dims_from_ranks(table: tuple[np.ndarray, ...], p: int, s_max: int, t0: int) -> dict[tuple[int, int], int]:
@@ -146,7 +126,7 @@ class BlockTable:
         self.span = levels ** len(kc.qs)
         bids, keys, ds = [], [], []
         for s, (vdeg, alphas, lo, counts) in enumerate(runs):
-            at = _ragged(lo, counts)
+            at = ragged(lo, counts)
             d = np.repeat(np.arange(degs.size), counts)
             # the bidegree s * nt + t - t0, and (s, t, alpha) as one integer
             bids.append(s * nt - t0 + vdeg[at] + degs[d])
@@ -170,14 +150,13 @@ class BlockTable:
             k = count[D[src]]
             b, k = src[k > 0], k[k > 0]
             target = np.searchsorted(self.key, self.key[b] + nt * self.span + self.place[ix])
-            at = _ragged(start[D[b]], k)
+            at = ragged(start[D[b]], k)
             rows = np.repeat(self.pos[target] - self.lead, k) + qr[at]
             parts.append((rows, np.repeat(self.pos[b], k) + qc[at], qv[at]))
         # each operator's entries come in source block order, so the columns
         # of one bidegree are one run of them
         self.bounds = np.cumsum([0] + [part[0].size for part in parts]).tolist()
-        none = np.zeros(0, dtype=np.int64)
-        self.rows, self.cols, self.vals = (np.concatenate(x) for x in zip(*parts, (none,) * 3))
+        self.rows, self.cols, self.vals = joined(parts)
 
     def ext(self) -> dict[tuple[int, int], int]:
         """The nonzero dim Ext^{s,t}, s <= s_max, t-major, from one `fplin.ranks` call."""
@@ -204,10 +183,9 @@ class BlockTable:
         Both columns are numbered across the table.
         """
         if j not in self.v_targets:
-            want = self.key + (self.nt + self.drops[j]) * self.span + self.place[j]
-            target = np.minimum(np.searchsorted(self.key, want), self.key.size - 1)
+            target = lookup(self.key, self.key + (self.nt + self.drops[j]) * self.span + self.place[j])
             columns = np.repeat(self.pos[target] - self.pos, self.width) + np.arange(self.width.sum())
-            columns[np.repeat(self.key[target] != want, self.width)] = -1
+            columns[np.repeat(target < 0, self.width)] = -1
             self.v_targets[j] = columns
         return self.v_targets[j]
 
@@ -299,9 +277,9 @@ class BlockTable:
                 coords = reduced[:, list(trep_piv)]
                 if not np.array_equal((coords @ treps) % p, reduced):
                     raise ValueError("vector is not a cycle at this bidegree")
-            col, row = np.nonzero(coords)
-            parts[j].append((start[at[(s, t)]] + col, start[at[up]] + row, coords[col, row]))
-        return {j: tuple(np.concatenate(x) for x in zip(*part)) for j, part in parts.items()}
+            _, _, col, row, val = nonzeros([coords])
+            parts[j].append((start[at[(s, t)]] + col, start[at[up]] + row, val))
+        return {j: joined(part) for j, part in parts.items()}
 
 
 class KoszulComplex:
@@ -315,7 +293,7 @@ class KoszulComplex:
         self._degrees = np.array(module.degrees(), dtype=np.int64)
         self._dims = np.array([module.dim(d) for d in module.degrees()], dtype=np.int64)
         none = np.zeros((0, 0), dtype=np.int64)
-        self._actions = [_nonzeros([module.actions[i].get(d, none) for d in module.degrees()]) for i in self.qs]
+        self._actions = [nonzeros([module.actions[i].get(d, none) for d in module.degrees()]) for i in self.qs]
 
     def table(self, s_max: int, t0: int, t1: int) -> BlockTable:
         """The whole window s <= s_max, t0 <= t <= t1 as one `BlockTable`."""

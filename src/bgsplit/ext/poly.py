@@ -12,8 +12,9 @@ and stages 0..2 of its minimal resolution per block content.  A gr
 presentation is a view of that memo, projective dimension reads its length
 and socle off the view, and the E_2 comparison maps the same stages into
 a target block's Ext: `ext_from_resolution` lays out Hom(F_u, B) of its
-whole window as one table of sparse entries, as `koszul.BlockTable` lays
-out chains, and ranks every differential with one `fplin.ranks` call.
+whole window as one table, as `koszul.BlockTable` lays out chains, and
+ranks every differential with one `fplin.ranks` call.  The v-maps, cover
+images, kernels and Hom table are `fplin` entry tables, joined by its helpers.
 """
 
 from __future__ import annotations
@@ -22,37 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fplin import coset_representatives, kernel_array, ranks, rref_array
+from ..fplin import Entries, compose, coset_representatives, joined, kernel_array, lookup, minus, nonzeros
+from ..fplin import ragged, ranks, rref_array, run_starts, summed
 from ..qmodules import QModule, content_key
-from .koszul import BigradedDims, KoszulComplex, _ragged, _v_levels, dims_from_ranks
+from .koszul import BigradedDims, KoszulComplex, _v_levels, dims_from_ranks
 
 Bidegree = tuple[int, int]
-Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _summed(src: np.ndarray, dst: np.ndarray, val: np.ndarray, p: int) -> Entries:
-    """Entries with one (src, dst) added up, reduced mod p, zeros dropped, sorted by (src, dst)."""
-    order = np.lexsort((dst, src))
-    src, dst, val = src[order], dst[order], val[order]
-    if src.size:
-        new = np.flatnonzero(np.concatenate(([True], (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]))))
-        src, dst, val = src[new], dst[new], np.add.reduceat(val, new) % p
-    keep = val != 0
-    return src[keep], dst[keep], val[keep]
-
-
-def _minus(first: Entries, second: Entries, p: int) -> Entries:
-    """The nonzero entries of first - second."""
-    return _summed(*(np.concatenate(x) for x in zip(first, second[:2] + (-second[2],))), p)
-
-
-def _compose(first: Entries, second: Entries, p: int) -> Entries:
-    """The entries of `second` after `first`; second's are sorted by source."""
-    src, mid, val = first
-    lo = np.searchsorted(second[0], mid, "left")
-    count = np.searchsorted(second[0], mid, "right") - lo
-    at = _ragged(lo, count)
-    return _summed(np.repeat(src, count), second[1][at], np.repeat(val, count) * second[2][at], p)
 
 
 class PModule:
@@ -88,11 +64,7 @@ class PModule:
         self.first = dict(zip(self.dims, self.starts.tolist()))
         self.ss, self.ts = np.array(list(self.dims), dtype=np.int64).reshape(-1, 2).T
         self.home = np.repeat(np.arange(self.counts.size), self.counts)
-        none = (np.zeros(0, dtype=np.int64),) * 3
-        self.maps = {
-            j: _summed(*(np.asarray(x, dtype=np.int64) for x in maps.get(j, none)), p)
-            for j in range(len(self.var_degrees))
-        }
+        self.maps = {j: summed(*maps.get(j, joined([])), p) for j in range(len(self.var_degrees))}
         if not _skip_check:
             self._check()
 
@@ -128,12 +100,8 @@ class PModule:
 
     def locate(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The index in dims of each bidegree (s[e], t[e]), or -1 where the module is zero."""
-        if not self.dims:
-            return np.full(np.shape(s), -1, dtype=np.int64)
-        width = int(self.ss.max()) + 1
-        key, want = self.ts * width + self.ss, t * width + s
-        at = np.minimum(np.searchsorted(key, want), key.size - 1)
-        return np.where((s >= 0) & (s < width) & (key[at] == want), at, -1)
+        width = int(self.ss.max(initial=0)) + 1
+        return np.where((s >= 0) & (s < width), lookup(self.ts * width + self.ss, t * width + s), -1)
 
     def stacked_ranks(self, count: int, into: bool) -> np.ndarray:
         """The rank of each of the first `count` bidegrees' v-stacks, from one `fplin.ranks` call.
@@ -154,16 +122,14 @@ class PModule:
             ends.append(up)
         heights = np.stack([np.where(e >= 0, self.counts[e], 0) for e in ends])
         offset = (np.cumsum(heights.T) - heights.T.ravel()).reshape(nb, nv).T
-        rows, cols, vals = [], [], []
+        parts = []
         for j, (src, dst, val) in self.maps.items():
             near, far = (dst, src) if into else (src, dst)
             keep = self.home[near] < count
             near, far = near[keep], far[keep]
-            rows.append(offset[j, self.home[near]] + far - self.starts[self.home[far]])
-            cols.append(near)
-            vals.append(val[keep])
+            parts.append((offset[j, self.home[near]] + far - self.starts[self.home[far]], near, val[keep]))
         shapes = np.stack([heights.sum(axis=0)[:count], self.counts[:count]], axis=1)
-        return ranks(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), shapes, self.p)
+        return ranks(*joined(parts), shapes, self.p)
 
     def _check(self) -> None:
         """Every entry of v_j goes from (s, t) to (s + 1, t + d_j), and the v's commute.
@@ -186,8 +152,8 @@ class PModule:
         nv = len(self.var_degrees)
         for j in range(nv):
             for h in range(j + 1, nv):
-                lhs = _compose(self.maps[j], self.maps[h], self.p)
-                diff = _minus(lhs, _compose(self.maps[h], self.maps[j], self.p), self.p)
+                lhs = compose(self.maps[j], self.maps[h], self.p)
+                diff = minus(lhs, compose(self.maps[h], self.maps[j], self.p), self.p)
                 if diff[0].size and (first is None or self.home[diff[0][0]] < first[0]):
                     first = (self.home[diff[0][0]], j, h)
         if first is not None:
@@ -293,14 +259,13 @@ class FreeColumns:
     def __init__(self, gen_bidegrees, var_degrees: tuple[int, ...], t_cap: int):
         nv = len(var_degrees)
         gs, gt = np.array(list(gen_bidegrees), dtype=np.int64).reshape(-1, 2).T
-        budget = t_cap - int(gt.min(initial=t_cap))
-        levels = _v_levels(tuple(var_degrees), budget // min(var_degrees), budget) if budget >= 0 else ()
-        vdeg = np.concatenate([v for v, _ in levels] or [np.zeros(0, dtype=np.int64)])
-        alphas = np.concatenate([a for _, a in levels] or [np.zeros((0, nv), dtype=np.int64)])
+        budget = max(t_cap - int(gt.min(initial=t_cap)), 0)
+        levels = _v_levels(tuple(var_degrees), budget // min(var_degrees), budget)
+        vdeg, alphas = (np.concatenate(x) for x in zip(*levels))
         order = np.argsort(vdeg, kind="stable")
         vdeg, alphas = vdeg[order], alphas[order]
         count = np.searchsorted(vdeg, t_cap - gt, "right")
-        gen, at = np.repeat(np.arange(gt.size), count), _ragged(np.zeros_like(count), count)
+        gen, at = np.repeat(np.arange(gt.size), count), ragged(np.zeros_like(count), count)
         alpha, s, t = alphas[at], gs[gen] + alphas[at].sum(axis=1), gt[gen] + vdeg[at]
         # alpha as digits in a base no exponent reaches even after a step,
         # so alpha + e_j adds place[j] with no carry
@@ -310,11 +275,8 @@ class FreeColumns:
         order = np.lexsort((code, gen, s, t))
         self.gen, self.alpha, s, t = gen[order], alpha[order], s[order], t[order]
         key = self.gen * base**nv + code[order]
-        by_key = np.argsort(key)
-        want = key[:, None] + place
-        at = by_key[np.minimum(np.searchsorted(key[by_key], want), max(key.size - 1, 0))]
-        self.up = np.where(key[at] == want, at, -1) if key.size else want
-        new = np.flatnonzero(np.concatenate(([True], (s[1:] != s[:-1]) | (t[1:] != t[:-1])))) if s.size else s
+        self.up = lookup(key, key[:, None] + place, np.argsort(key))
+        new = run_starts(s, t)
         self.bidegrees: list[Bidegree] = list(zip(s[new].tolist(), t[new].tolist()))
         self.start = np.append(new, s.size)
         self.index = {bd: i for i, bd in enumerate(self.bidegrees)}
@@ -368,32 +330,31 @@ def _cover_images(target: PModule, gen_bidegrees, reps, free: FreeColumns) -> En
     next level.
     """
     p, nv = target.p, len(target.var_degrees)
-    src, dst, val, tag = (
-        np.concatenate(x)
-        for x in zip(*((*e, np.full(e[0].size, j, dtype=np.int64)) for j, e in target.maps.items()))
-    )
+    src, dst, val = joined(target.maps.values())
+    tag = np.repeat(np.arange(nv), [e[0].size for e in target.maps.values()])
     order = np.lexsort((tag, src))
     dst, val, tag, key = dst[order], val[order], tag[order], (src * nv + tag)[order]
     nonzero = free.alpha > 0
-    last = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), nv - 1)
-    units = np.flatnonzero(~nonzero.any(axis=1))
-    column = dict(zip(free.gen[units].tolist(), units.tolist()))
-    roots = []
-    for g, (bd, rep) in enumerate(zip(gen_bidegrees, reps)):
-        at = np.flatnonzero(rep % p)
-        roots.append((np.full(at.size, column[g]), target.first[bd] + at, rep[at] % p))
-    level = _summed(*(np.concatenate(x) for x in zip(*roots)), p)
+    root = ~nonzero.any(axis=1)
+    last = np.where(root, nv - 1, nonzero.argmax(axis=1))
+    # generator g's column has alpha = 0 and its image is reps[g]
+    column = np.zeros(len(reps), dtype=np.int64)
+    column[free.gen[root]] = np.flatnonzero(root)
+    count, _, _, cls, coef = nonzeros(rep[None] % p for rep in reps)
+    g = np.repeat(np.arange(len(reps)), count)
+    first = np.array([target.first[bd] for bd in gen_bidegrees], dtype=np.int64)
+    level = summed(column[g], first[g] + cls, coef, p)
     parts = [level]
     while level[0].size:
         c, a, v = level
         lo = np.searchsorted(key, a * nv)
         count = np.searchsorted(key, a * nv + last[c], "right") - lo
-        at = _ragged(lo, count)
+        at = ragged(lo, count)
         kid = free.up[np.repeat(c, count), tag[at]]
         ok = kid >= 0
-        level = _summed(kid[ok], dst[at][ok], (np.repeat(v, count) * val[at])[ok], p)
+        level = summed(kid[ok], dst[at][ok], (np.repeat(v, count) * val[at])[ok], p)
         parts.append(level)
-    return _summed(*(np.concatenate(x) for x in zip(*parts)), p)
+    return summed(*joined(parts), p)
 
 
 def _cover_and_kernels(target: PModule, gen_bidegrees, reps, free: FreeColumns) -> dict[Bidegree, np.ndarray]:
@@ -461,15 +422,12 @@ def _kernel_module(kernels: dict[Bidegree, np.ndarray], free: FreeColumns, m: PM
     commutation, so the module is not checked again.
     """
     held = [bd for bd in free.bidegrees if bd in kernels]
-    parts, n = [], 0
-    for bd in held:
-        r, c = np.nonzero(kernels[bd])
-        parts.append((n + r, free.span(bd)[0] + c, kernels[bd][r, c]))
-        n += kernels[bd].shape[0]
-    none = (np.zeros(0, dtype=np.int64),) * 3
-    row, col, val = (np.concatenate(x) for x in zip(none, *parts))
+    count, _, row, col, val = nonzeros(kernels[bd] for bd in held)
+    n = np.array([kernels[bd].shape[0] for bd in held], dtype=np.int64)
+    row += np.repeat(np.cumsum(n) - n, count)
+    col += np.repeat(np.array([free.span(bd)[0] for bd in held], dtype=np.int64), count)
     # entries run row by row, so each row's first is its pivot
-    lead = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1]))) if row.size else row
+    lead = run_starts(row)
     pivot_of = np.full(free.gen.size, -1, dtype=np.int64)
     pivot_of[col[lead]] = row[lead]
     maps: dict[int, Entries] = {}
@@ -479,7 +437,7 @@ def _kernel_module(kernels: dict[Bidegree, np.ndarray], free: FreeColumns, m: PM
         pushed = (row[ok], up[ok], val[ok])
         k = pivot_of[pushed[1]]
         coords = (pushed[0][k >= 0], k[k >= 0], pushed[2][k >= 0])
-        if _minus(pushed, _compose(coords, (row, col, val), m.p), m.p)[0].size:
+        if minus(pushed, compose(coords, (row, col, val), m.p), m.p)[0].size:
             raise AssertionError("kernel is not closed under the v's")
         maps[j] = coords
     dims = {bd: kernels[bd].shape[0] for bd in held}
@@ -601,7 +559,8 @@ def _hom_table(stages: list[PStage], b: PModule, t0: int, t1: int) -> tuple[np.n
     relation entry (g, alpha, c) of generator g' of F_u sends each block
     (u - 1, t, g, s) to block (u, t, g', s + |alpha|), found on the key, by
     c times v^alpha on B.  The entries of one relation with one g all have
-    the same |alpha| and degree, so they may share positions: those are summed.
+    the same |alpha| and degree, so they may share positions: `fplin.summed`
+    adds those up, reduces mod p and drops zeros.
     """
     nt = t1 - t0 + 1
     bs, bt = b.ss, b.ts
@@ -616,17 +575,17 @@ def _hom_table(stages: list[PStage], b: PModule, t0: int, t1: int) -> tuple[np.n
         tg = np.array([t for _, t in st.gen_bidegrees], dtype=np.int64)
         lo = np.searchsorted(bt, t0 + tg)
         runs.append((tg, lo, np.searchsorted(bt, t1 + tg, "right") - lo))
-        g, at = np.repeat(np.arange(tg.size), runs[-1][2]), _ragged(lo, runs[-1][2])
+        g, at = np.repeat(np.arange(tg.size), runs[-1][2]), ragged(lo, runs[-1][2])
         keys.append(key(u, bt[at] - tg[g], g, bs[at]))
         ats.append(at)
     order = np.argsort(np.concatenate(keys))
     table = np.concatenate(keys)[order]
     width = b.counts[np.concatenate(ats)[order]]
     hom = np.bincount(table // (ng * ns), width, (len(stages) + 1) * nt).astype(np.int64)
-    pos, lead, n = np.cumsum(width) - width, hom[:nt].sum(), hom.sum()
+    pos, lead = np.cumsum(width) - width, hom[:nt].sum()
 
     powers: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
-    parts = [(np.zeros(0, dtype=np.int64),) * 3]
+    parts = []
     for u in range(1, len(stages)):
         tg, lo, count = runs[u - 1]
         for g_new, (bd, vector) in enumerate(zip(stages[u].gen_bidegrees, stages[u].gen_vectors)):
@@ -643,15 +602,11 @@ def _hom_table(stages: list[PStage], b: PModule, t0: int, t1: int) -> tuple[np.n
                 nz, start, pr, pc, pv = powers[alpha]
                 src = np.arange(lo[g], lo[g] + count[g])
                 src = src[nz[src] > 0]
-                t, k, at = bt[src] - tg[g], nz[src], _ragged(start[src], nz[src])
+                t, k, at = bt[src] - tg[g], nz[src], ragged(start[src], nz[src])
                 col = pos[np.searchsorted(table, key(u - 1, t, g, bs[src]))]
                 row = pos[np.searchsorted(table, key(u, t, g_new, bs[src] + sum(alpha)))] - lead
                 parts.append((np.repeat(row, k) + pr[at], np.repeat(col, k) + pc[at], vector[c] * pv[at]))
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    at, merged = np.unique(rows * n + cols, return_inverse=True)
-    summed = np.zeros(at.size, dtype=np.int64)
-    np.add.at(summed, merged, vals)
-    return hom.reshape(-1, nt), at // n, at % n, summed
+    return (hom.reshape(-1, nt), *summed(*joined(parts), b.p))
 
 
 def _power(b: PModule, alpha: tuple[int, ...]) -> Entries:
@@ -660,7 +615,7 @@ def _power(b: PModule, alpha: tuple[int, ...]) -> Entries:
     out = (n, n, np.ones_like(n))
     for j, a in enumerate(alpha):
         for _ in range(a):
-            out = _compose(out, b.maps[j], b.p)
+            out = compose(out, b.maps[j], b.p)
     return out
 
 

@@ -1,19 +1,23 @@
 """Exact linear algebra over the prime field F_p.
 
-Matrices are dense numpy int64 arrays whose entries are residues in
-[0, p).  Every routine here is deterministic: pivots are always the first
-nonzero entry in scan order, so identical inputs give identical outputs
-across runs and platforms.  All functions are pure; inputs are never
-mutated.
+Every routine here is deterministic: pivots are always the first nonzero
+entry in scan order, so identical inputs give identical outputs across
+runs and platforms.  All functions are pure; inputs are never mutated.
+
+A matrix is a dense numpy int64 array of residues in [0, p), or a table
+of entries: int64 arrays (a, b, val) of one length, entry e being val[e]
+at row, or source, a[e] and column, or target, b[e].  Values need not be
+reduced, and a position may repeat until `summed` adds it up.  Tables
+are gathered, joined and searched here and nowhere else: `nonzeros`,
+`joined`, `summed`, `minus`, `compose`, `ragged`, `run_starts`, `lookup`.
 
 Callers that need only a dimension ask `ranks`, which builds no echelon
-form: it takes a whole batch of sparse matrices as entries whose rows
-and columns are numbered across the batch, peels singleton columns and
-rows of every matrix at once
-(structured Gaussian elimination, LaMacchia-Odlyzko) and hands each
-core left over to `rref_array`.  `dense_ranks` peels dense matrices
-from an iterable the same way, keeping only their entries, in batches of
-at most _COLUMNS columns; `rank` is a batch of one.  All return only integers,
+form: it takes a whole batch of matrices as entries whose rows and
+columns are numbered across the batch, peels singleton columns and rows
+of every matrix at once (structured Gaussian elimination,
+LaMacchia-Odlyzko) and hands each core left over to `rref_array`.
+`dense_ranks` gathers dense matrices into such batches of at most
+_COLUMNS columns; `rank` is a batch of one.  All return only integers,
 so the order in which pivots are taken cannot show in any output.
 
 Primes stay below `MAX_PRIME` = 2^16 (the CLI rejects larger ones), so
@@ -31,6 +35,15 @@ import numpy as np
 
 __all__ = [
     "MAX_PRIME",
+    "Entries",
+    "nonzeros",
+    "joined",
+    "summed",
+    "minus",
+    "compose",
+    "ragged",
+    "run_starts",
+    "lookup",
     "ranks",
     "dense_ranks",
     "rank",
@@ -51,6 +64,8 @@ MAX_PRIME = 2**16
 # pass over them cost 2.7 MB of peak RSS
 _COLUMNS = 8192
 
+Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -61,6 +76,75 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def nonzeros(mats: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The nonzero entries of dense matrices, row-major and matrix by matrix, one matrix held at a time.
+
+    Returns (entries per matrix, the start of each matrix's entries, rows,
+    columns, values), so a matrix's entries are one slice.
+    """
+    parts = [(r, c, m[r, c]) for m in mats for r, c in [np.nonzero(m)]]
+    count = np.array([r.size for r, _, _ in parts], dtype=np.int64)
+    return (count, count.cumsum() - count, *joined(parts))
+
+
+def joined(parts: Iterable[tuple[np.ndarray, ...]]) -> Entries:
+    """Tables of entries concatenated field by field; no parts give no entries."""
+    return tuple(np.concatenate(x) for x in zip(*parts)) or tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+
+
+def summed(a: np.ndarray, b: np.ndarray, val: np.ndarray, p: int) -> Entries:
+    """Entries with one (a, b) added up, reduced mod p, zeros dropped, sorted by (a, b)."""
+    if not a.size:
+        return a, b, val
+    order = np.lexsort((b, a))
+    a, b, val = a[order], b[order], val[order]
+    new = run_starts(a, b)
+    val = np.add.reduceat(val, new) % p
+    keep = new[val != 0]
+    return a[keep], b[keep], val[val != 0]
+
+
+def minus(first: Entries, second: Entries, p: int) -> Entries:
+    """The entries of first - second, summed."""
+    return summed(*joined([first, (*second[:2], -second[2])]), p)
+
+
+def compose(first: Entries, second: Entries, p: int) -> Entries:
+    """The entries of `second` after `first`, summed: (a, b) and (b, c) give (a, c); second's are sorted by a."""
+    src, mid, val = first
+    lo = np.searchsorted(second[0], mid, "left")
+    count = np.searchsorted(second[0], mid, "right") - lo
+    at = ragged(lo, count)
+    return summed(np.repeat(src, count), second[1][at], np.repeat(val, count) * second[2][at], p)
+
+
+def ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[j] .. starts[j] + counts[j] - 1, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal (keys[0][e], keys[1][e], ...) begins, for arrays of one length."""
+    new = np.zeros(keys[0].size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(new)
+
+
+def lookup(keys: np.ndarray, want: np.ndarray, sorter: np.ndarray | None = None) -> np.ndarray:
+    """The index in keys of each wanted key, or -1 where there is none.
+
+    keys are distinct and ascending, or ascend in sorter's order, as `np.searchsorted` reads it.
+    """
+    if not keys.size:
+        return np.full(np.shape(want), -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(keys, want, sorter=sorter), keys.size - 1)
+    at = at if sorter is None else sorter[at]
+    return np.where(keys[at] == want, at, -1)
 
 
 @lru_cache(maxsize=None)
@@ -105,57 +189,38 @@ def ranks(row: np.ndarray, col: np.ndarray, val: np.ndarray, shapes: np.ndarray,
     The rows, and the columns, of the batch are numbered matrix by matrix,
     in the order and with the shapes of shapes.  Entry e is val[e] at
     (row[e], col[e]), and values need not be reduced.  No two entries
-    share a position: a caller sums any that would, as the P(2) Hom table
-    does, and `_compressed` raises on two that reach a core.  The whole
-    batch is peeled together by `_peel`.
+    share a position: a caller adds up any that would with `summed`, and
+    `_compressed` raises on two that reach a core.  The whole batch is
+    peeled together by `_peel`.
     """
     shapes = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
     val = np.mod(np.asarray(val, dtype=np.int64), p)
     keep = val != 0
-    owner = np.arange(len(shapes))
-    return _peel(
-        np.asarray(row, dtype=np.int64)[keep],
-        np.asarray(col, dtype=np.int64)[keep],
-        val[keep],
-        np.repeat(owner, shapes[:, 0]),
-        np.repeat(owner, shapes[:, 1]),
-        len(shapes),
-        p,
-    )
+    row, col = (np.asarray(x, dtype=np.int64)[keep] for x in (row, col))
+    row_of, col_of = (np.repeat(np.arange(len(shapes)), n) for n in shapes.T)
+    return _peel(row, col, val[keep], row_of, col_of, len(shapes), p)
 
 
 def dense_ranks(mats: Iterable[np.ndarray], p: int) -> np.ndarray:
     """Rank mod p of every dense matrix of mats, in order.
 
-    Only each matrix's nonzero entries are kept, numbered across a batch
-    as `ranks` numbers them, and the batches hold at most _COLUMNS columns
-    (a wider matrix is a batch alone), so no two dense matrices are held
-    at once.  Each batch goes to `_peel` as `ranks` would send it.
+    Each matrix's entries are gathered with `np.nonzero` as it comes (one
+    `nonzeros` call per matrix was 1.6 times slower on Margolis homology),
+    so no two dense matrices are held at once, and numbered across a batch
+    of at most _COLUMNS columns (a wider matrix is a batch alone) for `ranks`.
     """
-    out: list[np.ndarray] = []
-    parts: list[tuple[np.ndarray, ...]] = []
-    shapes: list[tuple[int, int]] = []
+    out, parts, shapes = [], [], []
     height = width = 0
     for a in mats:
-        a = np.mod(np.asarray(a, dtype=np.int64), p)
+        a = np.asarray(a, dtype=np.int64)
         if shapes and width + a.shape[1] > _COLUMNS:
-            out.append(_batch_ranks(parts, shapes, p))
+            out.append(ranks(*joined(parts), shapes, p))
             parts, shapes, height, width = [], [], 0, 0
         rows, cols = np.nonzero(a)
         parts.append((rows + height, cols + width, a[rows, cols]))
         shapes.append(a.shape)
         height, width = height + a.shape[0], width + a.shape[1]
-    if shapes:
-        out.append(_batch_ranks(parts, shapes, p))
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
-
-
-def _batch_ranks(parts: list[tuple[np.ndarray, ...]], shapes: list[tuple[int, int]], p: int) -> np.ndarray:
-    """`_peel` on a batch's nonzero entries, numbered across the batch, given its shapes."""
-    owner = np.arange(len(shapes))
-    rows, cols, val = (np.concatenate([part[k] for part in parts]) for k in range(3))
-    heights, widths = zip(*shapes)
-    return _peel(rows, cols, val, np.repeat(owner, heights), np.repeat(owner, widths), len(shapes), p)
+    return np.concatenate([*out, ranks(*joined(parts), shapes, p)])
 
 
 def rank(a: np.ndarray, p: int) -> int:

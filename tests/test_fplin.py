@@ -16,15 +16,23 @@ from hypothesis import strategies as st
 import bgsplit
 from bgsplit import fplin
 from bgsplit.fplin import (
+    compose,
     coset_representatives,
     dense_ranks,
     homology_basis,
+    joined,
     kernel_array,
+    lookup,
+    minus,
+    nonzeros,
     quotient_projection,
+    ragged,
     rank,
     ranks,
     reduce_mod_rows,
     rref_array,
+    run_starts,
+    summed,
 )
 
 
@@ -405,3 +413,106 @@ def test_matrix_reduction_equals_row_by_row(case):
         assert np.array_equal(got, want)
         assert np.array_equal(reduce_mod_rows(single, rows, tuple(pivots), p), want)
     assert not reduced[:, list(pivots)].any()
+
+
+# -- entry tables -----------------------------------------------------------------
+
+
+@st.composite
+def entry_tables(draw, shape, p):
+    """Entries (a, b, val) inside shape, unreduced mod p, with positions that may repeat."""
+    n_a, n_b = shape
+    cells = st.tuples(st.integers(0, max(n_a - 1, 0)), st.integers(0, max(n_b - 1, 0)), st.integers(-2 * p, 2 * p))
+    found = draw(st.lists(cells, max_size=12)) if n_a and n_b else []
+    return tuple(np.array([c[k] for c in found], dtype=np.int64) for k in range(3))
+
+
+def _dense(entries, shape, p: int) -> np.ndarray:
+    """The matrix with entry (a, b) the sum of the values at (a, b), mod p."""
+    out = np.zeros(shape, dtype=np.int64)
+    np.add.at(out, (entries[0], entries[1]), entries[2])
+    return out % p
+
+
+def _is_summed(entries, p: int) -> bool:
+    """Sorted by (a, b) with no position twice, and every value a nonzero residue."""
+    a, b, val = entries
+    keys = list(zip(a.tolist(), b.tolist()))
+    return keys == sorted(set(keys)) and all(0 < v < p for v in val.tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([3, 5, 7]), st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)))
+def test_summed_minus_and_compose_match_dense_arithmetic(data, p, dims):
+    n0, n1, n2 = dims
+    first, other = data.draw(entry_tables((n0, n1), p)), data.draw(entry_tables((n0, n1), p))
+    second = data.draw(entry_tables((n1, n2), p))
+    # second read as a map needs its entries in order of a; duplicates may stay
+    second = tuple(x[np.argsort(second[0], kind="stable")] for x in second)
+    a, b = _dense(first, (n0, n1), p), _dense(other, (n0, n1), p)
+    got = summed(*first, p)
+    assert _is_summed(got, p) and np.array_equal(_dense(got, (n0, n1), p), a)
+    got = minus(first, other, p)
+    assert _is_summed(got, p) and np.array_equal(_dense(got, (n0, n1), p), (a - b) % p)
+    # as maps, first sends a to b and second sends b to c, so the matrices
+    # with rows indexed by the target compose as B @ A
+    got = compose(first, second, p)
+    want = (_dense(second, (n1, n2), p).T @ a.T) % p
+    assert _is_summed(got, p) and np.array_equal(_dense(got, (n0, n2), p).T, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_fp_batches())
+def test_nonzeros_round_trip(batch):
+    _, mats, _ = batch
+    count, start, rows, cols, vals = nonzeros(iter(mats))
+    assert count.tolist() == [np.count_nonzero(a) for a in mats]
+    assert start.tolist() == (np.cumsum(count) - count).tolist()
+    for a, n, lo in zip(mats, count, start):
+        r, c, v = rows[lo : lo + n], cols[lo : lo + n], vals[lo : lo + n]
+        back = np.zeros_like(a)
+        back[r, c] = v
+        assert np.array_equal(back, a) and v.all()
+        assert (r * max(a.shape[1], 1) + c).tolist() == sorted((r * max(a.shape[1], 1) + c).tolist())
+
+
+def test_joined_and_nonzeros_of_nothing_are_empty_int64_tables():
+    for got in (joined([]), nonzeros([])[2:]):
+        assert [(x.size, x.dtype) for x in got] == [(0, np.int64)] * 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), unique=True, max_size=12),
+    st.lists(st.integers(-60, 60), max_size=12),
+    st.randoms(),
+)
+@example([], [], None)
+@example([], [3, -1], None)
+def test_lookup_matches_a_dict(keys, want, rng):
+    index = {k: i for i, k in enumerate(sorted(keys))}
+    expected = [index.get(w, -1) for w in want]
+    ordered, want = np.array(sorted(keys), dtype=np.int64), np.array(want, dtype=np.int64)
+    assert lookup(ordered, want).tolist() == expected
+    # the same keys out of order, found through a sorter, give their own positions
+    if rng is not None:
+        rng.shuffle(keys)
+    shuffled = np.array(keys, dtype=np.int64)
+    by_key = {k: i for i, k in enumerate(keys)}
+    got = lookup(shuffled, want.reshape(-1, 1), np.argsort(shuffled))
+    assert got.shape == (want.size, 1)
+    assert got.ravel().tolist() == [by_key.get(w, -1) for w in want.tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 5)), max_size=10))
+def test_ragged_matches_python_ranges(runs):
+    starts, counts = (np.array([r[k] for r in runs], dtype=np.int64) for k in (0, 1))
+    assert ragged(starts, counts).tolist() == [x for s, c in runs for x in range(s, s + c)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=12))
+def test_run_starts_match_python_runs(pairs):
+    a, b = (np.array([x[k] for x in pairs], dtype=np.int64) for k in (0, 1))
+    assert run_starts(a, b).tolist() == [i for i, x in enumerate(pairs) if i == 0 or x != pairs[i - 1]]
