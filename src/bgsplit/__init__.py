@@ -9,7 +9,3 @@ E(Q_0,Q_1,Q_2) and its Koszul-dual polynomial algebra.
 """
 
 __version__ = "0.1.0"
-
-from .monomials import AlgebraSpec, Monomial, PrimeContext
-
-__all__ = ["AlgebraSpec", "Monomial", "PrimeContext", "__version__"]

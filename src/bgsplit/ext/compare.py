@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..browngitler import brown_gitler, length_splitting, weight_restricted_C
-from ..monomials import PrimeContext
+from ..browngitler import bp_homology, brown_gitler, weight_restricted_C
+from ..monomials import PrimeContext, length
 from ..qmodules import QModule, tensor
 from .koszul import BigradedDims, ext_koszul
 from .poly import ext_from_resolution, resolved_block
@@ -163,8 +163,8 @@ class ObstructionReport:
     Classes live in Ext of the qk-suspension of the block against the
     full target homology, found blockwise over the target's weight
     decomposition; the free component is checked to vanish through the
-    degrees the window can reach, so every class lives in the
-    block-to-block summand.
+    degrees the window can reach (free_checked_through), so every class
+    lives in the block-to-block summand.
     """
 
     k: int
@@ -172,7 +172,6 @@ class ObstructionReport:
     t_hi: int
     blocks: tuple[int, ...]
     classes: tuple[ObstructionClass, ...]
-    free_dim: int
     free_checked_through: int
     source_dim: int
     block_reports: dict[int, PropisoReport]
@@ -208,9 +207,9 @@ def obstruction_report(ctx: PrimeContext, k: int, t_hi: int | None = None) -> Ob
         t_hi = qk + 2 * ck.max_degree() + _PAD
     hi_unsus = t_hi - qk
     reach = t_hi + ck.max_degree()
-    split = length_splitting(ctx, reach)
-    free_dim = split.free_part.total_dim
-    if free_dim:
+    # the free component is generated by the length >= 3 monomials of H
+    H = bp_homology(ctx, 2, reach).module
+    if any(length(lab) >= 3 for labels in H.basis.values() for lab in labels):
         raise ValueError(
             "the free component enters the requested range; its Ext vanishes "
             "only blockwise, extend the analysis before trusting the report"
@@ -231,7 +230,6 @@ def obstruction_report(ctx: PrimeContext, k: int, t_hi: int | None = None) -> Ob
         t_hi=t_hi,
         blocks=blocks,
         classes=tuple(classes),
-        free_dim=free_dim,
         free_checked_through=reach,
         source_dim=B1.total_dim,
         block_reports=reports,

@@ -44,13 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..fplin import _COLUMNS, homology_basis, joined, lookup, nonzeros, ragged, ranks, reduce_mod_rows
-from ..monomials import exponent_vectors
 from ..qmodules import QModule, content_key, restrict_qs
-
-
-def v_monomials(qs: tuple[int, ...], s: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent tuples over qs with |alpha| = s, in lexicographic order."""
-    return tuple(exponent_vectors((1,) * len(qs), s, exact=True))
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,7 @@
 """Margolis homology and the classification of stably invertible modules.
 
 For each operator Q_i acting on a graded module the homology
-ker Q_i / im Q_i is counted degreewise from ranks of the Q_i matrices;
-canonical representatives are built only when a caller reads them.
+ker Q_i / im Q_i is counted degreewise from ranks of the Q_i matrices.
 Over a rank-two exterior algebra a module whose two homologies are both
 one-dimensional is pinned down by the pair of homology degrees; those
 solve for a suspension a and a power b of the augmentation ideal, and
@@ -12,31 +11,14 @@ construct_model realizes the parameters as an explicit minimal module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import count
 
 import numpy as np
 
 from .browngitler import bp_homology
-from .fplin import dense_ranks, homology_basis
+from .fplin import dense_ranks
 from .monomials import Monomial, PrimeContext, degree, format_monomial, products
-from .qmodules import QModule, tensor
-
-
-def _label_text(label) -> str:
-    if isinstance(label, Monomial):
-        return format_monomial(label)
-    return str(label)
-
-
-def _vector_text(v: np.ndarray, labels) -> str:
-    terms = []
-    for c, lab in zip(v.tolist(), labels):
-        if c == 0:
-            continue
-        text = _label_text(lab)
-        terms.append(text if c == 1 else f"{c}*{text}")
-    return " + ".join(terms) if terms else "0"
+from .qmodules import QModule
 
 
 @dataclass
@@ -44,9 +26,7 @@ class MargolisHomology:
     """Degreewise ker/im of one Q operator on a module.
 
     dimensions maps degree to dim H_d; degrees with zero homology are
-    omitted.  classes maps the same degrees to echelon rows of
-    representatives in the module's coordinates there, built on first
-    read.
+    omitted.
     """
 
     module: QModule
@@ -66,25 +46,6 @@ class MargolisHomology:
 
     def dims(self) -> dict[int, int]:
         return dict(sorted(self.dimensions.items()))
-
-    @cached_property
-    def classes(self) -> dict[int, np.ndarray]:
-        m, i = self.module, self.q_index
-        return {
-            d: homology_basis(m.act(i, d), m.act(i, d + m.drop(i)), m.ctx.p)[0]
-            for d in self.support()
-        }
-
-    def to_json(self, name: str = "module") -> dict:
-        return {
-            "module": name,
-            "Q": self.q_index,
-            "classes": [
-                {"degree": d, "representative": _vector_text(row, self.module.basis[d])}
-                for d in self.support()
-                for row in self.classes[d]
-            ],
-        }
 
 
 def _action_ranks(module: QModule, i: int, lo: int, hi: int) -> dict[int, int]:
@@ -242,45 +203,6 @@ def margolis_bp2(ctx: PrimeContext, i: int, max_degree: int) -> MargolisBP2Repor
     )
 
 
-# -- Kunneth ------------------------------------------------------------------
-
-
-@dataclass
-class KunnethReport:
-    q_index: int
-    passed: bool
-    per_degree: dict[int, tuple[int, int]]
-    first_failing_degree: int | None
-
-
-def kunneth_check(
-    m: QModule, n: QModule, i: int, degrees: tuple[int, int] | None = None
-) -> KunnethReport:
-    """Compare homology dims of m (x) n with the convolution of factor dims."""
-    if m.truncated_above is not None or n.truncated_above is not None:
-        raise ValueError("the comparison needs complete finite modules")
-    t = tensor(m, n)
-    hm = margolis_homology(m, i)
-    hn = margolis_homology(n, i)
-    ht = margolis_homology(t, i)
-    if degrees is None:
-        if not t.basis:
-            return KunnethReport(i, True, {}, None)
-        lo, hi = t.min_degree(), t.max_degree()
-    else:
-        lo, hi = degrees
-    per_degree: dict[int, tuple[int, int]] = {}
-    first_failing: int | None = None
-    for d in range(lo, hi + 1):
-        rhs = sum(hm.dim(a) * hn.dim(d - a) for a in hm.support())
-        lhs = ht.dim(d)
-        if lhs or rhs:
-            per_degree[d] = (lhs, rhs)
-        if lhs != rhs and first_failing is None:
-            first_failing = d
-    return KunnethReport(i, first_failing is None, per_degree, first_failing)
-
-
 # -- classification -----------------------------------------------------------
 
 
@@ -292,9 +214,6 @@ class InvertibleClass:
     b: int
     margolis_degrees: tuple[int, int]
     pair: tuple[int, int]
-
-    def to_json(self) -> dict:
-        return {"a": self.a, "b": self.b, "margolis_degrees": list(self.margolis_degrees)}
 
 
 @dataclass(frozen=True)
@@ -318,9 +237,7 @@ def solve_degree_equations(
     return x_degree + b * d_j, b
 
 
-def classify_invertible(
-    module: QModule, degrees: tuple[int, int] | None = None
-) -> InvertibleClass | NotInvertible:
+def classify_invertible(module: QModule) -> InvertibleClass | NotInvertible:
     """Read off (a, b) from one-dimensional Margolis homologies.
 
     The module must be over exactly two Q operators and complete, so
@@ -331,8 +248,8 @@ def classify_invertible(
     if module.truncated_above is not None:
         raise ValueError("classification needs the complete finite module")
     j, h = module.qs
-    hj = margolis_homology(module, j, degrees)
-    hh = margolis_homology(module, h, degrees)
+    hj = margolis_homology(module, j)
+    hh = margolis_homology(module, h)
     if hj.total_dim != 1 or hh.total_dim != 1:
         return NotInvertible(
             f"Q_{j}-homology has total dimension {hj.total_dim} and "
@@ -398,20 +315,9 @@ def construct_model(ctx: PrimeContext, pair: tuple[int, int], a: int, b: int) ->
     return QModule(ctx, (j, h), basis, actions)
 
 
-def freeness_check(module: QModule, degrees: tuple[int, int] | None = None) -> bool:
-    """True when every defined Q has vanishing homology in the certified range."""
-    if module.total_dim == 0:
+def freeness_check(module: QModule, degrees: tuple[int, int]) -> bool:
+    """True when every defined Q has vanishing homology over the inclusive degree range."""
+    lo, hi = degrees
+    if module.total_dim == 0 or lo > hi:
         return True
-    for i in module.qs:
-        if degrees is None:
-            lo, hi = module.min_degree(), module.max_degree()
-            top = _certified_top(module, i)
-            if top is not None:
-                hi = min(hi, top)
-        else:
-            lo, hi = degrees
-        if lo > hi:
-            continue
-        if margolis_homology(module, i, (lo, hi)).total_dim:
-            return False
-    return True
+    return not any(margolis_homology(module, i, degrees).total_dim for i in module.qs)

@@ -15,14 +15,12 @@ Every basis in the package is enumerated by `exponent_vectors`: all
 exponent vectors e >= 0 with sum e_j c_j within a budget, or equal to
 it, under optional caps.  `products` reads those vectors as products of
 factor powers, which gives the monomial bases by degree and by weight
-here, the W families and tensor complements in `browngitler` and the
-Margolis closed forms in `margolis`; the v-monomials of the Ext layers
-are the vectors themselves.
+here, the W families in `browngitler` and the Margolis closed forms in
+`margolis`.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import count, takewhile
 from math import gcd
@@ -44,7 +42,6 @@ __all__ = [
     "enumerate_by_weight",
     "sort_key",
     "format_monomial",
-    "parse_monomial",
 ]
 
 
@@ -113,28 +110,6 @@ class Monomial(NamedTuple):
         if len(taus) != len(tau):
             raise ValueError("repeated tau factor squares to zero")
         return Monomial(tuple(clean), tuple(taus))
-
-    def times(self, other: "Monomial") -> "Monomial | None":
-        """Product, or None when a shared tau factor squares to zero."""
-        if set(self.tau) & set(other.tau):
-            return None
-        xi = dict(self.xi)
-        for a, e in other.xi:
-            xi[a] = xi.get(a, 0) + e
-        return Monomial.make(xi, self.tau + other.tau)
-
-    def times_signed(self, other: "Monomial") -> "tuple[int, Monomial] | None":
-        """Product with the Koszul sign of sorting the tau factors.
-
-        The normal form keeps taus ascending, so tau_a tau_b with a > b
-        picks up a -1 per inversion.  Returns None when the product is
-        zero.
-        """
-        prod = self.times(other)
-        if prod is None:
-            return None
-        inversions = sum(1 for x in self.tau for y in other.tau if y < x)
-        return (-1 if inversions % 2 else 1), prod
 
     @property
     def is_unit(self) -> bool:
@@ -287,29 +262,3 @@ def format_monomial(m: Monomial) -> str:
     for b in m.tau:
         parts.append(f"tau{b}")
     return " ".join(parts)
-
-
-_TOKEN = re.compile(r"^(xi|tau)(\d+)(?:\^(\d+))?$")
-
-
-def parse_monomial(text: str) -> Monomial:
-    """Inverse of format_monomial; raises ValueError on malformed input."""
-    text = text.strip()
-    if text == "1":
-        return UNIT
-    xi: dict[int, int] = {}
-    tau: list[int] = []
-    for token in text.split():
-        m = _TOKEN.match(token)
-        if m is None:
-            raise ValueError(f"bad monomial token {token!r}")
-        kind, idx, exp = m.group(1), int(m.group(2)), m.group(3)
-        if kind == "xi":
-            if idx < 1:
-                raise ValueError("xi index must be at least 1")
-            xi[idx] = xi.get(idx, 0) + (int(exp) if exp else 1)
-        else:
-            if exp is not None:
-                raise ValueError("tau factors cannot carry exponents")
-            tau.append(idx)
-    return Monomial.make(xi, tau)

@@ -54,7 +54,6 @@ __all__ = [
     "minimal_generators",
     "free_module",
     "trivial_module",
-    "identity_map",
     "compose",
 ]
 
@@ -427,12 +426,10 @@ def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
 
 
-def tensor(m: QModule, n: QModule, max_degree: int | None = None) -> QModule:
+def tensor(m: QModule, n: QModule) -> QModule:
     """Tensor product with the signed Leibniz action.
 
-    Q_i(x (x) y) = Q_i(x) (x) y + (-1)^{deg x} x (x) Q_i(y).  When
-    max_degree is given, only total degrees up to it are built; the result
-    is then marked truncated there.
+    Q_i(x (x) y) = Q_i(x) (x) y + (-1)^{deg x} x (x) Q_i(y).
     """
     if m.ctx.p != n.ctx.p:
         raise ValueError("tensor factors live over different primes")
@@ -443,10 +440,7 @@ def tensor(m: QModule, n: QModule, max_degree: int | None = None) -> QModule:
     offsets: dict[tuple[int, int], int] = {}
     for dm in m.degrees():
         for dn in n.degrees():
-            t = dm + dn
-            if max_degree is not None and t > max_degree:
-                continue
-            pairs.setdefault(t, []).append((dm, dn))
+            pairs.setdefault(dm + dn, []).append((dm, dn))
     basis: dict[int, tuple] = {}
     for t, blocks in pairs.items():
         blocks.sort()
@@ -487,8 +481,6 @@ def tensor(m: QModule, n: QModule, max_degree: int | None = None) -> QModule:
         bounds.append(m.truncated_above + (n.min_degree() if n.basis else 0))
     if n.truncated_above is not None:
         bounds.append(n.truncated_above + (m.min_degree() if m.basis else 0))
-    if max_degree is not None:
-        bounds.append(max_degree)
     ta = min(bounds) if bounds else None
     return QModule(ctx, m.qs, basis, actions, ta)
 
@@ -664,10 +656,6 @@ def free_module(ctx: PrimeContext, qs: Sequence[int], gen_degree: int = 0, gen_l
 def trivial_module(ctx: PrimeContext, qs: Sequence[int], degree: int = 0, label="e") -> QModule:
     """One-dimensional module with every Q_i acting by zero."""
     return QModule(ctx, tuple(sorted(set(qs))), {degree: (label,)}, {})
-
-
-def identity_map(m: QModule) -> QModuleMap:
-    return QModuleMap(m, m, {d: np.eye(m.dim(d), dtype=np.int64) for d in m.degrees()})
 
 
 def compose(g: QModuleMap, f: QModuleMap) -> QModuleMap:

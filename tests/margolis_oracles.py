@@ -1,4 +1,4 @@
-"""The tensor-power model of a stably invertible module, as a test oracle.
+"""Margolis test oracles: the tensor-power model, class representatives and Kunneth.
 
 `margolis.construct_model` builds the class (a, b) over E(Q_j, Q_h) as the
 (2|b| + 1)-dimensional zigzag.  Here the same class is built the long way,
@@ -6,13 +6,22 @@ as the tensor power I^{(x)b} of the augmentation ideal (J^{(x)|b|} of the
 socle quotient for b < 0), which has 3^|b| elements and differs from the
 zigzag by a free summand.  It shares no code with the zigzag, so the tests
 hold the two against each other.
+
+`margolis.margolis_homology` counts dimensions from ranks alone.  The
+tests also read canonical representatives of the classes (`classes`, and
+their text form `to_json`) and compare the homology of a tensor product
+with the convolution of its factors' (`kunneth_check`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from bgsplit.monomials import PrimeContext
+from bgsplit.fplin import homology_basis
+from bgsplit.margolis import MargolisHomology, margolis_homology
+from bgsplit.monomials import Monomial, PrimeContext, format_monomial
 from bgsplit.qmodules import (
     QModule,
     _shift_grading,
@@ -65,3 +74,73 @@ def without_lowest_edge(model: QModule, i: int) -> QModule:
         d = min(actions[i])
         actions[i][d] = np.zeros_like(actions[i][d])
     return QModule(model.ctx, model.qs, model.basis, actions)
+
+
+def classes(h: MargolisHomology) -> dict[int, np.ndarray]:
+    """Echelon rows of representatives of H_d, in the module's coordinates, for every d in the support."""
+    m, i = h.module, h.q_index
+    return {
+        d: homology_basis(m.act(i, d), m.act(i, d + m.drop(i)), m.ctx.p)[0]
+        for d in h.support()
+    }
+
+
+def _label_text(label) -> str:
+    if isinstance(label, Monomial):
+        return format_monomial(label)
+    return str(label)
+
+
+def _vector_text(v: np.ndarray, labels) -> str:
+    terms = []
+    for c, lab in zip(v.tolist(), labels):
+        if c == 0:
+            continue
+        text = _label_text(lab)
+        terms.append(text if c == 1 else f"{c}*{text}")
+    return " + ".join(terms) if terms else "0"
+
+
+def to_json(h: MargolisHomology, name: str = "module") -> dict:
+    """The representatives of `classes` as text, one entry per class."""
+    reps = classes(h)
+    return {
+        "module": name,
+        "Q": h.q_index,
+        "classes": [
+            {"degree": d, "representative": _vector_text(row, h.module.basis[d])}
+            for d in h.support()
+            for row in reps[d]
+        ],
+    }
+
+
+@dataclass
+class KunnethReport:
+    q_index: int
+    passed: bool
+    per_degree: dict[int, tuple[int, int]]
+    first_failing_degree: int | None
+
+
+def kunneth_check(m: QModule, n: QModule, i: int) -> KunnethReport:
+    """Compare homology dims of m (x) n with the convolution of factor dims, over the product's support."""
+    if m.truncated_above is not None or n.truncated_above is not None:
+        raise ValueError("the comparison needs complete finite modules")
+    t = tensor(m, n)
+    hm = margolis_homology(m, i)
+    hn = margolis_homology(n, i)
+    ht = margolis_homology(t, i)
+    if not t.basis:
+        return KunnethReport(i, True, {}, None)
+    lo, hi = t.min_degree(), t.max_degree()
+    per_degree: dict[int, tuple[int, int]] = {}
+    first_failing: int | None = None
+    for d in range(lo, hi + 1):
+        rhs = sum(hm.dim(a) * hn.dim(d - a) for a in hm.support())
+        lhs = ht.dim(d)
+        if lhs or rhs:
+            per_degree[d] = (lhs, rhs)
+        if lhs != rhs and first_failing is None:
+            first_failing = d
+    return KunnethReport(i, first_failing is None, per_degree, first_failing)

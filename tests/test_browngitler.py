@@ -17,9 +17,7 @@ from bgsplit.browngitler import (
     si_ri_splitting,
     theta,
     theta_report,
-    verify_tensor_factorization,
     w_family,
-    w_family_truncated,
     weight_block,
     weight_restricted_C,
 )
@@ -31,7 +29,6 @@ from bgsplit.monomials import (
     enumerate_by_degree,
     enumerate_by_weight,
     format_monomial,
-    parse_monomial,
     weight,
 )
 from bgsplit.qmodules import (
@@ -45,6 +42,8 @@ from bgsplit.qmodules import (
     trivial_module,
     verify_map,
 )
+from factorization_oracles import verify_tensor_factorization, w_family_truncated
+from monomial_oracles import parse_monomial
 from theta_oracles import whole_block_assembly
 
 P3 = PrimeContext(3)

@@ -169,7 +169,6 @@ def test_brown_gitler_length_one_agrees_with_weight_restriction():
 
 def test_obstruction_theta_zero_is_clean():
     report = obstruction_report(P3, 0)
-    assert report.free_dim == 0
     assert report.classes == ()
     assert report.all_matched
     assert report.message == "theta_0 survives at E_2-comparison level"
@@ -177,11 +176,29 @@ def test_obstruction_theta_zero_is_clean():
     assert all(r.passed for r in report.block_reports.values())
 
 
+def test_obstruction_report_refuses_a_free_complement_in_the_source(monkeypatch):
+    # a source block smaller than B_1(k) has lost monomials to a free
+    # complement; here C_2 (the unit alone) stands in for C_3 = {1, xi1}
+    real = compare.weight_restricted_C
+    monkeypatch.setattr(compare, "weight_restricted_C", lambda ctx, k: real(ctx, k - 1))
+    with pytest.raises(ValueError, match="free complement at this weight"):
+        obstruction_report(P3, 3)
+
+
+def test_obstruction_report_refuses_a_free_component_in_reach(monkeypatch):
+    # H_*BP<0> keeps tau_1, so tau1 tau2 tau3 sits in degree 5 + 17 + 53 = 75:
+    # a target homology with a length-3 monomial inside the window's reach
+    real = compare.bp_homology
+    monkeypatch.setattr(compare, "bp_homology", lambda ctx, n, max_degree: real(ctx, 0, max_degree))
+    assert obstruction_report(P3, 0, t_hi=74).free_checked_through == 74
+    with pytest.raises(ValueError, match="free component enters the requested range"):
+        obstruction_report(P3, 0, t_hi=75)
+
+
 def test_obstruction_theta_nine_survives():
     report = obstruction_report(P3, 9, t_hi=60)
     assert report.suspension == 36
     assert report.source_dim == 6
-    assert report.free_dim == 0
     assert report.free_checked_through == 77
     assert report.blocks == tuple(range(11))
     assert report.all_matched

@@ -18,7 +18,6 @@ from bgsplit.ext.koszul import (
     even_concentration_check,
     ext_koszul,
     v_injectivity,
-    v_monomials,
 )
 from bgsplit.ext.poly import ext_p_module
 from bgsplit.fplin import homology_basis, reduce_mod_rows, rref_array
@@ -33,6 +32,7 @@ from bgsplit.qmodules import (
     tensor,
     trivial_module,
 )
+from monomial_oracles import v_monomials
 
 P3 = PrimeContext(3)
 P5 = PrimeContext(5)

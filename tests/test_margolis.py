@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +12,6 @@ from bgsplit.browngitler import (
     brown_gitler,
     length_splitting,
     w_family,
-    w_family_truncated,
 )
 from bgsplit.fplin import homology_basis, kernel_array
 from bgsplit.margolis import (
@@ -22,14 +20,14 @@ from bgsplit.margolis import (
     classify_invertible,
     construct_model,
     freeness_check,
-    kunneth_check,
     margolis_bp2,
     margolis_homology,
     solve_degree_equations,
 )
 from bgsplit.monomials import PrimeContext
-from bgsplit.qmodules import direct_sum, free_module, suspend, tensor, trivial_module
-from margolis_oracles import tensor_power_model, without_lowest_edge
+from bgsplit.qmodules import direct_sum, free_module, suspend, trivial_module
+from factorization_oracles import w_family_truncated
+from margolis_oracles import classes, kunneth_check, tensor_power_model, to_json, without_lowest_edge
 
 P3 = PrimeContext(3)
 
@@ -38,7 +36,7 @@ def test_free_module_is_acyclic():
     free = free_module(P3, (1, 2))
     for i in (1, 2):
         assert margolis_homology(free, i).total_dim == 0
-    assert freeness_check(free)
+    assert freeness_check(free, (free.min_degree(), free.max_degree()))
 
 
 def test_trivial_module_has_one_class_per_q():
@@ -46,19 +44,19 @@ def test_trivial_module_has_one_class_per_q():
     for i in (0, 1, 2):
         h = margolis_homology(triv, i)
         assert h.dims() == {0: 1}
-    assert not freeness_check(triv)
+    assert not freeness_check(triv, (0, 0))
 
 
 def test_w1_1_representatives():
     w = w_family(P3, "W1", 1)
     h1 = margolis_homology(w, 1)
     h2 = margolis_homology(w, 2)
-    assert h1.to_json("W1(1)") == {
+    assert to_json(h1, "W1(1)") == {
         "module": "W1(1)",
         "Q": 1,
         "classes": [{"degree": 36, "representative": "xi1^9"}],
     }
-    assert h2.to_json("W1(1)") == {
+    assert to_json(h2, "W1(1)") == {
         "module": "W1(1)",
         "Q": 2,
         "classes": [{"degree": 48, "representative": "xi2^3"}],
@@ -96,9 +94,10 @@ def test_dimensions_from_ranks_match_representatives():
     checked = 0
     for module, i, window in _rank_route_cases():
         h = margolis_homology(module, i, window)
+        reps_of = classes(h)
         lo, hi = h.degrees
         for d in range(lo, hi + 1):
-            rows = h.classes.get(d)
+            rows = reps_of.get(d)
             counted = 0 if rows is None else rows.shape[0]
             reps = homology_basis(module.act(i, d), module.act(i, d + module.drop(i)), 3)[0]
             assert h.dim(d) == counted == reps.shape[0], (i, d)
@@ -106,25 +105,13 @@ def test_dimensions_from_ranks_match_representatives():
     assert checked > 100
 
 
-def test_representatives_are_built_only_on_request(monkeypatch):
-    calls = []
-    real = margolis.homology_basis
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(margolis, "homology_basis", counted)
+def test_w1_2_dimensions_classification_and_representative():
     w = w_family(P3, "W1", 2)
     h = margolis_homology(w, 2)
     assert h.dims() == {96: 1} and h.support() == [96] and h.total_dim == 1
     assert classify_invertible(w).margolis_degrees == (72, 96)
-    assert freeness_check(w) is False
-    assert not calls
-    assert h.to_json("a")["classes"] == [{"degree": 96, "representative": "xi2^6"}]
-    assert len(calls) == 1
-    h.to_json("a")
-    assert len(calls) == 1
+    assert freeness_check(w, (w.min_degree(), w.max_degree())) is False
+    assert to_json(h, "a")["classes"] == [{"degree": 96, "representative": "xi2^6"}]
 
 
 def test_margolis_bp2_small_degrees():
@@ -270,9 +257,9 @@ def test_w_block_digit_representatives():
         ("W1", 3, 1): [{"degree": 108, "representative": "xi1^27"}],
         ("We", 2, 0): [{"degree": 288, "representative": "xi2^18"}],
     }
-    for (which, n, i), classes in reps.items():
+    for (which, n, i), want in reps.items():
         h = margolis_homology(w_family(P3, which, n), i)
-        assert h.to_json("w")["classes"] == classes
+        assert to_json(h, "w")["classes"] == want
 
 
 def test_not_invertible_diagnostics():
@@ -390,12 +377,13 @@ def test_freeness_of_length_parts():
     split = length_splitting(P3, 60)
     # below the first length-3 monomial the complement is zero, which is free
     assert split.free_part.total_dim == 0
-    assert freeness_check(split.free_part)
-    assert not freeness_check(split.reduced_part)
+    assert freeness_check(split.free_part, (0, 60))
+    # the range through which every Q_i's image is visible, as the CLI reads it
+    assert not freeness_check(split.reduced_part, (0, 60 - P3.q_degree(2)))
 
 
 def test_json_stability():
     w = w_family(P3, "W1", 2)
     h = margolis_homology(w, 2)
-    assert h.to_json("a") == h.to_json("a")
-    assert h.to_json("a")["classes"] == [{"degree": 96, "representative": "xi2^6"}]
+    assert to_json(h, "a") == to_json(h, "a")
+    assert to_json(h, "a")["classes"] == [{"degree": 96, "representative": "xi2^6"}]

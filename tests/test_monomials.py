@@ -19,10 +19,10 @@ from bgsplit.monomials import (
     exponent_vectors,
     format_monomial,
     length,
-    parse_monomial,
     sort_key,
     weight,
 )
+from monomial_oracles import parse_monomial, times
 
 P3 = PrimeContext(3)
 P5 = PrimeContext(5)
@@ -56,7 +56,7 @@ def test_mixed_monomial_gradings_at_p5():
 def test_repeated_tau_is_rejected():
     with pytest.raises(ValueError):
         Monomial.make((), [2, 2])
-    assert Monomial.make((), [2]).times(Monomial.make((), [2])) is None
+    assert times(Monomial.make((), [2]), Monomial.make((), [2])) is None
 
 
 def test_make_reads_a_one_shot_tau_iterable_once():
@@ -69,7 +69,7 @@ def test_make_reads_a_one_shot_tau_iterable_once():
 def test_times_merges_exponents():
     a = Monomial.make({1: 2}, [2])
     b = Monomial.make({1: 1, 3: 1}, [4])
-    ab = a.times(b)
+    ab = times(a, b)
     assert ab == Monomial.make({1: 3, 3: 1}, [2, 4])
 
 
@@ -202,7 +202,7 @@ def monomial_pairs(draw):
 @given(monomial_pairs())
 def test_gradings_are_additive(data):
     ctx, a, b = data
-    ab = a.times(b)
+    ab = times(a, b)
     assert ab is not None
     assert degree(ctx, ab) == degree(ctx, a) + degree(ctx, b)
     assert weight(ctx, ab) == weight(ctx, a) + weight(ctx, b)

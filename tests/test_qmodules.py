@@ -7,7 +7,7 @@ import pytest
 
 from bgsplit.browngitler import weight_restricted_C
 from bgsplit.ext.compare import dual_module
-from bgsplit.monomials import AlgebraSpec, Monomial, PrimeContext, parse_monomial
+from bgsplit.monomials import AlgebraSpec, Monomial, PrimeContext
 from bgsplit.qmodules import (
     ClosureError,
     QModule,
@@ -17,7 +17,6 @@ from bgsplit.qmodules import (
     content_key,
     direct_sum,
     free_module,
-    identity_map,
     module_from_monomials,
     q_action_on_monomial,
     q_word,
@@ -29,6 +28,8 @@ from bgsplit.qmodules import (
     trivial_module,
     verify_map,
 )
+from monomial_oracles import parse_monomial
+from qmodule_oracles import identity_map, kron_tensor, truncated_tensor
 
 P3 = PrimeContext(3)
 P5 = PrimeContext(5)
@@ -203,16 +204,6 @@ def test_tensor_signs_on_odd_factors():
     assert np.array_equal(img, expect)
 
 
-def test_tensor_truncation_marks_certified_range():
-    m = b19_module()
-    t = tensor(m, m, max_degree=20)
-    assert t.truncated_above == 20
-    assert t.max_degree() <= 20
-    full = tensor(m, m)
-    for d in t.degrees():
-        assert t.dim(d) == full.dim(d)
-
-
 def test_tensor_with_unit_is_isomorphic():
     m = b19_module()
     unit = trivial_module(P3, (0, 1, 2), degree=0)
@@ -223,46 +214,9 @@ def test_tensor_with_unit_is_isomorphic():
             assert np.array_equal(t.act(i, d), m.act(i, d))
 
 
-def kron_tensor(m, n, max_degree=None):
-    """Reference tensor product built block by block with np.kron."""
-    pairs, offsets = {}, {}
-    for dm in m.degrees():
-        for dn in n.degrees():
-            if max_degree is None or dm + dn <= max_degree:
-                pairs.setdefault(dm + dn, []).append((dm, dn))
-    basis = {}
-    for t, blocks in pairs.items():
-        blocks.sort()
-        labels = []
-        for dm, dn in blocks:
-            offsets[(dm, dn)] = len(labels)
-            labels.extend((lm, ln) for lm in m.basis[dm] for ln in n.basis[dn])
-        basis[t] = tuple(labels)
-    actions = {i: {} for i in m.qs}
-    for i in m.qs:
-        di = m.drop(i)
-        for t, blocks in pairs.items():
-            mat = np.zeros((len(basis.get(t - di, ())), len(basis[t])), dtype=np.int64)
-            if mat.shape[0]:
-                for dm, dn in blocks:
-                    c0, width = offsets[(dm, dn)], m.dim(dm) * n.dim(dn)
-                    if (dm - di, dn) in offsets:
-                        block = np.kron(m.act(i, dm), np.eye(n.dim(dn), dtype=np.int64))
-                        r0 = offsets[(dm - di, dn)]
-                        mat[r0 : r0 + block.shape[0], c0 : c0 + width] = block
-                    if (dm, dn - di) in offsets:
-                        sign = -1 if dm % 2 else 1
-                        block = sign * np.kron(np.eye(m.dim(dm), dtype=np.int64), n.act(i, dn))
-                        r0 = offsets[(dm, dn - di)]
-                        mat[r0 : r0 + block.shape[0], c0 : c0 + width] += block
-            if mat.size:
-                actions[i][t] = mat % m.ctx.p
-    return basis, actions
-
-
-def assert_matches_kron(m, n, max_degree=None):
-    got = tensor(m, n, max_degree=max_degree)
-    basis, actions = kron_tensor(m, n, max_degree)
+def assert_matches_kron(m, n):
+    got = tensor(m, n)
+    basis, actions = kron_tensor(m, n)
     assert got.basis == basis
     want = QModule(m.ctx, m.qs, basis, actions, got.truncated_above)
     assert content_key(got) == content_key(want)
@@ -278,9 +232,18 @@ def test_tensor_matches_kron_on_odd_degree_factors():
 
 
 def test_tensor_matches_kron_under_truncation():
+    # the truncated Kronecker product, which the factorization oracle
+    # builds on, is the tensor product's part through the cut
     m = b19_module()
-    assert_matches_kron(m, _shift_grading(m, 1), max_degree=20)
-    assert_matches_kron(m, m, max_degree=0)
+    for n, cut in ((_shift_grading(m, 1), 20), (m, 0)):
+        full = tensor(m, n)
+        got = truncated_tensor(m, n, cut)
+        assert got.truncated_above == cut
+        assert got.degrees() == [d for d in full.degrees() if d <= cut]
+        for d in got.degrees():
+            assert got.basis[d] == full.basis[d]
+            for i in m.qs:
+                assert np.array_equal(got.act(i, d), full.act(i, d))
 
 
 def test_tensor_matches_kron_with_an_empty_factor():
