@@ -19,10 +19,9 @@ theta(i, k) raises weight: it sends a monomial x of B_i(k) to the index
 shift of x (xi_a -> xi_{a+1}, tau_b -> tau_{b+1}) padded by
 xi_1^(k - weight(x)), landing in M_{i+1}(pk) with degree raised by
 2(p-1)k.  Assembling all blocks exhibits the homology of BP<n> as the sum
-over k of even suspensions of B_{n-1}(k).  The assembly checks each
-theta_k through its degree window only, against the weight-pk slice of
-the H_* BP<n> it covers: no Q_j changes weight and each degree lists
-weights in order, so that slice is one basis range per degree.  Whole
+over k of even suspensions of B_{n-1}(k).  The assembly checks that
+statement as written, through its degree window only: the direct sum of
+the blocks, cut to the window, goes to H_* BP<n> by one map.  Whole
 blocks are built and checked by `theta` and `theta_report`.
 
 The remaining constructions split that homology further: by tau-length
@@ -35,10 +34,10 @@ algebras.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, count, groupby
+from itertools import combinations, count
 
 import numpy as np
 
@@ -59,6 +58,7 @@ from .qmodules import (
     QModule,
     QModuleMap,
     compose,
+    direct_sum,
     minimal_generators,
     module_from_monomials,
     q_word,
@@ -215,35 +215,23 @@ def _prefix(module: QModule, cut: dict[int, int], truncated_above: int | None = 
     The kept elements must span a submodule: no Q_j may take one to a
     dropped element, as when the cut is by degree (every Q_j lowers it) or
     by weight (no Q_j raises it, and each degree lists weights in order).
-    That is checked by `_slice`.
+    That is checked: every action block below the kept rows must be zero
+    on the kept columns.  The held module passed the Q relations, and the
+    cut of a submodule keeps them, so they are not checked again.
     """
-    return _slice(module, {d: (0, n) for d, n in cut.items()}, truncated_above)
-
-
-def _slice(module: QModule, spans: dict[int, tuple[int, int]], truncated_above: int | None = None) -> QModule:
-    """Basis elements lo..hi-1 of each degree d, for spans[d] = (lo, hi), with the matching action blocks.
-
-    The kept elements must span a submodule, as a degreewise prefix does
-    (`_prefix`) or one weight of a module whose degrees list weights in
-    order, since no Q_j changes weight.  That is checked: every action
-    block outside the kept rows must be zero on the kept columns.  The held
-    module passed the Q relations, and the slice of a submodule keeps
-    them, so they are not checked again.
-    """
-    basis = {d: module.basis[d][lo:hi] for d, (lo, hi) in spans.items() if hi > lo}
+    basis = {d: module.basis[d][:n] for d, n in cut.items() if n}
     actions: dict[int, dict[int, np.ndarray]] = {j: {} for j in module.qs}
     for j in module.qs:
         dj, acts = module.drop(j), module.actions[j]
-        for d, (lo, hi) in spans.items():
+        for d, n in cut.items():
             mat = acts.get(d)
-            if mat is None or hi == lo:
+            if mat is None or not n:
                 continue
-            top, bottom = spans.get(d - dj, (0, 0))
-            cols = mat[:, lo:hi]
-            if cols[:top].any() or cols[bottom:].any():
+            rows, cols = cut.get(d - dj, 0), mat[:, :n]
+            if cols[rows:].any():
                 raise ValueError(f"the cut is no submodule: Q_{j} takes a kept element of degree {d} out")
-            if bottom > top:
-                actions[j][d] = cols[top:bottom]
+            if rows:
+                actions[j][d] = cols[:rows]
     return QModule(module.ctx, module.qs, basis, actions, truncated_above, _skip_check=True)
 
 
@@ -264,26 +252,36 @@ def theta(ctx: PrimeContext, i: int, k: int) -> QModuleMap:
     """
     bg = brown_gitler(ctx, i, k)
     target = weight_block(ctx, i + 1, ctx.p * k).module
-    return _theta_map(ctx, k, suspend(bg.module, ctx.q * k), target, lambda m: target.label_index(m)[1])
+    source = suspend(bg.module, ctx.q * k)
+    return _theta_map(ctx, source, target, lambda m: target.label_index(m)[1], lambda x: (k, x))
 
 
 def _theta_map(
-    ctx: PrimeContext, k: int, source: QModule, target: QModule, row: Callable[[Monomial], int | None]
+    ctx: PrimeContext,
+    source: QModule,
+    target: QModule,
+    row: Callable[[Monomial], int | None],
+    block: Callable[[object], tuple[int, Monomial]],
 ) -> QModuleMap:
-    """theta_k from the suspended source to the target, row(image) placing each image.
+    """theta from the suspended source to the target, row(image) placing each image.
 
-    Every basis monomial x goes to shift(x) * xi_1^(k - weight(x)), built
-    from x's exponent tuples: the shift moves every xi index to 2 or more,
-    so the pad stays a separate leading factor.  The pad exponent makes both
-    gradings work out, and the map checks itself: a negative pad, or a
-    violation of degree(image) = degree(x) + qk or weight(image) = pk,
-    aborts immediately.  An image that row places nowhere (None) leaves its
-    column zero, for the bijection gate to reject.
+    The source is Sigma^{qk} B_i(k), or a `direct_sum` of such blocks, and
+    block(label) is (k, x) for the basis monomial x of block k that the
+    label names.  Every such x goes to shift(x) * xi_1^(k - weight(x)),
+    built from x's exponent tuples: the shift moves every xi index to 2 or
+    more, so the pad stays a separate leading factor.  The pad exponent
+    makes both gradings work out, and the map checks itself: a negative
+    pad, or a violation of degree(image) = degree(x) + qk or
+    weight(image) = pk, aborts immediately.  An image that row places
+    nowhere (None) leaves its column zero, for the bijection gate to
+    reject.
     """
     mats: dict[int, np.ndarray] = {}
     for d in source.degrees():
-        mat = np.zeros((target.dim(d), source.dim(d)), dtype=np.int64)
-        for col, x in enumerate(source.basis[d]):
+        # 0/1 entries, built in int8 so that only QModuleMap's int64 copy is full size
+        mat = np.zeros((target.dim(d), source.dim(d)), dtype=np.int8)
+        for col, label in enumerate(source.basis[d]):
+            k, x = block(label)
             pad = k - mono_weight(ctx, x)
             if pad < 0:
                 raise ArithmeticError(
@@ -324,108 +322,56 @@ class ThetaReport:
         return self.bijective and self.equivariant and self.degrees_match
 
 
-def _basis_images(mat: np.ndarray) -> np.ndarray | None:
-    """The row each column hits, if the block is a bijection on basis monomials, else None.
+def theta_report(ctx: PrimeContext, i: int, k: int) -> tuple[QModuleMap, ThetaReport]:
+    """theta plus its verification: blockwise bijectivity and Q-commutation."""
+    f = theta(ctx, i, k)
+    return f, _theta_gate(f, i, k)
+
+
+def _theta_gate(f: QModuleMap, i: int, k: int) -> ThetaReport:
+    """The checks of theta on every degree f holds: bijective on basis monomials, and equivariant.
 
     A bijection of a square block has n nonzero entries, one in each row
     and each column.
     """
-    n = mat.shape[0]
-    rows, cols = np.nonzero(mat)
-    if not (mat.shape[1] == n == len(rows) == len(set(rows.tolist())) == len(set(cols.tolist()))):
-        return None
-    images = np.empty(n, dtype=np.int64)
-    images[cols] = rows
-    return images
-
-
-def theta_report(ctx: PrimeContext, i: int, k: int) -> tuple[QModuleMap, ThetaReport]:
-    """theta plus its verification: blockwise bijectivity and Q-commutation."""
-    f = theta(ctx, i, k)
-    return f, _theta_gate(f, i, k)[0]
-
-
-def _theta_gate(f: QModuleMap, i: int, k: int) -> tuple[ThetaReport, dict[int, np.ndarray | None]]:
-    """The checks of one theta block, on every degree it holds, and the `_basis_images` of each degree."""
     failures: list[str] = []
     degrees_match = sorted(f.source.degrees()) == sorted(f.target.degrees())
     if not degrees_match:
         failures.append("source and target are supported in different degrees")
     bijective = degrees_match
-    images = {d: _basis_images(f.mat(d)) for d in f.source.degrees()}
-    for d, hit in images.items():
+    for d in f.source.degrees():
         mat = f.mat(d)
+        rows, cols = np.nonzero(mat)
         if mat.shape[0] != mat.shape[1]:
             bijective = False
             failures.append(f"non-square block at degree {d}")
-        elif hit is None:
+        elif not len(rows) == mat.shape[0] == len(set(rows.tolist())) == len(set(cols.tolist())):
             bijective = False
             failures.append(f"block at degree {d} is not a bijection on basis monomials")
     eq = verify_map(f)
     if not eq.passed:
         failures.extend(f"Q-commutation fails: {q} at degree {d}" for q, d in eq.failures[:5])
-    return ThetaReport(i, k, bijective, eq.passed, degrees_match, failures), images
-
-
-def _weight_spans(ctx: PrimeContext, module: QModule) -> dict[int, dict[int, tuple[int, int]]]:
-    """weight -> {degree: (lo, hi)}: the basis range of each weight in each degree.
-
-    A degree listing weights out of order would split a weight over two
-    ranges, so that raises.
-    """
-    spans: dict[int, dict[int, tuple[int, int]]] = {}
-    for d, labels in module.basis.items():
-        lo, last = 0, -1
-        for w, run in groupby(labels, key=lambda m: mono_weight(ctx, m)):
-            if w <= last:
-                raise ValueError(f"degree {d} does not list its weights in ascending order")
-            hi = lo + sum(1 for _ in run)
-            spans.setdefault(w, {})[d] = (lo, hi)
-            lo, last = hi, w
-    return spans
-
-
-def _theta_windows(ctx: PrimeContext, i: int, H: QModule, max_degree: int) -> Iterator[QModuleMap]:
-    """theta_k : Sigma^{qk} B_i(k) -> weight pk of H, cut to degree <= max_degree, for k <= max_degree/q.
-
-    H is H_* BP<i+1> through max_degree.  Each source is one
-    `_prefix` of the held B_i(k_max), by weight <= k and degree <= the
-    window, with each held monomial's weight computed once.  Each target
-    is the weight-pk slice of H, whose action blocks are diagonal blocks of
-    H's, since no Q_j changes weight; an image that H does not hold leaves
-    its column zero.  The maps come one at a time, so only one is held.
-    """
-    q, k_max = ctx.q, max_degree // ctx.q
-    _, held = _held_brown_gitler(ctx, i, k_max)
-    weights = {d: [mono_weight(ctx, m) for m in labels] for d, labels in held.basis.items()}
-    H = restrict_qs(H, _qs_through(i + 1))
-    spans = _weight_spans(ctx, H)
-    for k in range(k_max + 1):
-        top = max_degree - q * k
-        cut = {d: bisect_right(w, k) for d, w in weights.items() if d <= top}
-        source = suspend(_prefix(held, cut, top), q * k)
-        target = _slice(H, spans.get(ctx.p * k, {}), max_degree)
-        index = {m: r for labels in target.basis.values() for r, m in enumerate(labels)}
-        yield _theta_map(ctx, k, source, target, index.get)
+    return ThetaReport(i, k, bijective, eq.passed, degrees_match, failures)
 
 
 @dataclass
 class AssemblyReport:
+    """(+)_k Sigma^{qk} B_{n-1}(k) against H_* BP<n> through max_degree.
+
+    per_degree[d] is (dimension of the sum, dimension of H) at degree d,
+    and gate the theta checks of the sum as one map; its k is the top block.
+    """
+
     n: int
     max_degree: int
     block_count: int
     per_degree: dict[int, tuple[int, int]]
-    theta_reports: list[ThetaReport]
-    coverage_exact: bool
+    gate: ThetaReport
     first_failing_degree: int | None
 
     @property
     def passed(self) -> bool:
-        return (
-            self.first_failing_degree is None
-            and self.coverage_exact
-            and all(r.passed for r in self.theta_reports)
-        )
+        return self.first_failing_degree is None and self.gate.passed
 
 
 def assemble_bp_splitting(ctx: PrimeContext, n: int, max_degree: int) -> AssemblyReport:
@@ -434,46 +380,37 @@ def assemble_bp_splitting(ctx: PrimeContext, n: int, max_degree: int) -> Assembl
     Blocks k = 0 .. max_degree/q suffice: a monomial of weight w has
     degree at least qw/p (xi_1 powers realize the minimum), so everything
     of degree <= max_degree has weight <= p*max_degree/q and lands in one
-    of these blocks.  Each theta_k is checked through the window only, by
-    `_theta_windows`, against the weight-pk slice of H: blocks above the
-    window are `theta_report`'s, on the whole block.  The comparison is
-    exact: each basis monomial of H must be hit by exactly one theta
-    image, read through the same bijection gate as `theta_report`, so a
-    block that is no bijection fails the coverage instead of being read.
+    of these blocks.  Each block is one `_prefix` of the held
+    B_{n-1}(k_max), by weight <= k and degree <= the window, with each held
+    monomial's weight computed once, so theta_k is built through the window
+    only: blocks above it are `theta_report`'s, on the whole block.  The
+    direct sum of the blocks goes to H by one map, block k's columns
+    holding theta_k's images at H's rows (an image H does not hold leaves
+    its column zero), and that map goes through `theta_report`'s gate
+    once.  The comparison is exact: a bijection on basis monomials in
+    every degree hits each basis monomial of H exactly once, and a map out
+    of a direct sum is equivariant exactly when each block is.
     """
     if n not in (1, 2):
         raise ValueError("assembly is defined for BP<1> and BP<2>")
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    H = bp_homology(ctx, n, max_degree).module
-    target_counts = {d: H.dim(d) for d in range(max_degree + 1)}
-    block_counts = {d: 0 for d in range(max_degree + 1)}
-    reports = []
-    seen: set[Monomial] = set()
-    coverage_exact = True
-    for k, f in enumerate(_theta_windows(ctx, n - 1, H, max_degree)):
-        report, images = _theta_gate(f, n - 1, k)
-        reports.append(report)
-        for d, hit in images.items():
-            block_counts[d] += f.source.dim(d)
-            if hit is None:
-                coverage_exact = False
-                continue
-            for row in hit.tolist():
-                image = f.target.basis[d][row]
-                if image in seen:
-                    coverage_exact = False
-                seen.add(image)
-    expected = {m for d in range(max_degree + 1) for m in H.basis.get(d, ())}
-    if seen != expected:
-        coverage_exact = False
-    first_fail = None
-    per_degree = {}
-    for d in range(max_degree + 1):
-        per_degree[d] = (block_counts[d], target_counts[d])
-        if block_counts[d] != target_counts[d] and first_fail is None:
-            first_fail = d
-    return AssemblyReport(n, max_degree, len(reports), per_degree, reports, coverage_exact, first_fail)
+    q, k_max = ctx.q, max_degree // ctx.q
+    H = restrict_qs(bp_homology(ctx, n, max_degree).module, _qs_through(n))
+    _, held = _held_brown_gitler(ctx, n - 1, k_max)
+    weights = {d: [mono_weight(ctx, m) for m in labels] for d, labels in held.basis.items()}
+
+    def block(k: int) -> QModule:
+        top = max_degree - q * k
+        cut = {d: bisect_right(w, k) for d, w in weights.items() if d <= top}
+        return suspend(_prefix(held, cut, top), q * k)
+
+    source = direct_sum([block(k) for k in range(k_max + 1)])
+    index = {m: r for labels in H.basis.values() for r, m in enumerate(labels)}
+    f = _theta_map(ctx, source, H, index.get, lambda label: label)
+    per_degree = {d: (f.source.dim(d), H.dim(d)) for d in range(max_degree + 1)}
+    first_fail = next((d for d, (got, want) in per_degree.items() if got != want), None)
+    return AssemblyReport(n, max_degree, k_max + 1, per_degree, _theta_gate(f, n - 1, k_max), first_fail)
 
 
 def _retraction(whole: QModule, part: QModule, inclusion: QModuleMap) -> QModuleMap:

@@ -305,14 +305,10 @@ def _check_length_splitting(ctx: PrimeContext, cfg: RunConfig) -> dict:
 
 
 def _check_si_ri(ctx: PrimeContext, cfg: RunConfig) -> dict:
-    entries = [
-        _split_pair_entry(
-            f"s{perm[0]}", si_ri_splitting(ctx, perm, cfg.max_degree), cfg.max_degree, ctx.p
-        )
-        for perm in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-    ]
-    bad = [e["name"] for e in entries if not e["passed"]]
-    dims = ", ".join(e["detail"].split(",")[0] for e in entries)
+    perms = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+    splits = {f"s{perm[0]}": si_ri_splitting(ctx, perm, cfg.max_degree) for perm in perms}
+    bad = [n for n, pair in splits.items() if not _split_pair_entry(n, pair, cfg.max_degree, ctx.p)["passed"]]
+    dims = ", ".join(f"free dim {pair.free_part.total_dim}" for pair in splits.values())
     detail = f"S_i free and split off for each omitted Q ({dims})" if not bad else f"failed for {bad}"
     return _entry("si-ri-splittings", not bad, f"t <= {cfg.max_degree}", detail)
 

@@ -271,8 +271,8 @@ class BlockTable:
                 coords = reduced[:, list(trep_piv)]
                 if not np.array_equal((coords @ treps) % p, reduced):
                     raise ValueError("vector is not a cycle at this bidegree")
-            _, _, col, row, val = nonzeros([coords])
-            parts[j].append((start[at[(s, t)]] + col, start[at[up]] + row, val))
+            col, row = np.nonzero(coords)
+            parts[j].append((start[at[(s, t)]] + col, start[at[up]] + row, coords[col, row]))
         return {j: joined(part) for j, part in parts.items()}
 
 

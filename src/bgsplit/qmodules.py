@@ -23,6 +23,7 @@ Downstream homology routines use it to refuse uncertified ranges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -110,10 +111,14 @@ class QModule:
         self.ctx = ctx
         self.qs = tuple(sorted(set(qs)))
         self.basis = {d: tuple(labels) for d, labels in basis.items() if labels}
-        self.actions = {
-            i: {d: np.asarray(mat, dtype=np.int64) % ctx.p for d, mat in acts.items()}
-            for i, acts in actions.items()
-        }
+        if _skip_check:
+            # the caller vouches for reduced int64 matrices, which are held as given
+            self.actions = {i: dict(acts) for i, acts in actions.items()}
+        else:
+            self.actions = {
+                i: {d: np.asarray(mat, dtype=np.int64) % ctx.p for d, mat in acts.items()}
+                for i, acts in actions.items()
+            }
         self.truncated_above = truncated_above
         for i in self.qs:
             self.actions.setdefault(i, {})
@@ -383,7 +388,12 @@ def suspend(m: QModule, n: int) -> QModule:
 
 
 def direct_sum(modules: Sequence[QModule]) -> QModule:
-    """Direct sum; labels become (block index, original label)."""
+    """Direct sum; labels become (block index, original label).
+
+    Each action matrix is block diagonal, and only the blocks the summands
+    hold are placed: an absent block is zero, and a degree where no summand
+    holds one has no matrix.
+    """
     if not modules:
         raise ValueError("empty direct sum has no ambient context")
     ctx = modules[0].ctx
@@ -396,21 +406,20 @@ def direct_sum(modules: Sequence[QModule]) -> QModule:
         d: tuple((k, lab) for k, m in enumerate(modules) for lab in m.basis.get(d, ()))
         for d in degrees
     }
+    # starts[d][k]: the row of summand k's first basis element of degree d
+    starts = {d: list(accumulate((m.dim(d) for m in modules), initial=0)) for d in degrees}
     actions: dict[int, dict[int, np.ndarray]] = {i: {} for i in qs}
     for i in qs:
         di = ctx.q_degree(i)
-        for d in degrees:
-            blocks = [m.act(i, d) for m in modules]
-            rows = sum(b.shape[0] for b in blocks)
-            cols = sum(b.shape[1] for b in blocks)
-            mat = np.zeros((rows, cols), dtype=np.int64)
-            r = c = 0
-            for b in blocks:
-                mat[r : r + b.shape[0], c : c + b.shape[1]] = b
-                r += b.shape[0]
-                c += b.shape[1]
-            if mat.size:
-                actions[i][d] = mat
+        for k, m in enumerate(modules):
+            for d, block in m.actions[i].items():
+                if not block.size:
+                    continue
+                rows, cols = starts[d - di], starts[d]
+                mat = actions[i].get(d)
+                if mat is None:
+                    mat = actions[i][d] = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+                mat[rows[k] : rows[k + 1], cols[k] : cols[k + 1]] = block
     tas = [m.truncated_above for m in modules]
     ta = None if all(t is None for t in tas) else min(t for t in tas if t is not None)
     return QModule(ctx, qs, basis, actions, ta, _skip_check=True)
@@ -509,25 +518,8 @@ def content_key(module: QModule) -> tuple:
     )
 
 
-def _resolve_elements(m: QModule, elements: Iterable) -> dict[int, list[np.ndarray]]:
-    """Normalize labels / (degree, vector) pairs to per-degree vectors, reading labels first:
-    a `direct_sum` label (block index, label) looks like a (degree, vector) pair."""
-    out: dict[int, list[np.ndarray]] = {}
-    for el in elements:
-        try:
-            d, v = m.element(el)
-        except (KeyError, TypeError):
-            if not (isinstance(el, tuple) and len(el) == 2 and isinstance(el[0], int)):
-                raise
-            d, v = el[0], np.asarray(el[1], dtype=np.int64) % m.ctx.p
-            if v.shape != (m.dim(d),):
-                raise ValueError(f"vector at degree {d} has wrong length")
-        out.setdefault(d, []).append(v)
-    return out
-
-
-def submodule_generated(m: QModule, elements: Iterable) -> tuple[QModule, QModuleMap]:
-    """Smallest Q-closed graded subspace containing the elements.
+def submodule_generated(m: QModule, labels: Iterable) -> tuple[QModule, QModuleMap]:
+    """Smallest Q-closed graded subspace containing the basis elements with the given labels.
 
     Returns the submodule (with synthetic labels) and its inclusion.  A
     single descending sweep suffices because every Q_i strictly lowers
@@ -544,7 +536,11 @@ def submodule_generated(m: QModule, elements: Iterable) -> tuple[QModule, QModul
         red, pivots = rref_array(stacked, p)
         spans[d] = red[: len(pivots)]
 
-    for d, vecs in _resolve_elements(m, elements).items():
+    generators: dict[int, list[np.ndarray]] = {}
+    for label in labels:
+        d, v = m.element(label)
+        generators.setdefault(d, []).append(v)
+    for d, vecs in generators.items():
         add_rows(d, np.stack(vecs))
     # Q-images only flow to lower degrees, so popping the largest pending
     # degree stabilizes each degree before it is processed.

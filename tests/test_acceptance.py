@@ -62,14 +62,14 @@ def _ok(n: int, detail: str, t0: float) -> None:
 def test_criterion_1_theta_isomorphisms():
     t0 = time.time()
     assembly3 = assemble_bp_splitting(P3, 2, 120)
-    assert assembly3.passed and assembly3.coverage_exact
+    assert assembly3.passed and assembly3.gate.bijective
     for k in range(28):
         f, rep = theta_report(P3, 1, k)
         assert rep.passed, f"theta_{k} fails at p = 3"
         for d in f.target.degrees():
             assert all(weight(P3, x) == 3 * k for x in f.target.basis[d])
     assembly5 = assemble_bp_splitting(P5, 2, 100)
-    assert assembly5.passed and assembly5.coverage_exact
+    assert assembly5.passed and assembly5.gate.bijective
     for k in range(11):
         assert theta_report(P5, 1, k)[1].passed, f"theta_{k} fails at p = 5"
     _ok(

@@ -33,7 +33,7 @@ from bgsplit.monomials import (
 )
 from bgsplit.qmodules import (
     ClosureError,
-    QModule,
+    QModuleMap,
     direct_sum,
     free_module,
     module_from_monomials,
@@ -155,7 +155,7 @@ def test_assembly_holds_one_brown_gitler_module(monkeypatch):
     builds = _record_builds(monkeypatch)
     assemble_bp_splitting(P3, 2, 60)
     # H_*BP<2> and B_1(k_max) are the only builds, each from nothing: every
-    # theta source is a slice of B_1(k_max) and every target one of H
+    # block of the assembly's source is a cut of B_1(k_max), and its target is H
     assert list(browngitler._HELD) == [(P3, 1)]
     k_max, b1 = browngitler._HELD[(P3, 1)]
     assert k_max == 60 // P3.q
@@ -202,31 +202,6 @@ def test_a_cut_that_is_no_submodule_raises():
     assert browngitler._prefix(held, whole).total_dim == held.total_dim
     with pytest.raises(ValueError, match=f"no submodule: Q_{j} takes a kept element of degree {d}"):
         browngitler._prefix(held, whole | {d - held.drop(j): row})
-
-
-def test_weight_slices_check_their_premise():
-    # a weight slice is one basis range per degree only when each degree
-    # lists its weights in order and no Q_j entry joins two weights
-    held = _cold_bp_homology(60)
-    d = next(d for d, labels in held.basis.items() if len({weight(P3, m) for m in labels}) > 1)
-    flipped = QModule(P3, held.qs, held.basis | {d: held.basis[d][::-1]}, {}, _skip_check=True)
-    with pytest.raises(ValueError, match=f"degree {d} does not list its weights in ascending order"):
-        browngitler._weight_spans(P3, flipped)
-    spans = browngitler._weight_spans(P3, held)
-    j, d, r, c = next(
-        (j, d, r, c)
-        for j in held.qs
-        for d, mat in sorted(held.actions[j].items())
-        for r in range(mat.shape[0])
-        for c in range(mat.shape[1])
-        if weight(P3, held.basis[d - held.drop(j)][r]) != weight(P3, held.basis[d][c])
-    )
-    actions = {i: dict(acts) for i, acts in held.actions.items()}
-    actions[j][d] = actions[j][d].copy()
-    actions[j][d][r, c] = 1
-    joined = QModule(P3, held.qs, held.basis, actions, _skip_check=True)
-    with pytest.raises(ValueError, match=f"no submodule: Q_{j} takes a kept element of degree {d}"):
-        browngitler._slice(joined, spans[weight(P3, held.basis[d][c])])
 
 
 def test_builder_grows_a_held_brown_gitler_module():
@@ -332,18 +307,102 @@ def test_assembly_p5_block_five_carries_xi2():
 
 
 def test_assembly_reads_images_missing_from_a_short_homology(monkeypatch):
-    # H one degree short: the degree-24 images of theta_5 and theta_6 are in
-    # no weight slice, so their columns stay zero and fail the bijection
-    # gate and the coverage instead of raising
+    # H one degree short: the degree-24 images of theta_5 and theta_6 are
+    # not in H, so the map has no rows there and fails the bijection gate
+    # instead of raising
     real = browngitler.bp_homology
     monkeypatch.setattr(browngitler, "bp_homology", lambda ctx, n, top: real(ctx, n, top - 1))
     report = assemble_bp_splitting(P3, 2, 24)
-    assert not report.passed and not report.coverage_exact
+    assert not report.passed and not report.gate.bijective
     assert report.first_failing_degree == 24
     assert report.per_degree[24] == (2, 0)
-    failing = {r.k: r.failures for r in report.theta_reports if not r.passed}
-    assert list(failing) == [5, 6]
-    assert all("non-square block at degree 24" in f for f in failing.values())
+    assert report.gate.failures == [
+        "source and target are supported in different degrees",
+        "non-square block at degree 24",
+    ]
+
+
+def _assembly_with_map(monkeypatch, ctx, n, top):
+    """The assembly report and the one map it puts through the gate."""
+    maps = []
+    real = browngitler._theta_gate
+
+    def gate(f, i, k):
+        maps.append(f)
+        return real(f, i, k)
+
+    monkeypatch.setattr(browngitler, "_theta_gate", gate)
+    report = assemble_bp_splitting(ctx, n, top)
+    (f,) = maps
+    return report, f
+
+
+def test_assembly_builds_one_map_and_gates_it_once(monkeypatch):
+    calls = []
+
+    def counting(name):
+        real = getattr(browngitler, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(browngitler, name, call)
+
+    counting("_theta_map")
+    counting("verify_map")
+    report, f = _assembly_with_map(monkeypatch, P3, 2, 60)
+    assert report.passed and calls == ["_theta_map", "verify_map"]
+    # the one map's source holds every block k <= 60/q
+    assert {k for d in f.source.degrees() for k, _ in f.source.basis[d]} == set(range(report.block_count))
+    assert report.block_count == 16 and (report.gate.i, report.gate.k) == (1, 15)
+
+
+def _doctored_assembly(monkeypatch, doctor):
+    """The assembly at p = 3 through t = 60, its map's matrices passed through doctor(f, mats) before the gate."""
+    real = browngitler._theta_map
+
+    def doctored(ctx, source, target, row, block):
+        f = real(ctx, source, target, row, block)
+        mats = {d: f.mat(d).copy() for d in f.source.degrees()}
+        doctor(f, mats)
+        return QModuleMap(f.source, f.target, mats)
+
+    monkeypatch.setattr(browngitler, "_theta_map", doctored)
+    return assemble_bp_splitting(P3, 2, 60)
+
+
+def test_assembly_gate_rejects_two_columns_at_one_row(monkeypatch):
+    # the first degree with two basis elements sends both to one row of H:
+    # every count still matches, but one row is hit twice and one never
+    doubled = []
+
+    def double(f, mats):
+        d = next(d for d in f.source.degrees() if f.source.dim(d) > 1)
+        mats[d][:, 1] = mats[d][:, 0]
+        doubled.append(d)
+
+    report = _doctored_assembly(monkeypatch, double)
+    assert not report.passed and report.first_failing_degree is None
+    assert not report.gate.bijective
+    assert f"block at degree {doubled[0]} is not a bijection on basis monomials" in report.gate.failures
+
+
+def test_assembly_gate_rejects_an_entry_that_breaks_equivariance_only(monkeypatch):
+    # one image negated where a Q_j sees it: still a bijection on basis
+    # monomials, with every count matching, but Q_j f = f Q_j fails
+    def flip(f, mats):
+        d, c = next(
+            (d, c)
+            for d in f.source.degrees()
+            for j in f.target.qs
+            for c in np.flatnonzero((f.target.act(j, d) @ mats[d]).any(axis=0))
+        )
+        mats[d][:, c] *= -1
+
+    report = _doctored_assembly(monkeypatch, flip)
+    assert not report.passed and report.first_failing_degree is None
+    assert report.gate.bijective and report.gate.degrees_match and not report.gate.equivariant
 
 
 def test_assembly_builds_no_weight_block(monkeypatch):
@@ -360,38 +419,35 @@ def test_assembly_builds_no_weight_block(monkeypatch):
     assert calls == []
 
 
-def _degree_cut(module, top):
-    return {d: labels for d, labels in module.basis.items() if d <= top}, {
-        j: {d: mat for d, mat in acts.items() if d <= top} for j, acts in module.actions.items()
-    }
-
-
-def _assert_same_cut(got, want, top):
-    got_basis, got_actions = _degree_cut(got, top)
-    want_basis, want_actions = _degree_cut(want, top)
-    assert got.qs == want.qs
-    assert list(got_basis.items()) == list(want_basis.items())
-    assert got_actions.keys() == want_actions.keys()
-    for j, acts in want_actions.items():
-        assert got_actions[j].keys() == acts.keys(), j
-        for d, mat in acts.items():
-            assert np.array_equal(got_actions[j][d], mat), (j, d)
+def _block_positions(module, d, k) -> list[int]:
+    """The positions of block k's basis elements of degree d in a direct sum."""
+    return [c for c, (kk, _) in enumerate(module.basis.get(d, ())) if kk == k]
 
 
 @pytest.mark.parametrize("ctx, top", [(P3, 120), (P5, 100)], ids=["p3", "p5"])
 @pytest.mark.parametrize("n", [1, 2])
-def test_windowed_theta_is_the_cut_of_the_whole_block(ctx, top, n):
-    H = bp_homology(ctx, n, top).module
-    windows = list(browngitler._theta_windows(ctx, n - 1, H, top))
-    assert len(windows) == top // ctx.q + 1
-    for k, f in enumerate(windows):
+def test_windowed_theta_is_the_cut_of_the_whole_block(monkeypatch, ctx, top, n):
+    # block k of the one assembled map is theta_k on its whole block, cut to
+    # the window: the same basis and source actions, and its columns hold
+    # theta_k's images at H's rows
+    report, f = _assembly_with_map(monkeypatch, ctx, n, top)
+    H = f.target
+    assert f.shift == 0 and report.block_count == top // ctx.q + 1
+    assert H.basis == bp_homology(ctx, n, top).module.basis
+    for k in range(report.block_count):
         whole = theta(ctx, n - 1, k)
-        assert f.shift == whole.shift == 0
-        _assert_same_cut(f.source, whole.source, top)
-        _assert_same_cut(f.target, whole.target, top)
-        assert list(f.mats) == [d for d in whole.mats if d <= top], k
-        for d, mat in f.mats.items():
-            assert np.array_equal(mat, whole.mats[d]), (k, d)
+        window = [d for d in whole.source.degrees() if d <= top]
+        assert window == [d for d in f.source.degrees() if _block_positions(f.source, d, k)], k
+        for d in window:
+            cols = _block_positions(f.source, d, k)
+            assert [f.source.basis[d][c][1] for c in cols] == list(whole.source.basis[d])
+            for j in f.source.qs:
+                rows = _block_positions(f.source, d - f.source.drop(j), k)
+                assert np.array_equal(f.source.act(j, d)[np.ix_(rows, cols)], whole.source.act(j, d)), (k, j, d)
+            want = np.zeros((H.dim(d), len(cols)), dtype=np.int64)
+            for r, c in zip(*np.nonzero(whole.mat(d))):
+                want[H.label_index(whole.target.basis[d][r])[1], c] = whole.mat(d)[r, c]
+            assert np.array_equal(f.mat(d)[:, cols], want), (k, d)
 
 
 @pytest.mark.parametrize("ctx, top", [(P3, 120), (P5, 100)], ids=["p3", "p5"])
@@ -400,7 +456,7 @@ def test_assembly_report_matches_the_whole_block_reference(ctx, top, n):
     got = assemble_bp_splitting(ctx, n, top)
     want = whole_block_assembly(ctx, n, top)
     assert got.per_degree == want.per_degree
-    assert (got.block_count, got.coverage_exact, got.first_failing_degree, got.passed) == (
+    assert (got.block_count, got.gate.bijective, got.first_failing_degree, got.passed) == (
         want.block_count,
         want.coverage_exact,
         want.first_failing_degree,
@@ -490,9 +546,14 @@ def test_retraction_splits_a_free_summand_off_the_axes():
     # module, generates a free summand whose basis meets no coordinate axis
     qs = (0, 1, 2)
     whole = direct_sum([free_module(P3, qs, 23, "a"), free_module(P3, qs, 23, "b"), trivial_module(P3, qs, 23)])
-    v = (23, np.ones(3, dtype=np.int64))
-    part, inc = submodule_generated(whole, [v])
-    assert part.total_dim == 8
+    part = free_module(P3, qs, 23, "v")
+    # v's orbit Q_I v = Q_I a + Q_I b, and c as well at degree 23
+    mats = {}
+    for d in part.degrees():
+        n = part.dim(d)
+        mats[d] = np.vstack([np.eye(n), np.eye(n), np.ones((whole.dim(d) - 2 * n, n))])
+    inc = QModuleMap(part, whole, mats)
+    assert verify_map(inc).passed
     reduced, proj = quotient(inc)
     retraction = browngitler._retraction(whole, part, inc)
     split = browngitler.SplitPair(whole, part, reduced, inc, proj, retraction)
@@ -502,8 +563,7 @@ def test_retraction_splits_a_free_summand_off_the_axes():
 def test_retraction_rejects_a_summand_that_is_not_free():
     # Q_0 g spans E(Q_0, Q_1, Q_2)/(Q_0) inside the free module on g
     free = free_module(P3, (0, 1, 2), 23)
-    q0g = (22, free.act(0, 23)[:, 0])
-    part, inc = submodule_generated(free, [q0g])
+    part, inc = submodule_generated(free, [("g", (0,))])
     with pytest.raises(ValueError, match="not free"):
         browngitler._retraction(free, part, inc)
 

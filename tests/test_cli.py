@@ -208,7 +208,7 @@ def _flipped_square(module):
             r = int(np.flatnonzero(prev.any(axis=0))[0])
             actions = {j: dict(acts) for j, acts in module.actions.items()}
             mat = module.act(i, d).copy()
-            mat[r, 0] += 1
+            mat[r, 0] = (mat[r, 0] + 1) % module.ctx.p
             actions[i][d] = mat
             return QModule(
                 module.ctx, module.qs, module.basis, actions, module.truncated_above, _skip_check=True
@@ -260,8 +260,8 @@ def test_q_structure_catches_a_doctored_homology(capsys, monkeypatch):
 
 def test_theta_assembly_catches_a_short_homology(capsys, monkeypatch):
     # H built one degree short of the window leaves the top degree uncovered:
-    # the theta images of degree 24 are missing from H's weight slices, so
-    # their columns stay zero and fail the bijection gate and the coverage;
+    # the theta images of degree 24 are missing from H, so the map has no
+    # rows there and fails the bijection gate and the degree counts;
     # theta-blocks and length-splitting read H too, so it is short only here
     real = cli.assemble_bp_splitting
     bp_homology = browngitler.bp_homology
@@ -276,30 +276,31 @@ def test_theta_assembly_catches_a_short_homology(capsys, monkeypatch):
 
 
 def _lossy(theta_map, k, d=None):
-    """The theta builder `_theta_map`, except that theta_k sends the last basis element of degree d to zero.
+    """The theta builder `_theta_map`, except that theta_k sends its last basis element of degree d to zero.
 
-    d defaults to the top degree of the source it is given; a source
-    without degree d is left alone.
+    Block k is the whole source when theta_k is built alone, and the
+    elements labelled (k, x) in the assembly's direct sum.  d defaults to
+    the top degree of block k; a block without degree d is left alone.
     """
 
-    def lossy(ctx, kk, source, target, row):
-        f = theta_map(ctx, kk, source, target, row)
-        if kk != k:
-            return f
-        top = source.max_degree() if d is None else d
+    def lossy(ctx, source, target, row, block):
+        f = theta_map(ctx, source, target, row, block)
+        cols = {e: [c for c, label in enumerate(labels) if block(label)[0] == k] for e, labels in source.basis.items()}
+        cols = {e: c for e, c in cols.items() if c}
+        top = max(cols, default=None) if d is None else d
         mats = {e: f.mat(e).copy() for e in f.source.degrees()}
-        if top in mats:
-            mats[top][:, -1] = 0
+        if top in cols:
+            mats[top][:, cols[top][-1]] = 0
         return QModuleMap(f.source, f.target, mats, f.shift)
 
     return lossy
 
 
 def test_theta_assembly_catches_a_lost_monomial(capsys, monkeypatch):
-    # the coverage reads each block through the bijection gate, so a column
-    # with no image fails the check instead of raising out of main;
-    # theta-blocks builds theta with the same formula, so it is doctored
-    # only inside this check
+    # the one map goes through the bijection gate, so a column with no
+    # image fails the check instead of raising out of main; theta-blocks
+    # builds theta with the same formula, so it is doctored only inside
+    # this check
     real = cli.assemble_bp_splitting
 
     def assemble(ctx, n, max_degree):
@@ -309,6 +310,27 @@ def test_theta_assembly_catches_a_lost_monomial(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "assemble_bp_splitting", assemble)
     assert _only_failure(capsys, "theta-assembly") == "a block-level theta check failed"
+
+
+def test_theta_assembly_catches_an_entry_that_breaks_equivariance_only(capsys, monkeypatch):
+    # one image negated where a Q_j sees it keeps the map a bijection on
+    # basis monomials with every degree count matching, so the report names
+    # the block-level check, not a degree; a window without tau3 has no
+    # nonzero Q_j on H
+    real, reports = cli.assemble_bp_splitting, []
+
+    def assemble(ctx, n, max_degree):
+        with monkeypatch.context() as m:
+            theta_map = browngitler._theta_map
+            m.setattr(browngitler, "_theta_map", lambda *args: _non_equivariant(theta_map(*args)))
+            reports.append(real(ctx, n, max_degree))
+            return reports[-1]
+
+    monkeypatch.setattr(cli, "assemble_bp_splitting", assemble)
+    assert _only_failure(capsys, "theta-assembly", K0_WINDOW) == "a block-level theta check failed"
+    (report,) = reports
+    assert report.first_failing_degree is None
+    assert report.gate.bijective and not report.gate.equivariant
 
 
 def test_theta_blocks_catches_a_lost_monomial(capsys, monkeypatch):

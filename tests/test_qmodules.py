@@ -187,6 +187,31 @@ def test_direct_sum_dims_and_block_action():
     assert r.passed
 
 
+def test_only_a_checked_module_copies_its_matrices():
+    # a suspension or restriction skips the checks and shares the held matrices
+    m = b19_module()
+    for trusted, shift in ((suspend(m, 4), 4), (restrict_qs(m, (0, 1)), 0)):
+        for i in trusted.qs:
+            assert all(trusted.actions[i][d + shift] is mat for d, mat in m.actions[i].items())
+    checked = QModule(P3, m.qs, m.basis, m.actions)
+    assert all(checked.actions[i][d] is not mat for i in m.qs for d, mat in m.actions[i].items())
+
+
+def test_direct_sum_places_only_the_blocks_its_summands_hold():
+    m, n = b19_module(), suspend(b19_module(), 4)
+    s = direct_sum([m, n])
+    for i in s.qs:
+        for d in s.degrees():
+            a, b = m.act(i, d), n.act(i, d)
+            want = np.block([[a, np.zeros((a.shape[0], b.shape[1]))], [np.zeros((b.shape[0], a.shape[1])), b]])
+            assert np.array_equal(s.act(i, d), want), (i, d)
+        assert set(s.actions[i]) == {d for x in (m, n) for d, mat in x.actions[i].items() if mat.size}
+    QModule(P3, s.qs, s.basis, s.actions)
+    # Q_0 drops degree 1 to 0, where the second summand sits, but neither summand holds a matrix
+    t = direct_sum([trivial_module(P3, (0,), 1), trivial_module(P3, (0,), 0)])
+    assert t.actions[0] == {} and np.array_equal(t.act(0, 1), np.zeros((1, 1)))
+
+
 def test_tensor_signs_on_odd_factors():
     m = b19_module()
     t = tensor(m, m)
@@ -294,19 +319,17 @@ def test_submodule_generated_rejects_an_image_the_sweep_missed():
 
     m.act = act
     with pytest.raises(ValueError, match="closure sweep missed a Q-image"):
-        submodule_generated(m, [m.element((0, mono("tau2")))])
+        submodule_generated(m, [(0, mono("tau2"))])
 
 
 def test_submodule_generated_reads_a_direct_sum_label_as_a_label():
-    # (1, ("g", ())) is the generator of the second summand, though it has
-    # the shape of a (degree, vector) pair
+    # (1, ("g", ())) is the generator of the second summand
     free = free_module(P3, (0, 1))
     both = direct_sum([free, free])
     sub, inc = submodule_generated(both, [(1, ("g", ()))])
     assert sub.total_dim == 4
     assert verify_map(inc).passed
-    d, v = both.element((1, ("g", ())))
-    assert submodule_generated(both, [(d, v)])[0].total_dim == 4
+    assert not inc.mat(0)[: free.dim(0)].any()
 
 
 def test_quotient_by_nothing_and_by_everything():
