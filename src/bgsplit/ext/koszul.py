@@ -21,9 +21,9 @@ bidegree, the chain basis is the class basis and a v-map is index
 arithmetic on `BlockTable.v_target`, which moves every block to its v_j
 target by one `fplin.lookup` on its keys.  Only at the bidegrees that
 some entry of d does touch are dense differentials cut from the entries,
-for `fplin.homology_basis`, the one homology primitive, which Margolis
-homology uses too.  The v-monomials of a window come from one
-enumeration bounded by length and v-degree (`_v_levels`).  v-injectivity and
+for `fplin.homology_basis`, the one homology primitive (Margolis homology
+reads only ranks, from `fplin.dense_ranks`).  The v-monomials of a window
+come from one enumeration bounded by length and v-degree (`_v_levels`).  v-injectivity and
 Bockstein collapse read charts alone: v_i is injective on cochains with
 cokernel the complex of M over the other operators, so a long exact
 sequence counts the kernel of v_i on Ext (`_v_kernels`).

@@ -95,8 +95,10 @@ class PModule:
             raise ValueError(f"t_max {t_max} exceeds the certified window {self.t_max}")
         n = int(self.counts[self.ts <= t_max].sum())
         dims = {bd: k for bd, k in self.dims.items() if bd[1] <= t_max}
-        maps = {j: tuple(x[dst < n] for x in (src, dst, val)) for j, (src, dst, val) in self.maps.items()}
-        return PModule(self.p, self.var_degrees, dims, maps, t_max, _skip_check=True)
+        view = PModule(self.p, self.var_degrees, dims, {}, t_max, _skip_check=True)
+        # a prefix of summed entries is summed and sorted, so it is set without a second pass
+        view.maps = {j: tuple(x[dst < n] for x in (src, dst, val)) for j, (src, dst, val) in self.maps.items()}
+        return view
 
     def locate(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The index in dims of each bidegree (s[e], t[e]), or -1 where the module is zero."""

@@ -96,8 +96,31 @@ def _raise_xi(xi: tuple[tuple[int, int], ...], a: int, e: int) -> tuple[tuple[in
     return xi + ((a, e),)
 
 
+def _frozen(mat: np.ndarray) -> np.ndarray:
+    """mat, made read-only in place: for a matrix its builder hands over."""
+    mat.flags.writeable = False
+    return mat
+
+
+def _held(mat, p: int) -> np.ndarray:
+    """mat itself if it is a read-only reduced int64 array, else a frozen reduced copy.
+
+    A read-only view of a writeable array is copied, since its owner could still change it.
+    """
+    owner = getattr(mat, "base", None)
+    if isinstance(mat, np.ndarray) and mat.dtype == np.int64 and not mat.flags.writeable:
+        if owner is None or isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            if not mat.size or (mat.min() >= 0 and mat.max() < p):
+                return mat
+    return _frozen(np.asarray(mat, dtype=np.int64) % p)
+
+
 class QModule:
-    """Graded module over an exterior algebra E(Q_i : i in qs)."""
+    """Graded module over an exterior algebra E(Q_i : i in qs).
+
+    Every action matrix it holds is a read-only reduced int64 array, so
+    no caller can change a module through arrays it handed over or read.
+    """
 
     def __init__(
         self,
@@ -111,14 +134,9 @@ class QModule:
         self.ctx = ctx
         self.qs = tuple(sorted(set(qs)))
         self.basis = {d: tuple(labels) for d, labels in basis.items() if labels}
-        if _skip_check:
-            # the caller vouches for reduced int64 matrices, which are held as given
-            self.actions = {i: dict(acts) for i, acts in actions.items()}
-        else:
-            self.actions = {
-                i: {d: np.asarray(mat, dtype=np.int64) % ctx.p for d, mat in acts.items()}
-                for i, acts in actions.items()
-            }
+        # the caller of a skipped check vouches for reduced int64 matrices: frozen in place, held as given
+        hold = _frozen if _skip_check else (lambda mat: _held(mat, ctx.p))
+        self.actions = {i: {d: hold(mat) for d, mat in acts.items()} for i, acts in actions.items()}
         self.truncated_above = truncated_above
         for i in self.qs:
             self.actions.setdefault(i, {})
@@ -235,7 +253,7 @@ class QModuleMap:
         self.shift = shift
         self.mats = {}
         for d, mat in mats.items():
-            mat = np.asarray(mat, dtype=np.int64) % source.ctx.p
+            mat = _held(mat, source.ctx.p)
             want = (target.dim(d + shift), source.dim(d))
             if mat.shape != want:
                 raise ValueError(f"map matrix at degree {d} has shape {mat.shape}, expected {want}")
@@ -316,7 +334,8 @@ def module_from_monomials(
     take a held monomial to a new one, as when the new monomials have
     larger weight or degree; so held's matrices are kept, padded below with
     zero rows, and only the new columns are computed.  Their images, which
-    may reach held rows, are checked against the whole span.
+    may reach held rows, are checked against the whole span.  A held
+    matrix whose degree and target degree gained no monomial is kept as is.
     """
     new = monomials_by_degree(ctx, monomials)
     base = {} if held is None else held.basis
@@ -327,14 +346,17 @@ def module_from_monomials(
         di = ctx.q_degree(i)
         for d, labels in basis.items():
             rows = len(basis.get(d - di, ()))
-            mat = np.zeros((rows, len(labels)), dtype=np.int64)
             past = None if held is None else held.actions[i].get(d)
+            if past is not None and past.shape == (rows, len(labels)):
+                actions[i][d] = past
+                continue
+            mat = np.zeros((rows, len(labels)), dtype=np.int64)
             if past is not None:
                 mat[: past.shape[0], : past.shape[1]] = past
             if d in new:
                 mat[:, len(base.get(d, ())) :] = action_columns(ctx, spec, i, new[d], index, rows)
             if mat.size:
-                actions[i][d] = mat
+                actions[i][d] = _frozen(mat)
     return QModule(ctx, qs, basis, actions, truncated_above)
 
 
@@ -504,18 +526,21 @@ def restrict_qs(m: QModule, qs: Sequence[int]) -> QModule:
 
 
 def content_key(module: QModule) -> tuple:
-    """Everything Ext depends on, compared exactly: no digest, so equal keys mean equal modules."""
-    return (
-        module.ctx.p,
-        module.qs,
-        module.truncated_above,
-        tuple((d, module.dim(d)) for d in module.degrees()),
-        tuple(
-            (i, d, mat.shape, mat.tobytes())
-            for i in sorted(module.actions)
-            for d, mat in sorted(module.actions[i].items())
-        ),
-    )
+    """Everything Ext depends on, compared exactly: no digest, so equal keys mean equal modules.
+
+    Each action matrix enters as its shape and its nonzero entries, each
+    packed as flat index * p + value (0 < value < p), not as dense bytes; a
+    matrix with no nonzero entry is left out, so storing a zero block or
+    none gives one key.
+    """
+    p, entries = module.ctx.p, []
+    for i in sorted(module.actions):
+        for d, mat in sorted(module.actions[i].items()):
+            flat = np.flatnonzero(mat)
+            if flat.size:
+                entries.append((i, d, mat.shape, (flat * p + mat.flat[flat]).tobytes()))
+    dims = tuple((d, module.dim(d)) for d in module.degrees())
+    return (p, module.qs, module.truncated_above, dims, tuple(entries))
 
 
 def submodule_generated(m: QModule, labels: Iterable) -> tuple[QModule, QModuleMap]:
@@ -588,12 +613,18 @@ def quotient(inc: QModuleMap) -> tuple[QModule, QModuleMap]:
     submodule closes it once.  Coset representatives are the basis elements
     at the non-pivot columns of its echelon basis, so quotient labels are a
     subset of the original labels and the construction is deterministic.
+    At a degree the submodule misses, the quotient is the whole module:
+    its basis is kept, the projection is a read-only identity, and an
+    action between two such degrees is the whole module's own matrix.
     """
     m, p = inc.target, inc.target.ctx.p
     basis: dict[int, tuple] = {}
     proj_mats: dict[int, np.ndarray] = {}
     keep: dict[int, list[int]] = {}
     for d in m.degrees():
+        if not inc.source.dim(d):
+            basis[d], proj_mats[d] = m.basis[d], _frozen(np.eye(m.dim(d), dtype=np.int64))
+            continue
         # inc is injective, so every row of the echelon form holds a pivot
         rows, pivots = rref_array(inc.mat(d).T, p)
         keep[d], proj_mats[d] = quotient_projection(rows, pivots, m.dim(d), p)
@@ -605,12 +636,14 @@ def quotient(inc: QModuleMap) -> tuple[QModule, QModuleMap]:
         for d in m.degrees():
             if not basis.get(d) or not basis.get(d - di):
                 continue
-            mat = (proj_mats[d - di] @ m.act(i, d)[:, keep[d]]) % p
-            if mat.size:
-                actions[i][d] = mat
+            mat = m.act(i, d)
+            if d in keep:
+                mat = mat[:, keep[d]]
+            if d - di in keep:
+                mat = (proj_mats[d - di] @ mat) % p
+            actions[i][d] = _frozen(mat)
     quot = QModule(m.ctx, m.qs, basis, actions, m.truncated_above)
-    proj = QModuleMap(m, quot, {d: proj_mats[d] for d in m.degrees() if quot.dim(d) or m.dim(d)})
-    return quot, proj
+    return quot, QModuleMap(m, quot, proj_mats)
 
 
 def free_module(ctx: PrimeContext, qs: Sequence[int], gen_degree: int = 0, gen_label="g") -> QModule:

@@ -1,15 +1,18 @@
-"""Reference module constructions: the Kronecker tensor product and identity maps.
+"""Reference module constructions: the Kronecker tensor product, a dense quotient and identity maps.
 
 `kron_tensor` builds a tensor product block by block with np.kron, with
 no code shared with `qmodules.tensor`, and can stop at a total degree,
 which the library's tensor never does.  The tests hold the two against
-each other and build truncated products from it.
+each other and build truncated products from it.  `dense_quotient`
+eliminates and projects at every degree, where `qmodules.quotient` keeps
+the whole module wherever the submodule is zero.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from bgsplit.fplin import quotient_projection, rref_array
 from bgsplit.qmodules import QModule, QModuleMap
 
 
@@ -58,3 +61,21 @@ def truncated_tensor(m: QModule, n: QModule, max_degree: int) -> QModule:
 
 def identity_map(m: QModule) -> QModuleMap:
     return QModuleMap(m, m, {d: np.eye(m.dim(d), dtype=np.int64) for d in m.degrees()})
+
+
+def dense_quotient(inc: QModuleMap) -> tuple[QModule, QModuleMap]:
+    """Quotient by the image of inc with its projection, eliminated and multiplied out at every degree."""
+    m, p = inc.target, inc.target.ctx.p
+    basis, proj_mats, keep = {}, {}, {}
+    for d in m.degrees():
+        rows, pivots = rref_array(inc.mat(d).T, p)
+        keep[d], proj_mats[d] = quotient_projection(rows, pivots, m.dim(d), p)
+        basis[d] = tuple(m.basis[d][c] for c in keep[d])
+    actions = {i: {} for i in m.qs}
+    for i in m.qs:
+        di = m.drop(i)
+        for d in m.degrees():
+            if basis[d] and basis.get(d - di):
+                actions[i][d] = (proj_mats[d - di] @ m.act(i, d)[:, keep[d]]) % p
+    quot = QModule(m.ctx, m.qs, basis, actions, m.truncated_above)
+    return quot, QModuleMap(m, quot, proj_mats)

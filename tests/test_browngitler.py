@@ -210,6 +210,10 @@ def test_builder_grows_a_held_brown_gitler_module():
     heavier = [m for w in range(5, 9) for m in enumerate_by_weight(P3, spec, w)]
     grown = module_from_monomials(P3, spec, heavier, b4.qs, held=b4)
     _assert_same_module(grown, _cold_brown_gitler(P3, 1, 8))
+    # a held matrix is kept as is exactly where neither of its degrees gained a monomial
+    for j in b4.qs:
+        for d, mat in b4.actions[j].items():
+            assert (grown.actions[j][d] is mat) == (grown.actions[j][d].shape == mat.shape), (j, d)
 
 
 def test_builder_grows_a_held_bp_homology_by_degree():
@@ -219,6 +223,8 @@ def test_builder_grows_a_held_bp_homology_by_degree():
     grown = module_from_monomials(P3, spec, above, (0, 1, 2), truncated_above=140, held=h100)
     assert grown.truncated_above == 140
     _assert_same_module(grown, _cold_bp_homology(140))
+    # no degree through 100 gains a monomial, so every held matrix is kept as is
+    assert all(grown.actions[j][d] is mat for j in h100.qs for d, mat in h100.actions[j].items())
 
 
 # -- theta -----------------------------------------------------------------

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bgsplit.browngitler import weight_restricted_C
+from bgsplit.browngitler import brown_gitler, si_ri_splitting, weight_restricted_C
 from bgsplit.ext.compare import dual_module
-from bgsplit.monomials import AlgebraSpec, Monomial, PrimeContext
+from bgsplit.monomials import AlgebraSpec, Monomial, PrimeContext, length
 from bgsplit.qmodules import (
     ClosureError,
     QModule,
@@ -29,7 +29,7 @@ from bgsplit.qmodules import (
     verify_map,
 )
 from monomial_oracles import parse_monomial
-from qmodule_oracles import identity_map, kron_tensor, truncated_tensor
+from qmodule_oracles import dense_quotient, identity_map, kron_tensor, truncated_tensor
 
 P3 = PrimeContext(3)
 P5 = PrimeContext(5)
@@ -187,14 +187,48 @@ def test_direct_sum_dims_and_block_action():
     assert r.passed
 
 
-def test_only_a_checked_module_copies_its_matrices():
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    mat.flags.writeable = False
+    return mat
+
+
+def test_a_checked_module_copies_only_what_a_caller_could_write():
     # a suspension or restriction skips the checks and shares the held matrices
     m = b19_module()
     for trusted, shift in ((suspend(m, 4), 4), (restrict_qs(m, (0, 1)), 0)):
         for i in trusted.qs:
             assert all(trusted.actions[i][d + shift] is mat for d, mat in m.actions[i].items())
-    checked = QModule(P3, m.qs, m.basis, m.actions)
-    assert all(checked.actions[i][d] is not mat for i in m.qs for d, mat in m.actions[i].items())
+    # a read-only reduced matrix is shared
+    t = tensor(m, m)
+    shared = QModule(P3, t.qs, t.basis, t.actions)
+    assert all(shared.actions[i][d] is mat for i in t.qs for d, mat in t.actions[i].items())
+    # a writeable matrix, a read-only view of a writeable owner and an unreduced one are copied and frozen
+    for hand_over in (np.copy, lambda mat: _read_only(mat.copy().view()), lambda mat: _read_only(mat + 3)):
+        given = {i: {d: hand_over(mat) for d, mat in acts.items()} for i, acts in t.actions.items()}
+        checked = QModule(P3, t.qs, t.basis, given)
+        for i in t.qs:
+            for d, mat in given[i].items():
+                assert checked.actions[i][d] is not mat and not checked.actions[i][d].flags.writeable
+                # the caller changes every entry through whatever it can still write
+                owner = mat if mat.base is None else mat.base
+                if owner.flags.writeable:
+                    owner[...] = (owner + 1) % P3.p
+        assert content_key(checked) == content_key(t)
+
+
+def test_no_matrix_a_checked_module_or_map_holds_can_be_written():
+    m = b19_module()
+    sub, inc = submodule_generated(m, [mono("tau2")])
+    quot, proj = quotient(inc)
+    big = direct_sum([m, free_module(P3, m.qs, 23)])
+    modules = [m, sub, quot, big, suspend(m, 4), tensor(m, m), QModule(P3, big.qs, big.basis, big.actions)]
+    modules.append(module_from_monomials(P3, A1, [mono("xi1^4")], m.qs, held=m))
+    held = [mat for x in modules for acts in x.actions.values() for mat in acts.values()]
+    held += [mat for f in (inc, proj, identity_map(m)) for mat in f.mats.values()]
+    assert len(held) > 40
+    for mat in held:
+        with pytest.raises(ValueError, match="read-only"):
+            mat[...] = 0
 
 
 def test_direct_sum_places_only_the_blocks_its_summands_hold():
@@ -361,6 +395,78 @@ def test_projection_is_equivariant_and_surjective():
     assert verify_map(proj).passed
     assert quot.total_dim == 2  # xi1, xi1^2 survive
     assert set(quot.basis[4]) == {mono("xi1")}
+
+
+def assert_matches_dense_quotient(inc: QModuleMap) -> int:
+    """quotient(inc) equals the dense reference; returns how many whole-module matrices it shares."""
+    whole = inc.target
+    (quot, proj), (want, want_proj) = quotient(inc), dense_quotient(inc)
+    assert quot.basis == want.basis and content_key(quot) == content_key(want)
+    for i in quot.qs:
+        assert quot.actions[i].keys() == want.actions[i].keys()
+        assert all(np.array_equal(mat, want.actions[i][d]) for d, mat in quot.actions[i].items())
+    assert proj.mats.keys() == want_proj.mats.keys()
+    assert all(np.array_equal(mat, want_proj.mats[d]) for d, mat in proj.mats.items())
+    missed = {d for d in whole.degrees() if not inc.source.dim(d)}
+    shared = 0
+    for i in whole.qs:
+        for d, mat in whole.actions[i].items():
+            if d in missed and d - whole.drop(i) in missed:
+                assert quot.actions[i][d] is mat, (i, d)
+                shared += 1
+    return shared
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 2), (1, 0, 2), (2, 0, 1)])
+def test_quotient_matches_the_dense_reference_on_si_ri(perm):
+    split = si_ri_splitting(P3, perm, 220)
+    # S_i lives at degrees 192-218 only, so the quotient keeps the rest of C
+    assert 192 <= split.free_part.min_degree() and split.free_part.max_degree() <= 218
+    assert assert_matches_dense_quotient(split.inclusion) > 50
+
+
+def test_quotient_matches_the_dense_reference_on_the_weight_blocks():
+    for k in range(28):
+        b = brown_gitler(P3, 1, k).module
+        inc = submodule_generated(b, [lab for d in b.degrees() for lab in b.basis[d] if length(lab) >= 3])[1]
+        assert_matches_dense_quotient(inc)
+        assert content_key(quotient(inc)[0]) == content_key(weight_restricted_C(P3, k))
+
+
+def test_quotient_matches_the_dense_reference_on_a_sum_of_free_and_non_free():
+    whole = direct_sum([free_module(P3, (0, 1, 2), 23, "a"), suspend(b19_module(), 40)])
+    for labels in ([(0, ("a", ()))], [(1, mono("tau2"))], [(0, ("a", (0,))), (1, mono("xi1"))]):
+        assert assert_matches_dense_quotient(submodule_generated(whole, labels)[1]) > 0
+
+
+# -- content keys ----------------------------------------------------------------
+
+
+def test_content_key_tells_apart_a_value_a_shape_and_a_degree():
+    base = free_module(P3, (0,))
+    flipped = QModule(P3, (0,), base.basis, {0: {0: 2 * base.actions[0][0]}})
+    # one entry at flat index 0, as a 1 x 2 and as a 2 x 1 matrix
+    wide = QModule(P3, (0,), {1: ("a", "b"), 0: ("c",)}, {0: {1: np.array([[1, 0]])}})
+    tall = QModule(P3, (0,), {1: ("a",), 0: ("b", "c")}, {0: {1: np.array([[1], [0]])}})
+    # the same 1 x 1 matrix out of degree 1 and out of degree 2, over the same dimensions
+    line = {0: ("a",), 1: ("b",), 2: ("c",)}
+    low = QModule(P3, (0,), line, {0: {1: np.array([[1]])}})
+    high = QModule(P3, (0,), line, {0: {2: np.array([[1]])}})
+    keys = [content_key(x) for x in (base, flipped, wide, tall, low, high)]
+    assert len(set(keys)) == len(keys)
+
+
+def test_equal_modules_built_apart_share_one_content_key():
+    m = b19_module()
+    monos = [mono(x) for x in ["xi1^3", "1", "xi1^2", "xi1", "tau2", "xi2"]]
+    again = module_from_monomials(P3, A1, monos[:4], m.qs)
+    again = module_from_monomials(P3, A1, monos[4:], m.qs, held=again)
+    copied = QModule(P3, m.qs, m.basis, {i: {d: mat.copy() for d, mat in acts.items()} for i, acts in m.actions.items()})
+    assert content_key(again) == content_key(copied) == content_key(m)
+    # a stored zero block and no block are the same module
+    sparse = direct_sum([trivial_module(P3, (0,), 1), trivial_module(P3, (0,), 0)])
+    dense = QModule(P3, (0,), sparse.basis, {0: {1: np.zeros((1, 1), dtype=np.int64)}})
+    assert content_key(sparse) == content_key(dense)
 
 
 def test_restrict_qs_drops_action():
